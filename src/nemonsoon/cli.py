@@ -28,16 +28,15 @@ def main() -> None:
 
 
 def dispatch(argv: list[str]) -> int:
-    config = _preload_config(argv)
-    parser = _build_parser(config)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not hasattr(args, "handler"):
-        parser.print_help()
-        return 2
-    try:
+        parser = _build_parser(_load_config(argv))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        if not hasattr(args, "handler"):
+            parser.print_help()
+            return 2
         args.handler(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -48,18 +47,20 @@ def dispatch(argv: list[str]) -> int:
     return 0
 
 
-def _preload_config(argv: list[str]) -> dict:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            with open(argv[i + 1]) as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise SystemExit("config file must hold a JSON object")
-            return doc
-        if tok.startswith("--config="):
-            with open(tok.split("=", 1)[1]) as fh:
-                return json.load(fh)
-    return {}
+def _load_config(argv: list[str]) -> dict:
+    """The JSON object named by `--config FILE` or `--config=FILE`, else {}."""
+    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
+    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+    if not paths:
+        return {}
+    try:
+        with open(paths[0]) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load config {paths[0]}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {paths[0]} must hold a JSON object")
+    return doc
 
 
 def _build_parser(config: dict) -> argparse.ArgumentParser:
@@ -199,19 +200,11 @@ def _load_world(args):
     return field, y_onset, y_retreat
 
 
-def _grid_domain(field) -> Rect:
-    spec = field.spec
-    return Rect(
-        spec.lat0 - spec.dlat / 2, spec.lat0 + (spec.nlat - 0.5) * spec.dlat,
-        spec.lon0 - spec.dlon / 2, spec.lon0 + (spec.nlon - 0.5) * spec.dlon,
-    )
-
-
 def _cmd_optimize(args) -> None:
     field, y_onset, y_retreat = _load_world(args)
     init_a, init_b = rl_env.load_areas(args.areas)
     env_config = rl_env.EnvConfig(
-        mode=args.mode, domain=_grid_domain(field), init_a=init_a, init_b=init_b,
+        mode=args.mode, domain=field.spec.domain(), init_a=init_a, init_b=init_b,
         episode_len=args.episode_len, min_ocean=args.min_ocean, jitter=args.jitter,
     )
     dqn_config = dqn.DQNConfig(total_timesteps=args.timesteps, seed=args.seed)
@@ -244,7 +237,7 @@ def _cmd_oracle(args) -> None:
     template_a, template_b = rl_env.load_areas(args.areas)
     (best_a, best_b), best_q = dqn.exhaustive_search(
         field, y_onset, y_retreat, template_a, template_b,
-        domain=_grid_domain(field), step=args.step, min_ocean=args.min_ocean,
+        domain=field.spec.domain(), step=args.step, min_ocean=args.min_ocean,
     )
     os.makedirs(args.out, exist_ok=True)
     rl_env.save_areas(best_a, best_b, os.path.join(args.out, "best_areas.json"))

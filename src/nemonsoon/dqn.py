@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geogrid, index
-from .errors import NonFiniteLossError
+from .errors import NemonsoonError, NonFiniteLossError
 from .geogrid import AreaSet, Rect, SSTField
-from .index import SeasonMask
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +288,13 @@ def _maybe_better(env, best_areas, best_q):
 def write_history_csv(history: list[HistoryRow], path) -> None:
     """Emit `step,episode,reward,best_q,epsilon`."""
     import csv
-    import os
 
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with geogrid.atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "episode", "reward", "best_q", "epsilon"])
         for row in history:
             w.writerow([row.step, row.episode, repr(row.reward),
                         repr(row.best_q), repr(row.epsilon)])
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +326,9 @@ def _placements(template: AreaSet, domain: Rect, step: float) -> list[tuple[floa
     ]
 
 
+_BLOCK_ROWS = 256
+
+
 def exhaustive_search(
     field: SSTField,
     y_onset: np.ndarray,
@@ -339,81 +338,53 @@ def exhaustive_search(
     domain: Rect,
     step: float = 0.5,
     min_ocean: float = 0.8,
-    mask: SeasonMask | None = None,
 ) -> tuple[tuple[AreaSet, AreaSet], float]:
     """Evaluate every valid shift-lattice placement of A crossed with every
     valid placement of B; return the argmax-q pair (lexicographic ties go
-    to the earlier placement).
+    to the earlier placement). Placements that break the area constraint
+    are skipped; degenerate pairs never win.
 
-    Uses the fact that Pearson r is invariant under the affine
-    normalisation of Z, so q is computed from raw mean-SST differences.
+    Each placement's series is season-centred once, so every pair's index
+    is one subtraction away from what the batched scorer takes. B's
+    centred series are stacked; A's are scored as they are generated.
     """
-    mask = mask or SeasonMask()
-    ocean = field.ocean_mask()
     months = field.spec.months()
-    sel_on = np.isin(months, list(mask.onset_months))
-    sel_re = np.isin(months, list(mask.retreat_months))
-    if sel_on.sum() < 3 or sel_re.sum() < 3:
-        raise ValueError("time axis too short for seasonal correlations")
+    target = index.season_target(y_onset, y_retreat, months)
 
-    def valid_series(template):
-        offsets, series = [], []
-        for dlat, dlon in _placements(template, domain, step):
-            area = _shift_area(template, dlat, dlon)
-            try:
-                if geogrid.ocean_fraction(area, ocean, field.spec) < min_ocean:
-                    continue
-                series.append(geogrid.area_mean_series(field, area))
-            except (geogrid.EmptyAreaError, geogrid.NoOceanCellsError):
-                continue
-            offsets.append((dlat, dlon))
-        return offsets, np.array(series)
+    def valid_placements(template):
+        for offset in _placements(template, domain, step):
+            s, _ = index.ocean_series(field, _shift_area(template, *offset), min_ocean)
+            if s is not None:
+                yield offset, index.season_centre(s, months)
 
-    offsets_a, series_a = valid_series(template_a)
-    offsets_b, series_b = valid_series(template_b)
-    if not offsets_a or not offsets_b:
-        raise ValueError("no valid placements for A or B in the domain")
-
-    y_on = np.asarray(y_onset, dtype=float)[sel_on]
-    y_re = np.asarray(y_retreat, dtype=float)[sel_re]
-    yc_on = y_on - y_on.mean()
-    yc_re = y_re - y_re.mean()
-    sy_on = np.sqrt((yc_on * yc_on).sum())
-    sy_re = np.sqrt((yc_re * yc_re).sum())
-    if sy_on == 0.0 or sy_re == 0.0:
-        raise ValueError("constant rainfall target")
-
+    placed_b = list(valid_placements(template_b))
+    if not placed_b:
+        raise NemonsoonError(f"no placement of B in {domain} meets the area constraint")
+    offsets_b = [offset for offset, _ in placed_b]
+    centred_b = np.array([c for _, c in placed_b])
+    del placed_b
+    # B is scored in row blocks through one reused buffer: a fresh
+    # multi-MB difference per placement makes the allocator hand pages back
+    # and fault them in again each time, and small blocks keep the peak
+    # memory of the float64 temporaries low
+    blocks = [centred_b[lo:lo + _BLOCK_ROWS] for lo in range(0, len(centred_b), _BLOCK_ROWS)]
+    diffs = np.empty_like(blocks[0])
     best_q = -np.inf
     best = None
-    for ia, s_a in enumerate(series_a):
-        diff = series_b - s_a[None, :]  # (n_b, nt)
-        q = _pair_objectives(diff, sel_on, sel_re, yc_on, yc_re, sy_on, sy_re)
+    for offset_a, c_a in valid_placements(template_a):
+        q = np.concatenate([
+            index.seasonal_scores(np.subtract(b, c_a, out=diffs[:len(b)]), target, months)[2]
+            for b in blocks
+        ])
+        q = np.nan_to_num(q, nan=-np.inf)
         ib = int(np.argmax(q))
         if q[ib] > best_q + 1e-15:
             best_q = float(q[ib])
-            best = (ia, ib)
-    area_a = _shift_area(template_a, *offsets_a[best[0]])
-    area_b = _shift_area(template_b, *offsets_b[best[1]])
+            best = (offset_a, offsets_b[ib])
+    if best is None:
+        raise NemonsoonError(
+            f"no valid (A, B) pair in {domain}: no placement of A meets the area "
+            "constraint, or every pair is degenerate (constant or non-finite)")
+    area_a = _shift_area(template_a, *best[0])
+    area_b = _shift_area(template_b, *best[1])
     return (area_a, area_b), best_q
-
-
-def _pair_objectives(diff, sel_on, sel_re, yc_on, yc_re, sy_on, sy_re):
-    """Vectorized q for rows of raw index differences; degenerate rows get
-    -inf (they would be invalid reports in evaluate_pair)."""
-    q = np.full(diff.shape[0], -np.inf)
-    for sel, yc, sy, half in ((sel_on, yc_on, sy_on, 0), (sel_re, yc_re, sy_re, 1)):
-        d = diff[:, sel]
-        dc = d - d.mean(axis=1, keepdims=True)
-        sd = np.sqrt((dc * dc).sum(axis=1))
-        ok = sd > 0
-        r = np.zeros(diff.shape[0])
-        r[ok] = (dc[ok] @ yc) / (sd[ok] * sy)
-        r = np.clip(r, -1.0, 1.0)
-        contrib = 0.5 * r * r
-        if half == 0:
-            q = np.where(ok, contrib, -np.inf)
-        else:
-            q = np.where(ok & np.isfinite(q), q + contrib, -np.inf)
-    # full-series variance must also be nonzero for normalise() to exist
-    full_sd = diff.std(axis=1)
-    return np.where(full_sd > 0, q, -np.inf)

@@ -5,7 +5,6 @@ stopping, and the with/without-index ablation."""
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ from .errors import (
     SkippedCluster,
     ZeroVarianceError,
 )
+from .geogrid import atomic_write, month_axis, year_axis
 from .index import pearson
 
 WINDOW = 24
@@ -446,22 +446,17 @@ def _assign_windows(years, fold: FoldSpec, n_samples: int):
 
 def write_report_csv(rows: list[dict], path) -> None:
     """Emit `cluster_id,fold,arm,rmse_mm_month`."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["cluster_id", "fold", "arm", "rmse_mm_month"])
         for row in rows:
             w.writerow([row["cluster_id"], row["fold"], row["arm"],
                         repr(float(row["rmse_mm_month"]))])
-    os.replace(tmp, path)
 
 
 def write_indices_csv(indices: dict[str, np.ndarray], t0: str, path) -> None:
     """Emit `index_name,year,month,value` for aligned monthly indices."""
-    from .geogrid import month_axis, year_axis
-
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index_name", "year", "month", "value"])
         for name, series in indices.items():
@@ -469,7 +464,6 @@ def write_indices_csv(indices: dict[str, np.ndarray], t0: str, path) -> None:
             months = month_axis(t0, len(series))
             for y, m, v in zip(years, months, series):
                 w.writerow([name, int(y), int(m), repr(float(v))])
-    os.replace(tmp, path)
 
 
 def read_indices_csv(path) -> tuple[dict[str, np.ndarray], str]:

@@ -7,7 +7,8 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,6 +81,13 @@ class GridSpec:
     def years(self) -> np.ndarray:
         return year_axis(self.t0, self.nt)
 
+    def domain(self) -> "Rect":
+        """The whole grid as a rect: cell centres +/- half a cell."""
+        return Rect(
+            self.lat0 - self.dlat / 2, self.lat0 + (self.nlat - 0.5) * self.dlat,
+            self.lon0 - self.dlon / 2, self.lon0 + (self.nlon - 0.5) * self.dlon,
+        )
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -150,12 +158,15 @@ class SSTField:
             raise ValueError("non-land SST outside [-5, 45] degC")
 
 
-def rect_cells(rect: Rect, spec: GridSpec) -> set[tuple[int, int]]:
-    """Grid cells whose centers fall inside the closed rectangle."""
-    i0, i1, j0, j1 = _rect_index_bounds(rect, spec)
-    if i0 > i1 or j0 > j1:
-        return set()
-    return {(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
+def area_indices(area: AreaSet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the cells whose centres fall inside any of
+    the area's closed rects; overlaps counted once, row-major order."""
+    flat = []
+    for rect in area.rects:
+        i0, i1, j0, j1 = _rect_index_bounds(rect, spec)
+        flat.append((np.arange(i0, i1 + 1)[:, None] * spec.nlon + np.arange(j0, j1 + 1)).ravel())
+    # one rect's indices are already sorted and distinct
+    return np.divmod(flat[0] if len(flat) == 1 else np.unique(np.concatenate(flat)), spec.nlon)
 
 
 def _rect_index_bounds(rect: Rect, spec: GridSpec) -> tuple[int, int, int, int]:
@@ -168,28 +179,18 @@ def _rect_index_bounds(rect: Rect, spec: GridSpec) -> tuple[int, int, int, int]:
 
 def area_cells(area: AreaSet, spec: GridSpec) -> set[tuple[int, int]]:
     """Union of the cells of every rect (overlaps counted once)."""
-    cells: set[tuple[int, int]] = set()
-    for rect in area.rects:
-        cells |= rect_cells(rect, spec)
-    return cells
+    ii, jj = area_indices(area, spec)
+    return set(zip(ii.tolist(), jj.tolist()))
 
 
-def _area_index_arrays(area: AreaSet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    flat: set[int] = set()
-    for rect in area.rects:
-        i0, i1, j0, j1 = _rect_index_bounds(rect, spec)
-        if i0 > i1 or j0 > j1:
-            continue
-        ii, jj = np.meshgrid(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1), indexing="ij")
-        flat.update((ii * spec.nlon + jj).ravel().tolist())
-    idx = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    idx.sort()
-    return idx // spec.nlon, idx % spec.nlon
+def rect_cells(rect: Rect, spec: GridSpec) -> set[tuple[int, int]]:
+    """Grid cells whose centers fall inside the closed rectangle."""
+    return area_cells(AreaSet.of(rect), spec)
 
 
 def ocean_fraction(area: AreaSet, mask: np.ndarray, spec: GridSpec) -> float:
     """Share of the area's (deduplicated) cells that are ocean."""
-    ii, jj = _area_index_arrays(area, spec)
+    ii, jj = area_indices(area, spec)
     if ii.size == 0:
         raise EmptyAreaError(f"area covers no grid cells: {area}")
     return float(mask[ii, jj].sum()) / ii.size
@@ -197,7 +198,7 @@ def ocean_fraction(area: AreaSet, mask: np.ndarray, spec: GridSpec) -> float:
 
 def area_mean_series(field: SSTField, area: AreaSet) -> np.ndarray:
     """Mean SST over the area's ocean cells, for every month (length nt)."""
-    ii, jj = _area_index_arrays(area, field.spec)
+    ii, jj = area_indices(area, field.spec)
     if ii.size == 0:
         raise EmptyAreaError(f"area covers no grid cells: {area}")
     sub = field.values[:, ii, jj]  # (nt, ncells)
@@ -225,12 +226,10 @@ def save_sst(field: SSTField, path: str | os.PathLike) -> None:
         "nlat": spec.nlat, "nlon": spec.nlon,
         "t0": spec.t0, "nt": spec.nt,
     }
-    _atomic_write_bytes(
-        os.path.join(path, "grid.json"),
-        (json.dumps(header, indent=2) + "\n").encode(),
-    )
-    payload = np.ascontiguousarray(field.values, dtype="<f4").tobytes()
-    _atomic_write_bytes(os.path.join(path, "sst.f32"), payload)
+    with atomic_write(os.path.join(path, "grid.json"), "wb") as fh:
+        fh.write((json.dumps(header, indent=2) + "\n").encode())
+    with atomic_write(os.path.join(path, "sst.f32"), "wb") as fh:
+        fh.write(np.ascontiguousarray(field.values, dtype="<f4").tobytes())
 
 
 def load_sst(path: str | os.PathLike) -> SSTField:
@@ -274,8 +273,11 @@ def load_sst(path: str | os.PathLike) -> SSTField:
     return SSTField(spec=spec, values=values.copy())
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
+@contextmanager
+def atomic_write(path: str | os.PathLike, mode: str = "w", **open_kwargs):
+    """Open `path + '.tmp'` for writing and rename it over `path` once the
+    block completes, so readers never see a partial file."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, mode, **open_kwargs) as fh:
+        yield fh
     os.replace(tmp, path)

@@ -5,35 +5,16 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geogrid
-from .errors import (
-    EmptyAreaError,
-    InsufficientSeasonSamplesError,
-    NoOceanCellsError,
-    ZeroVarianceError,
-)
+from .errors import EmptyAreaError, InsufficientSeasonSamplesError, ZeroVarianceError
 from .geogrid import AreaSet, SSTField
 
 ONSET_MONTHS = frozenset({10, 11, 12, 1, 2, 3})
 RETREAT_MONTHS = frozenset({4, 5, 6, 7, 8, 9})
-
-
-@dataclass(frozen=True)
-class SeasonMask:
-    """Partition of the 12 calendar months into onset and retreat seasons."""
-
-    onset_months: frozenset = ONSET_MONTHS
-    retreat_months: frozenset = RETREAT_MONTHS
-
-    def __post_init__(self):
-        if self.onset_months | self.retreat_months != frozenset(range(1, 13)):
-            raise ValueError("season masks must cover all 12 months")
-        if self.onset_months & self.retreat_months:
-            raise ValueError("season masks must be disjoint")
 
 
 @dataclass
@@ -86,36 +67,82 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def seasonal_correlations(
-    z: np.ndarray,
-    y_onset: np.ndarray,
-    y_retreat: np.ndarray,
-    months: np.ndarray,
-    mask: SeasonMask | None = None,
-) -> tuple[float, float]:
-    """Pearson r of z against each target, restricted to that target's
-    season. `months` gives the calendar month (1..12) of each index."""
-    mask = mask or SeasonMask()
+_ONSET_BY_MONTH = np.isin(np.arange(13), list(ONSET_MONTHS))
+_RETREAT_BY_MONTH = np.isin(np.arange(13), list(RETREAT_MONTHS))
+
+
+def season_masks(months: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Onset and retreat selectors over a calendar-month axis (1..12); each
+    season needs at least 3 samples for a correlation."""
     months = np.asarray(months)
-    if not (len(z) == len(y_onset) == len(y_retreat) == len(months)):
-        raise ValueError("series must share one time axis")
-    sel_on = np.isin(months, list(mask.onset_months))
-    sel_re = np.isin(months, list(mask.retreat_months))
+    sel_on, sel_re = _ONSET_BY_MONTH[months], _RETREAT_BY_MONTH[months]
     if sel_on.sum() < 3 or sel_re.sum() < 3:
         raise InsufficientSeasonSamplesError(
             f"need >= 3 samples per season, got onset={int(sel_on.sum())}, "
             f"retreat={int(sel_re.sum())}"
         )
-    r_onset = pearson(np.asarray(z)[sel_on], np.asarray(y_onset)[sel_on])
-    r_retreat = pearson(np.asarray(z)[sel_re], np.asarray(y_retreat)[sel_re])
-    return r_onset, r_retreat
+    return sel_on, sel_re
 
 
-def objective_q(r_onset: float, r_retreat: float) -> float:
-    """Season-aware objective: mean of the two squared correlations."""
-    if not (-1.0 <= r_onset <= 1.0 and -1.0 <= r_retreat <= 1.0):
+def season_centre(series: np.ndarray, months: np.ndarray) -> np.ndarray:
+    """float64 copy of `series` (time on the last axis) with each season's
+    mean removed. Differences of centred series are centred differences."""
+    out = np.array(series, dtype=float)
+    for sel in season_masks(months):
+        out[..., sel] -= out[..., sel].mean(axis=-1, keepdims=True)
+    return out
+
+
+def season_target(y_onset: np.ndarray, y_retreat: np.ndarray, months: np.ndarray) -> np.ndarray:
+    """One season-centred target: y_onset in onset months, y_retreat in
+    retreat months."""
+    if not (len(y_onset) == len(y_retreat) == len(months)):
+        raise ValueError("series must share one time axis")
+    sel_on, _ = season_masks(months)
+    return season_centre(np.where(sel_on, y_onset, y_retreat), months)
+
+
+def seasonal_scores(diffs: np.ndarray, target: np.ndarray, months: np.ndarray):
+    """(r_onset, r_retreat, q) for each row of season-centred index
+    differences against the season-centred target, one Pearson r per season.
+
+    Pearson r is affine-invariant, so raw differences score the same as the
+    normalised index. A row, or a target, that is constant within a season
+    or not finite scores NaN: an invalid pair, never a fabricated q.
+    """
+    diffs = np.atleast_2d(diffs)
+    seasons = np.stack(season_masks(months), axis=1).astype(float)  # (nt, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (diffs @ (target[:, None] * seasons)) / np.sqrt(
+            ((diffs * diffs) @ seasons) * ((target * target) @ seasons))
+    r = np.where(np.isfinite(r), np.clip(r, -1.0, 1.0), np.nan)
+    return r[:, 0], r[:, 1], objective_q(r[:, 0], r[:, 1])
+
+
+def objective_q(r_onset, r_retreat):
+    """Season-aware objective: mean of the two squared correlations. Takes
+    scalars or arrays; NaN correlations give NaN."""
+    r_onset = np.asarray(r_onset, dtype=float)
+    r_retreat = np.asarray(r_retreat, dtype=float)
+    if (np.abs(r_onset) > 1.0).any() or (np.abs(r_retreat) > 1.0).any():
         raise ValueError("correlations must lie in [-1, 1]")
-    return 0.5 * (r_onset * r_onset + r_retreat * r_retreat)
+    q = 0.5 * (r_onset * r_onset + r_retreat * r_retreat)
+    return float(q) if q.ndim == 0 else q
+
+
+def ocean_series(field: SSTField, area: AreaSet, min_ocean: float) -> tuple[np.ndarray | None, str | None]:
+    """The area constraint: the area covers grid cells, has ocean, and at
+    least `min_ocean` of its cells are ocean. Returns (ocean-mean series,
+    None) when it holds, else (None, the violation)."""
+    try:
+        frac = geogrid.ocean_fraction(area, field.ocean_mask(), field.spec)
+    except EmptyAreaError as exc:
+        return None, f"empty area: {exc}"
+    if frac < min_ocean:
+        return None, f"ocean_fraction={frac:.3f} < {min_ocean}"
+    if frac == 0.0:
+        return None, f"area has no ocean cells: {area}"
+    return geogrid.area_mean_series(field, area), None
 
 
 def evaluate_pair(
@@ -124,49 +151,40 @@ def evaluate_pair(
     area_b: AreaSet,
     y_onset: np.ndarray,
     y_retreat: np.ndarray,
-    mask: SeasonMask | None = None,
     min_ocean: float = 0.8,
-    reference: slice | np.ndarray | None = None,
 ) -> ObjectiveReport:
     """Score an (A, B) pair; constraint violations and degenerate series are
     reported as invalid, never raised, so an optimizer can penalize them."""
-    ocean = field.ocean_mask()
+    series = []
+    for label, area in (("A", area_a), ("B", area_b)):
+        s, violation = ocean_series(field, area, min_ocean)
+        if s is None:
+            return ObjectiveReport(np.nan, np.nan, np.nan, False, f"{label}: {violation}")
+        series.append(s)
+    months = field.spec.months()
     try:
-        frac_a = geogrid.ocean_fraction(area_a, ocean, field.spec)
-        frac_b = geogrid.ocean_fraction(area_b, ocean, field.spec)
-    except EmptyAreaError as exc:
-        return ObjectiveReport(np.nan, np.nan, np.nan, False, f"empty area: {exc}")
-    if frac_a < min_ocean:
-        return ObjectiveReport(
-            np.nan, np.nan, np.nan, False,
-            f"ocean_fraction(A)={frac_a:.3f} < {min_ocean}",
-        )
-    if frac_b < min_ocean:
-        return ObjectiveReport(
-            np.nan, np.nan, np.nan, False,
-            f"ocean_fraction(B)={frac_b:.3f} < {min_ocean}",
-        )
-    try:
-        z = normalise_series(raw_index(field, area_a, area_b), reference)
-        r_onset, r_retreat = seasonal_correlations(
-            z, y_onset, y_retreat, field.spec.months(), mask
-        )
-    except (NoOceanCellsError, ZeroVarianceError, InsufficientSeasonSamplesError) as exc:
+        diff = season_centre(series[1], months) - season_centre(series[0], months)
+        target = season_target(y_onset, y_retreat, months)
+    except InsufficientSeasonSamplesError as exc:
         return ObjectiveReport(np.nan, np.nan, np.nan, False, str(exc))
-    return ObjectiveReport(r_onset, r_retreat, objective_q(r_onset, r_retreat), True)
+    r_onset, r_retreat, q = (float(v[0]) for v in seasonal_scores(diff, target, months))
+    if np.isnan(q):
+        finite = np.isfinite(diff).all() and np.isfinite(target).all()
+        violation = ("index or target constant within a season" if finite
+                     else "index or target has non-finite values")
+        return ObjectiveReport(np.nan, np.nan, np.nan, False, violation)
+    return ObjectiveReport(r_onset, r_retreat, q, True)
 
 
 def write_objective_csv(report: ObjectiveReport, path: str | os.PathLike) -> None:
     """Emit `r_onset,r_retreat,q,valid,violation`."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with geogrid.atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["r_onset", "r_retreat", "q", "valid", "violation"])
         w.writerow([
             _fmt(report.r_onset), _fmt(report.r_retreat), _fmt(report.q),
             str(report.valid).lower(), report.violation or "",
         ])
-    os.replace(tmp, path)
 
 
 def write_index_csv(z: np.ndarray, t0: str, path: str | os.PathLike) -> None:
@@ -174,13 +192,11 @@ def write_index_csv(z: np.ndarray, t0: str, path: str | os.PathLike) -> None:
     nt = len(z)
     years = geogrid.year_axis(t0, nt)
     months = geogrid.month_axis(t0, nt)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with geogrid.atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["year", "month", "z"])
         for y, m, v in zip(years, months, z):
             w.writerow([int(y), int(m), repr(float(v))])
-    os.replace(tmp, path)
 
 
 def _fmt(v: float) -> str:

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geogrid, index
 from .errors import EpisodeOverError, InvalidInitialAreasError
 from .geogrid import AreaSet, Rect, SSTField
-from .index import SeasonMask
 
 SHIFT_ONLY = "shift-only"
 SHIFT_AND_RESIZE = "shift-resize"
@@ -100,28 +99,25 @@ def apply_action(
     area_b: AreaSet,
     action: Action,
     config: EnvConfig,
-    ocean: np.ndarray | None = None,
-    spec=None,
 ) -> tuple[AreaSet, AreaSet] | None:
-    """Apply one action; returns the new (A, B) or None if the move is
-    invalid (leaves the domain, kills an extent, or breaks min_ocean)."""
+    """Apply one action; returns the new (A, B) or None if the move kills
+    an extent or leaves the domain. The ocean constraint is the
+    objective's to check."""
     target = area_a if action.target == "A" else area_b
     moved = []
     for rect in target.rects:
         new = _move_rect(rect, action, config.step)
-        if new is None or not config.domain.contains(new):
+        if new is None:
             return None
         moved.append(new)
     new_area = AreaSet(tuple(moved))
-    new_a, new_b = (new_area, area_b) if action.target == "A" else (area_a, new_area)
-    if ocean is not None:
-        for area in (new_a, new_b):
-            try:
-                if geogrid.ocean_fraction(area, ocean, spec) < config.min_ocean:
-                    return None
-            except geogrid.EmptyAreaError:
-                return None
-    return new_a, new_b
+    if not _inside(config.domain, new_area):
+        return None
+    return (new_area, area_b) if action.target == "A" else (area_a, new_area)
+
+
+def _inside(domain: Rect, *areas: AreaSet) -> bool:
+    return all(domain.contains(r) for area in areas for r in area.rects)
 
 
 def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
@@ -160,16 +156,11 @@ class AreaEnv:
         y_onset: np.ndarray,
         y_retreat: np.ndarray,
         config: EnvConfig,
-        mask: SeasonMask | None = None,
-        reference: slice | np.ndarray | None = None,
     ):
         self.field = field
         self.y_onset = np.asarray(y_onset, dtype=float)
         self.y_retreat = np.asarray(y_retreat, dtype=float)
         self.config = config
-        self.mask = mask or SeasonMask()
-        self.reference = reference
-        self.ocean = field.ocean_mask()
         self.actions = enumerate_actions(config.mode)
         self.n_actions = len(self.actions)
         self.obs_dim = len(encode_state(config.init_a, config.init_b, config.domain))
@@ -180,39 +171,27 @@ class AreaEnv:
     # -- objective plumbing ------------------------------------------------
 
     def _q_of(self, area_a: AreaSet, area_b: AreaSet) -> float | None:
-        """Objective of a geometry, or None if the report is invalid."""
+        """Objective of a geometry, or None if the report is invalid (which
+        covers a broken area constraint)."""
         key = _geometry_key(area_a, area_b)
         if key not in self._q_cache:
             report = index.evaluate_pair(
                 self.field, area_a, area_b, self.y_onset, self.y_retreat,
-                mask=self.mask, min_ocean=self.config.min_ocean,
-                reference=self.reference,
+                min_ocean=self.config.min_ocean,
             )
             self._q_cache[key] = report.q if report.valid else None
         return self._q_cache[key]
-
-    def _is_valid(self, area_a: AreaSet, area_b: AreaSet) -> bool:
-        for area in (area_a, area_b):
-            for r in area.rects:
-                if not self.config.domain.contains(r):
-                    return False
-            try:
-                if geogrid.ocean_fraction(area, self.ocean, self.field.spec) < self.config.min_ocean:
-                    return False
-            except geogrid.EmptyAreaError:
-                return False
-        return True
 
     # -- episode lifecycle -------------------------------------------------
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         cfg = self.config
-        if not self._is_valid(cfg.init_a, cfg.init_b) or self._q_of(cfg.init_a, cfg.init_b) is None:
+        if not _inside(cfg.domain, cfg.init_a, cfg.init_b) or self._q_of(cfg.init_a, cfg.init_b) is None:
             raise InvalidInitialAreasError("configured initial areas violate constraints")
         for _ in range(1000):
             area_a = self._jitter_area(cfg.init_a, rng)
             area_b = self._jitter_area(cfg.init_b, rng)
-            if self._is_valid(area_a, area_b):
+            if _inside(cfg.domain, area_a, area_b):
                 q = self._q_of(area_a, area_b)
                 if q is not None:
                     break
@@ -241,8 +220,7 @@ class AreaEnv:
         cfg = self.config
         st = self.state
         action = self.actions[action_idx]
-        result = apply_action(st.area_a, st.area_b, action, cfg,
-                              ocean=self.ocean, spec=self.field.spec)
+        result = apply_action(st.area_a, st.area_b, action, cfg)
         new_q = self._q_of(*result) if result is not None else None
         if result is None or new_q is None:
             reward = -cfg.invalid_penalty
@@ -274,11 +252,9 @@ def areas_from_json(doc: dict) -> tuple[AreaSet, AreaSet]:
 
 
 def save_areas(area_a: AreaSet, area_b: AreaSet, path: str | os.PathLike) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
+    with geogrid.atomic_write(path) as fh:
         json.dump(areas_to_json(area_a, area_b), fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_areas(path: str | os.PathLike) -> tuple[AreaSet, AreaSet]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateColumnError, FormatError, NoObservationsError
-from .geogrid import month_axis, parse_ym, year_axis
+from .geogrid import atomic_write, month_axis, parse_ym, year_axis
 
 FEATURE_NAMES = ["lat", "lon"] + [f"clim_{m:02d}" for m in range(1, 13)]
 
@@ -243,8 +243,7 @@ def read_stations_csv(path: str | os.PathLike) -> list[Station]:
 
 
 def write_stations_csv(stations: list[Station], path: str | os.PathLike) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["station_id", "lat", "lon", "year", "month", "rain_mm"])
         for st in stations:
@@ -255,19 +254,16 @@ def write_stations_csv(stations: list[Station], path: str | os.PathLike) -> None
                     st.id, repr(st.lat), repr(st.lon), int(y), int(m),
                     "" if np.isnan(v) else repr(float(v)),
                 ])
-    os.replace(tmp, path)
 
 
 def write_clusters_csv(clusters: list[Cluster], path: str | os.PathLike) -> None:
     """Emit `cluster_id,station_id`, members sorted within each cluster."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["cluster_id", "station_id"])
         for cl in clusters:
             for sid in sorted(cl.member_ids):
                 w.writerow([cl.id, sid])
-    os.replace(tmp, path)
 
 
 def read_clusters_csv(path: str | os.PathLike) -> dict[int, set[str]]:

@@ -5,11 +5,11 @@ optimizer and test a known ground truth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geogrid import AreaSet, GridSpec, Rect, SSTField, month_axis
+from .geogrid import AreaSet, GridSpec, Rect, SSTField, area_indices, month_axis
 from .index import ONSET_MONTHS, RETREAT_MONTHS
 from .stations import Station
 
@@ -62,12 +62,7 @@ class SynthSpec:
         return AreaSet.of(self.rect_a), AreaSet.of(self.rect_b)
 
     def domain(self) -> Rect:
-        return Rect(
-            self.lat0 - self.dlat / 2,
-            self.lat0 + (self.nlat - 0.5) * self.dlat,
-            self.lon0 - self.dlon / 2,
-            self.lon0 + (self.nlon - 0.5) * self.dlon,
-        )
+        return self.grid().domain()
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -105,30 +100,18 @@ def gen_sst(spec: SynthSpec, seed: int) -> SSTField:
     values = clim + noise
     s = latent_signal(spec, seed)
     for rect, sign in ((spec.rect_a, -1.0), (spec.rect_b, +1.0)):
-        rows, cols = _rect_slices(rect, grid)
-        values[:, rows, cols] += sign * spec.alpha * s[:, None, None]
+        ii, jj = area_indices(AreaSet.of(rect), grid)
+        values[:, ii, jj] += sign * spec.alpha * s[:, None]
     values = np.clip(values, -4.5, 44.5)  # keep the field invariant airtight
     land = _land_mask(spec, seed)
     values[:, land] = np.nan
     return SSTField(spec=grid, values=values.astype(np.float32))
 
 
-def _rect_slices(rect: Rect, grid: GridSpec):
-    import math
-
-    i0 = max(0, math.ceil((rect.lat_min - grid.lat0) / grid.dlat - 1e-9))
-    i1 = min(grid.nlat - 1, math.floor((rect.lat_max - grid.lat0) / grid.dlat + 1e-9))
-    j0 = max(0, math.ceil((rect.lon_min - grid.lon0) / grid.dlon - 1e-9))
-    j1 = min(grid.nlon - 1, math.floor((rect.lon_max - grid.lon0) / grid.dlon + 1e-9))
-    return slice(i0, i1 + 1), slice(j0, j1 + 1)
-
-
 def _land_mask(spec: SynthSpec, seed: int) -> np.ndarray:
     grid = spec.grid()
     land = _rng(seed, 4).random((spec.nlat, spec.nlon)) < spec.land_fraction
-    for rect in (spec.rect_a, spec.rect_b):
-        rows, cols = _rect_slices(rect, grid)
-        land[rows, cols] = False
+    land[area_indices(AreaSet.of(spec.rect_a, spec.rect_b), grid)] = False
     return land
 
 
@@ -193,8 +176,7 @@ def _expected_corr(spec, seed, season, beta, n_stations) -> float:
     grid = spec.grid()
 
     def ncells(rect):
-        rows, cols = _rect_slices(rect, grid)
-        return (rows.stop - rows.start) * (cols.stop - cols.start)
+        return area_indices(AreaSet.of(rect), grid)[0].size
 
     var_eta = spec.sst_noise ** 2 * (1.0 / ncells(spec.rect_a) + 1.0 / ncells(spec.rect_b))
     var_eps = spec.rain_noise ** 2 / n_stations

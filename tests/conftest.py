@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nemonsoon.geogrid import AreaSet, GridSpec, Rect, SSTField
+from nemonsoon.geogrid import GridSpec, SSTField
 
 
 def make_field(values, lat0=0.0, lon0=100.0, dlat=0.5, dlon=0.5, t0="2000-01"):
@@ -23,15 +23,6 @@ def small_field():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def whole_grid_rect(spec: GridSpec) -> Rect:
-    return Rect(
-        spec.lat0 - spec.dlat / 2,
-        spec.lat0 + (spec.nlat - 0.5) * spec.dlat,
-        spec.lon0 - spec.dlon / 2,
-        spec.lon0 + (spec.nlon - 0.5) * spec.dlon,
-    )
 
 
 class ChainEnv:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nemonsoon.cli import dispatch
-from nemonsoon.geogrid import Rect
+from nemonsoon.geogrid import SSTField, load_sst, save_sst
 from nemonsoon.index import write_index_csv
 from nemonsoon.rl_env import load_areas
 from nemonsoon.stations import Station, write_stations_csv
@@ -93,6 +93,17 @@ class TestOracle:
         best = load_areas(tmp_path / "best_areas.json")
         planted = load_areas(world / "planted_areas.json")
         assert best == planted
+
+    def test_all_pairs_degenerate_exit_1(self, world, clustered, tmp_path, capsys):
+        spec = load_sst(world / "sst").spec
+        flat = SSTField(spec, np.full((spec.nt, spec.nlat, spec.nlon), 20.0, dtype=np.float32))
+        save_sst(flat, tmp_path / "flat")
+        args = world_args(world, clustered)
+        args[1] = str(tmp_path / "flat")
+        rc = dispatch(["oracle", *args, "--areas", str(world / "initial_areas.json"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "degenerate" in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -183,6 +194,17 @@ class TestConfigFile:
         flag_out = tmp_path / "from_flag.csv"
         assert dispatch(["cluster", "--config", str(cfg), "--out", str(flag_out)]) == 0
         assert flag_out.exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "bad-json", "not-object"])
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, content, spelling):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        flag = ["--config", str(cfg)] if spelling == "space" else [f"--config={cfg}"]
+        assert dispatch(["cluster", *flag]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExitCodes:

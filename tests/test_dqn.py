@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemonsoon.dqn import (
     Adam,
@@ -15,8 +17,11 @@ from nemonsoon.dqn import (
     train_step,
     write_history_csv,
 )
-from nemonsoon.errors import NonFiniteLossError
-from nemonsoon.geogrid import AreaSet, Rect
+from nemonsoon.errors import InvalidInitialAreasError, NemonsoonError, NonFiniteLossError
+from nemonsoon.geogrid import AreaSet, Rect, area_cells
+from nemonsoon.index import evaluate_pair
+from nemonsoon.rl_env import SHIFT_ONLY, AreaEnv, EnvConfig
+from nemonsoon.synthdata import SynthSpec, gen_sst, gen_stations, regime_targets
 
 from conftest import ChainEnv, make_field
 
@@ -199,7 +204,6 @@ class TestOracle:
         field, s, a, b, domain = self._world()
         rng = np.random.default_rng(2)
         y = s + rng.normal(size=len(s))
-        from nemonsoon.index import evaluate_pair
 
         (best_a, best_b), q = exhaustive_search(field, y, y, a, b, domain)
         report = evaluate_pair(field, best_a, best_b, y, y)
@@ -216,3 +220,57 @@ class TestOracle:
             rep = evaluate_pair(field, pa, pb, y, y)
             if rep.valid:
                 assert rep.q <= q + 1e-6
+
+    @given(st.integers(0, 1000), st.floats(0.0, 3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_q_equals_evaluate_pair_on_argmax(self, seed, coupling):
+        field, s, a, b, domain = self._world()
+        rng = np.random.default_rng(seed)
+        y_on = coupling * s + rng.normal(size=len(s))
+        y_re = coupling * s + rng.normal(size=len(s))
+        (best_a, best_b), q = exhaustive_search(field, y_on, y_re, a, b, domain)
+        report = evaluate_pair(field, best_a, best_b, y_on, y_re)
+        assert report.valid
+        assert abs(report.q - q) <= 1e-12
+
+    def test_all_pairs_degenerate_is_typed_error(self):
+        _, s, a, b, domain = self._world()
+        field = make_field(np.full((len(s), 9, 9), 20.0, dtype=np.float32))
+        with pytest.raises(NemonsoonError, match="degenerate"):
+            exhaustive_search(field, s, s, a, b, domain)
+
+    def test_no_valid_placement_is_typed_error(self):
+        field, s, a, b, domain = self._world()
+        with pytest.raises(NemonsoonError, match="no placement of B"):
+            exhaustive_search(field, s, s, a, b, Rect(0.0, 4.0, 100.0, 100.4))
+        between_centres = AreaSet.of(Rect(0.1, 0.4, 100.05, 100.15))  # no cells
+        with pytest.raises(NemonsoonError, match="no placement of A"):
+            exhaustive_search(field, s, s, between_centres, a, domain)
+
+
+def test_nan_month_in_planted_a_is_invalid_everywhere():
+    # one missing month in one ocean cell inside planted A; the scalar
+    # scorer once turned it into q = 1.0 while the oracle skipped the pair
+    spec = SynthSpec()
+    field = gen_sst(spec, seed=1)
+    sts, labels = gen_stations(spec, seed=1)
+    y_on, y_re = regime_targets(sts, labels)
+    field.values[5, 10, 10] = np.nan
+    planted_a, planted_b = spec.planted_areas()
+    assert (10, 10) in area_cells(planted_a, field.spec)
+
+    report = evaluate_pair(field, planted_a, planted_b, y_on, y_re)
+    assert not report.valid
+    assert np.isnan(report.q)
+    assert "non-finite" in report.violation
+
+    env = AreaEnv(field, y_on, y_re,
+                  EnvConfig(SHIFT_ONLY, spec.domain(), planted_a, planted_b))
+    assert env._q_of(planted_a, planted_b) is None
+    with pytest.raises(InvalidInitialAreasError):
+        env.reset(np.random.default_rng(0))
+
+    (best_a, best_b), q = exhaustive_search(field, y_on, y_re, planted_a, planted_b,
+                                            spec.domain())
+    assert (10, 10) not in area_cells(best_a, field.spec) | area_cells(best_b, field.spec)
+    assert abs(env._q_of(best_a, best_b) - q) <= 1e-12

@@ -9,6 +9,7 @@ from nemonsoon.geogrid import (
     GridSpec,
     Rect,
     area_cells,
+    area_indices,
     area_mean_sst,
     load_sst,
     ocean_fraction,
@@ -16,7 +17,7 @@ from nemonsoon.geogrid import (
     save_sst,
 )
 
-from conftest import make_field, whole_grid_rect
+from conftest import make_field
 
 
 SPEC = GridSpec(0.0, 100.0, 0.5, 0.5, 4, 4, "2000-01", 3)
@@ -24,7 +25,7 @@ SPEC = GridSpec(0.0, 100.0, 0.5, 0.5, 4, 4, "2000-01", 3)
 
 class TestRectCells:
     def test_whole_grid(self):
-        rect = whole_grid_rect(SPEC)
+        rect = SPEC.domain()
         assert len(rect_cells(rect, SPEC)) == 16
 
     def test_between_centers_is_empty(self):
@@ -49,11 +50,26 @@ class TestRectCells:
         union = area_cells(AreaSet.of(r1, r2), SPEC)
         assert union == rect_cells(r1, SPEC) | rect_cells(r2, SPEC)
 
+    @given(st.lists(st.tuples(*[st.integers(-3, 10)] * 4), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cell_centre_scan(self, corners):
+        # reference: test every cell centre against every closed rect
+        spec = GridSpec(0.0, 100.0, 0.5, 0.5, 6, 5, "2000-01", 1)
+        rects = [Rect(min(a, b) / 4, max(a, b) / 4 + 0.3, 100 + min(c, d) / 4,
+                      100 + max(c, d) / 4 + 0.3) for a, b, c, d in corners]
+        want = {
+            (i, j) for i in range(spec.nlat) for j in range(spec.nlon)
+            for r in rects
+            if r.lat_min <= spec.lats[i] <= r.lat_max and r.lon_min <= spec.lons[j] <= r.lon_max
+        }
+        ii, jj = area_indices(AreaSet(tuple(rects)), spec)
+        assert list(zip(ii.tolist(), jj.tolist())) == sorted(want)
+
 
 class TestOceanFraction:
     def test_all_ocean(self):
         mask = np.ones((4, 4), dtype=bool)
-        assert ocean_fraction(AreaSet.of(whole_grid_rect(SPEC)), mask, SPEC) == 1.0
+        assert ocean_fraction(AreaSet.of(SPEC.domain()), mask, SPEC) == 1.0
 
     def test_three_of_four(self):
         mask = np.ones((4, 4), dtype=bool)
@@ -87,7 +103,7 @@ class TestOceanFraction:
 
 class TestAreaMean:
     def test_uniform_field(self, small_field):
-        area = AreaSet.of(whole_grid_rect(small_field.spec))
+        area = AreaSet.of(small_field.spec.domain())
         assert area_mean_sst(small_field, area, 1) == pytest.approx(21.0)
 
     def test_two_cells_hand_mean(self):

@@ -11,16 +11,34 @@ from nemonsoon.geogrid import AreaSet, Rect, month_axis
 from nemonsoon.index import (
     ONSET_MONTHS,
     RETREAT_MONTHS,
-    SeasonMask,
     evaluate_pair,
     normalise_series,
     objective_q,
     pearson,
     raw_index,
-    seasonal_correlations,
+    season_centre,
+    season_masks,
+    season_target,
+    seasonal_scores,
 )
 
-from conftest import make_field, whole_grid_rect
+from conftest import make_field
+
+
+def reference_scores(raw, y_onset, y_retreat, months):
+    """The scalar path the batched scorer replaces: normalise the index,
+    then one Pearson r per season, then q."""
+    z = normalise_series(raw)
+    on = np.isin(months, list(ONSET_MONTHS))
+    re = np.isin(months, list(RETREAT_MONTHS))
+    r_on = pearson(z[on], y_onset[on])
+    r_re = pearson(z[re], y_retreat[re])
+    return r_on, r_re, objective_q(r_on, r_re)
+
+
+def batched_scores(raw, y_onset, y_retreat, months):
+    return seasonal_scores(season_centre(raw, months),
+                           season_target(y_onset, y_retreat, months), months)
 
 
 class TestSeasons:
@@ -30,10 +48,10 @@ class TestSeasons:
         assert ONSET_MONTHS == frozenset({10, 11, 12, 1, 2, 3})
 
     def test_bad_mask_rejected(self):
-        with pytest.raises(ValueError):
-            SeasonMask(frozenset({1, 2}), frozenset({2, 3}))
-        with pytest.raises(ValueError):
-            SeasonMask(frozenset({1}), frozenset({2}))
+        on, re = season_masks(month_axis("2000-07", 30))
+        assert not (on & re).any() and (on | re).all()
+        with pytest.raises(InsufficientSeasonSamplesError):
+            season_masks(np.array([1, 2, 3, 4, 5]))  # two retreat months
 
 
 class TestPearson:
@@ -113,6 +131,10 @@ class TestObjective:
     def test_bounds(self, a, b):
         assert 0.0 <= objective_q(a, b) <= 1.0
 
+    def test_array_safe(self):
+        q = objective_q(np.array([0.2, np.nan]), np.array([0.3, 0.5]))
+        assert q[0] == pytest.approx(0.065) and np.isnan(q[1])
+
 
 class TestSeasonalCorrelations:
     def test_season_restriction(self):
@@ -122,17 +144,67 @@ class TestSeasonalCorrelations:
         z = rng.normal(size=nt)
         y_on = rng.normal(size=nt)
         y_re = rng.normal(size=nt)
-        r_on, r_re = seasonal_correlations(z, y_on, y_re, months)
+        r_on, r_re, _ = batched_scores(z, y_on, y_re, months)
         sel_on = np.isin(months, list(ONSET_MONTHS))
         sel_re = ~sel_on
-        assert r_on == pytest.approx(pearson(z[sel_on], y_on[sel_on]))
-        assert r_re == pytest.approx(pearson(z[sel_re], y_re[sel_re]))
+        assert r_on[0] == pytest.approx(pearson(z[sel_on], y_on[sel_on]))
+        assert r_re[0] == pytest.approx(pearson(z[sel_re], y_re[sel_re]))
 
     def test_too_few_samples(self):
         months = np.array([10, 11, 12, 1])  # onset only
         z = np.arange(4.0)
         with pytest.raises(InsufficientSeasonSamplesError):
-            seasonal_correlations(z, z, z, months)
+            season_centre(z, months)
+        with pytest.raises(InsufficientSeasonSamplesError):
+            season_target(z, z, months)
+
+
+def _series(seed, nt):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 9), size=nt)
+    y_on = rng.normal(100, 30, size=nt)
+    y_re = rng.normal(60, 20, size=nt)
+    return rng, raw, y_on, y_re
+
+
+class TestBatchedScorer:
+    @given(st.integers(0, 10_000), st.integers(12, 120), st.sampled_from(["1982-01", "1990-07"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_path(self, seed, nt, t0):
+        _, raw, y_on, y_re = _series(seed, nt)
+        months = month_axis(t0, nt)
+        got = [float(v[0]) for v in batched_scores(raw, y_on, y_re, months)]
+        want = reference_scores(raw, y_on, y_re, months)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 10_000), st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_rows(self, seed, rows):
+        rng, _, y_on, y_re = _series(seed, 48)
+        months = month_axis("1982-01", 48)
+        diffs = season_centre(rng.normal(size=(rows, 48)) * rng.uniform(0.1, 5, size=(rows, 1)),
+                              months)
+        diffs[rng.random(rows) < 0.2] = 0.0  # some degenerate rows
+        target = season_target(y_on, y_re, months)
+        batch = seasonal_scores(diffs, target, months)
+        for k in range(rows):
+            one = seasonal_scores(diffs[k], target, months)
+            for b, o in zip(batch, one):
+                np.testing.assert_allclose(b[k], o[0], rtol=0, atol=1e-12)
+
+    def test_degenerate_and_non_finite_rows_invalid(self):
+        _, raw, y_on, y_re = _series(3, 36)
+        months = month_axis("1982-01", 36)
+        on = np.isin(months, list(ONSET_MONTHS))
+        rows = np.stack([raw, raw, raw, np.ones(36)])
+        rows[1, 5] = np.nan
+        rows[2, on] = 4.0  # constant within the onset season only
+        r_on, r_re, q = batched_scores(rows, y_on, y_re, months)
+        assert np.isfinite(q[0])
+        assert np.isnan(q[1:]).all()
+        assert np.isnan(r_on[1:]).all()
+        flat_target = np.where(on, 7.0, y_re)
+        assert np.isnan(batched_scores(raw, flat_target, y_re, months)[2]).all()
 
 
 class TestEvaluatePair:
@@ -152,9 +224,9 @@ class TestEvaluatePair:
         y_re = rng.normal(size=len(raw))
         rep = evaluate_pair(field, a, b, y_on, y_re)
         assert rep.valid
-        z = normalise_series(raw)
-        r_on, r_re = seasonal_correlations(z, y_on, y_re, field.spec.months())
-        assert rep.q == pytest.approx(objective_q(r_on, r_re))
+        want = reference_scores(raw, y_on, y_re, field.spec.months())
+        np.testing.assert_allclose([rep.r_onset, rep.r_retreat, rep.q], want,
+                                   rtol=0, atol=1e-12)
 
     def test_ocean_constraint_invalid_not_raised(self):
         nt = 36
@@ -173,10 +245,11 @@ class TestEvaluatePair:
     def test_zero_variance_invalid(self):
         nt = 36
         field = make_field(np.full((nt, 4, 4), 20.0, dtype=np.float32))
-        rect = whole_grid_rect(field.spec)
+        rect = field.spec.domain()
         y = np.random.default_rng(3).normal(size=nt)
         rep = evaluate_pair(field, AreaSet.of(rect), AreaSet.of(rect), y, y)
         assert not rep.valid
+        assert "constant" in rep.violation
 
     def test_swap_symmetry(self):
         field, a, b, _ = self._world()

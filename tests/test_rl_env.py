@@ -151,6 +151,18 @@ class TestEpisode:
         assert reward == -env.config.invalid_penalty
         assert (env.state.area_a, env.state.area_b) == geom_before
 
+    def test_ocean_violation_is_penalized_noop(self):
+        env = make_env()
+        env.field.values[:, :, 17:] = np.nan  # land east of lon 108.25
+        env.reset(np.random.default_rng(0))
+        idx = env.actions.index(Action("B", "lon", "shift+"))
+        env.step(idx)  # B spans lon 106.5..108.5: 4 of 5 columns ocean, 0.8
+        assert env.state.area_b.rects[0].lon_max == 108.5
+        geom_before = (env.state.area_a, env.state.area_b)
+        _, reward, _ = env.step(idx)  # 3 of 5 columns ocean
+        assert reward == -env.config.invalid_penalty
+        assert (env.state.area_a, env.state.area_b) == geom_before
+
     def test_jitter_respects_lattice_and_validity(self):
         env = make_env(jitter=2)
         rng = np.random.default_rng(7)
@@ -164,7 +176,9 @@ class TestEpisode:
                 assert dlat == pytest.approx(round(dlat))
                 assert abs(dlat) <= 2 and abs(dlon) <= 2
                 assert r.lat_max - r.lat_min == pytest.approx(r0.lat_max - r0.lat_min)
-            assert env._is_valid(env.state.area_a, env.state.area_b)
+            assert all(env.config.domain.contains(r)
+                       for area in (env.state.area_a, env.state.area_b) for r in area.rects)
+            assert env._q_of(env.state.area_a, env.state.area_b) is not None
 
     def test_invalid_initial_areas_raise(self):
         env = make_env()
