@@ -8,6 +8,7 @@ A JSON config file (--config) supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -15,12 +16,8 @@ import sys
 import numpy as np
 
 from . import dqn, forecast, geogrid, index, rl_env, stations, synthdata
-from .errors import NemonsoonError, SkippedCluster
+from .errors import ConfigError, NemonsoonError, SkippedCluster
 from .geogrid import Rect
-
-
-class ConfigError(NemonsoonError):
-    pass
 
 
 def main() -> None:
@@ -114,7 +111,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                    default=config.get("clusters"))
     p.add_argument("--indices", required="indices" not in config,
                    default=config.get("indices"))
-    p.add_argument("--ne-index", default=config.get("ne_index"),
+    p.add_argument("--ne-index", required="ne_index" not in config,
+                   default=config.get("ne_index"),
                    help="index CSV (year,month,z) with the candidate NE index")
     p.add_argument("--cluster", type=int, required="cluster" not in config,
                    default=config.get("cluster"))
@@ -269,10 +267,7 @@ def _cmd_forecast(args) -> None:
     indices, idx_t0 = forecast.read_indices_csv(args.indices)
     if idx_t0 != t0 or any(len(v) != len(target) for v in indices.values()):
         raise ConfigError("indices CSV is not aligned with the station axis")
-    if args.ne_index:
-        ne = _read_index_series(args.ne_index, t0, len(target))
-    else:
-        raise ConfigError("--ne-index is required (index CSV with year,month,z)")
+    ne = _read_index_series(args.ne_index, t0, len(target))
 
     folds = [_parse_fold(f) if isinstance(f, str) else f
              for f in (args.fold or [])] or [forecast.FOLD1, forecast.FOLD2]
@@ -294,20 +289,19 @@ def _cmd_forecast(args) -> None:
 
 
 def _read_index_series(path: str, t0: str, nt: int) -> np.ndarray:
-    import csv
-
-    rows = {}
+    """An index CSV's z on the axis (t0, nt); every month needs a finite z."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["year", "month", "z"]:
             raise ConfigError(f"index CSV header must be year,month,z: {path}")
-        for row in reader:
-            rows[(int(row["year"]), int(row["month"]))] = float(row["z"])
-    y0, m0 = geogrid.parse_ym(t0)
-    out = np.empty(nt)
-    for t in range(nt):
-        y, m = y0 + (m0 - 1 + t) // 12, (m0 - 1 + t) % 12 + 1
-        if (y, m) not in rows:
-            raise ConfigError(f"index CSV missing {y}-{m:02d}")
-        out[t] = rows[(y, m)]
+        rows = [(int(r["year"]), int(r["month"]), float(r["z"])) for r in reader]
+    out = np.full(nt, np.nan)
+    _, _, slots = geogrid.month_slots([r[0] for r in rows], [r[1] for r in rows], t0)
+    for (_, _, z), k in zip(rows, slots.tolist()):
+        if 0 <= k < nt:
+            out[k] = z
+    gaps = np.flatnonzero(~np.isfinite(out))
+    if gaps.size:
+        y, m = geogrid.year_axis(t0, nt)[gaps[0]], geogrid.month_axis(t0, nt)[gaps[0]]
+        raise ConfigError(f"index CSV has no finite z for {y}-{m:02d}")
     return out

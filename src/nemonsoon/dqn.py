@@ -5,6 +5,7 @@ oracle used for acceptance checks."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +30,13 @@ class QNetwork:
         self.n_actions = n_actions
         self.dtype = dtype
         dims = [in_dim, *hidden, n_actions]
-        self.weights = []
-        self.biases = []
+        arrays = []
         for d_in, d_out in zip(dims[:-1], dims[1:]):
             scale = np.sqrt(2.0 / d_in)  # He init for ReLU
-            self.weights.append((rng.standard_normal((d_in, d_out)) * scale).astype(dtype))
-            self.biases.append(np.zeros(d_out, dtype=dtype))
+            arrays.append((rng.standard_normal((d_in, d_out)) * scale).astype(dtype))
+            arrays.append(np.zeros(d_out, dtype=dtype))
+        self.flat, self.params = flat_buffer(arrays)  # params: [w0, b0, w1, b1, ...]
+        self.weights, self.biases = self.params[0::2], self.params[1::2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a batch (or single) of states."""
@@ -72,48 +74,42 @@ class QNetwork:
         grads.reverse()
         return loss, grads
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        for k in range(len(self.weights)):
-            self.weights[k] = params[2 * k].astype(self.dtype)
-            self.biases[k] = params[2 * k + 1].astype(self.dtype)
-
     def clone(self) -> "QNetwork":
-        other = object.__new__(QNetwork)
-        other.in_dim = self.in_dim
-        other.n_actions = self.n_actions
-        other.dtype = self.dtype
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other = copy.copy(self)
+        other.flat, other.params = flat_buffer(self.params)
+        other.weights, other.biases = other.params[0::2], other.params[1::2]
         return other
 
 
-class Adam:
-    """Adaptive-moment optimizer over a flat list of parameter arrays."""
+def flat_buffer(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous copy of the arrays, in order, plus a view into it
+    shaped like each array. Models keep their parameters this way, so Adam,
+    snapshots and target syncs work on one vector."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    return flat, [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
+
+class Adam:
+    """Adaptive-moment optimizer over one flat parameter buffer."""
+
+    def __init__(self, flat: np.ndarray, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Update `flat` in place from the gradient of the same layout."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        flat -= self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +203,7 @@ def train_step(qnet: QNetwork, target_net: QNetwork, batch, optimizer: Adam,
     loss, grads = qnet.loss_and_grads(states, actions, targets)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"TD loss became {loss}")
-    params = qnet.params
-    optimizer.step(params, grads)
-    qnet.set_params(params)
+    optimizer.step(qnet.flat, np.concatenate([g.ravel() for g in grads]))
     return loss
 
 
@@ -243,7 +237,7 @@ def train_with_net(env_factory, config: DQNConfig):
     env = env_factory()
     qnet = QNetwork(env.obs_dim, env.n_actions, rng)
     target_net = qnet.clone()
-    optimizer = Adam(qnet.params, lr=config.lr)
+    optimizer = Adam(qnet.flat, lr=config.lr)
     buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim)
 
     best_areas = None
@@ -263,7 +257,7 @@ def train_with_net(env_factory, config: DQNConfig):
             batch = buffer.sample(config.batch, rng)
             train_step(qnet, target_net, batch, optimizer, config.gamma)
         if (t + 1) % config.target_sync_every == 0:
-            target_net = qnet.clone()
+            target_net.flat[:] = qnet.flat
         history.append(HistoryRow(step=t, episode=episode, reward=float(reward),
                                   best_q=float(best_q), epsilon=eps))
         if done:

@@ -5,6 +5,10 @@ class NemonsoonError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(NemonsoonError):
+    """A flag, config file or areas file given by the user is invalid."""
+
+
 class FormatError(NemonsoonError):
     """Malformed on-disk artifact (bad header field, truncated payload, ...)."""
 

@@ -5,10 +5,11 @@ stopping, and the with/without-index ablation."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dqn import flat_buffer
 from .errors import (
     FormatError,
     NonFiniteLossError,
@@ -16,7 +17,7 @@ from .errors import (
     SkippedCluster,
     ZeroVarianceError,
 )
-from .geogrid import atomic_write, month_axis, year_axis
+from .geogrid import atomic_write, month_axis, month_slots, year_axis
 from .index import pearson
 
 WINDOW = 24
@@ -129,6 +130,7 @@ class LSTMForecaster:
     12-month forecast. Gates ordered (input, forget, candidate, output).
 
     Parameters per layer: Wx (in, 4H), Wh (H, 4H), b (4H,); head Wy, by.
+    `params` lists them in that order as views into one `flat` buffer.
     Forget-gate bias initialized to +1. All math in float64.
     """
 
@@ -138,7 +140,7 @@ class LSTMForecaster:
         self.in_dim = in_dim
         self.out_dim = out_dim
         h = config.hidden
-        self.params: list[np.ndarray] = []
+        arrays = []
         d_in = in_dim
         for _ in range(config.layers):
             k = 1.0 / np.sqrt(h)
@@ -146,11 +148,12 @@ class LSTMForecaster:
             wh = rng.uniform(-k, k, size=(h, 4 * h))
             b = np.zeros(4 * h)
             b[h:2 * h] = 1.0
-            self.params.extend([wx, wh, b])
+            arrays.extend([wx, wh, b])
             d_in = h
         k = 1.0 / np.sqrt(h)
-        self.params.append(rng.uniform(-k, k, size=(h, out_dim)))
-        self.params.append(np.zeros(out_dim))
+        arrays.append(rng.uniform(-k, k, size=(h, out_dim)))
+        arrays.append(np.zeros(out_dim))
+        self.flat, self.params = flat_buffer(arrays)
 
     # -- forward -------------------------------------------------------------
 
@@ -163,7 +166,7 @@ class LSTMForecaster:
                 f"expected input (N, T, {self.in_dim}), got {x.shape}")
         n, t_len, _ = x.shape
         h_dim = self.config.hidden
-        self._cache = {"x": x, "layers": [], "masks": []}
+        self._cache = {"x": x, "layers": [], "outputs": [], "masks": []}
         seq = x
         for layer in range(self.config.layers):
             wx, wh, b = self.params[3 * layer:3 * layer + 3]
@@ -183,6 +186,7 @@ class LSTMForecaster:
                 steps.append((seq[:, t], i, f, g, o, c_prev, c))
                 outputs[:, t] = h
             self._cache["layers"].append(steps)
+            self._cache["outputs"].append(outputs)
             if layer < self.config.layers - 1:
                 keep = 1.0 - self.config.dropout
                 if training and self.config.dropout > 0:
@@ -227,15 +231,14 @@ class LSTMForecaster:
         dseq_above[:, -1] = dout @ wy.T
         for layer in range(self.config.layers - 1, -1, -1):
             wx, wh, _ = self.params[3 * layer:3 * layer + 3]
+            dwx, dwh, db = grads[3 * layer:3 * layer + 3]
             steps = self._cache["layers"][layer]
+            outputs = self._cache["outputs"][layer]
             if layer < self.config.layers - 1:
                 dseq_above = dseq_above * self._cache["masks"][layer]
             dseq_below = np.zeros((n, t_len, wx.shape[0]))
             dh_next = np.zeros((n, h_dim))
             dc_next = np.zeros((n, h_dim))
-            dwx = np.zeros_like(wx)
-            dwh = np.zeros_like(wh)
-            db = np.zeros(4 * h_dim)
             for t in range(t_len - 1, -1, -1):
                 x_t, i, f, g, o, c_prev, c = steps[t]
                 dh = dseq_above[:, t] + dh_next
@@ -247,30 +250,18 @@ class LSTMForecaster:
                     dc * i * (1.0 - g * g),
                     dh * tc * o * (1.0 - o),
                 ], axis=1)
-                if t > 0:
-                    h_prev = steps[t - 1][4] * np.tanh(steps[t - 1][6])
-                else:
-                    h_prev = np.zeros((n, h_dim))
                 dwx += x_t.T @ da
-                dwh += h_prev.T @ da
+                if t > 0:  # h_{-1} is zero
+                    dwh += outputs[:, t - 1].T @ da
                 db += da.sum(axis=0)
                 dseq_below[:, t] = da @ wx.T
                 dh_next = da @ wh.T
                 dc_next = dc * f
-            grads[3 * layer] = dwx
-            grads[3 * layer + 1] = dwh
-            grads[3 * layer + 2] = db
             dseq_above = dseq_below
         return loss, grads
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, training=False)
-
-    def copy_params(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.params]
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        self.params = [p.copy() for p in params]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -290,7 +281,7 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
     """
     rng = rng or np.random.default_rng(config.seed)
     model = LSTMForecaster(train_x.shape[2], config, rng)
-    best_params = model.copy_params()
+    best_params = model.flat.copy()
     best_val = _val_loss(model, val_x, val_y)
     curve = [best_val]
     stale = 0
@@ -303,19 +294,18 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
                                             training=True, rng=rng)
             norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
             scale = config.lr * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
-            for p, g in zip(model.params, grads):
-                p -= scale * g
+            model.flat -= scale * np.concatenate([g.ravel() for g in grads])
         val = _val_loss(model, val_x, val_y)
         curve.append(val)
         if val < best_val - 1e-12:
             best_val = val
-            best_params = model.copy_params()
+            best_params = model.flat.copy()
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    model.set_params(best_params)
+    model.flat[:] = best_params
     return model, curve
 
 
@@ -468,24 +458,19 @@ def write_indices_csv(indices: dict[str, np.ndarray], t0: str, path) -> None:
 
 def read_indices_csv(path) -> tuple[dict[str, np.ndarray], str]:
     """Read aligned monthly indices; returns ({name: series}, t0)."""
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["index_name", "year", "month", "value"]:
             raise FormatError(f"indices CSV header wrong: {reader.fieldnames}")
-        for row in reader:
-            rows.append((row["index_name"], int(row["year"]),
-                         int(row["month"]), float(row["value"])))
+        rows = [(r["index_name"], int(r["year"]), int(r["month"]), float(r["value"]))
+                for r in reader]
     if not rows:
         raise FormatError("indices CSV has no data rows")
-    first = min((y, m) for _, y, m, _ in rows)
-    last = max((y, m) for _, y, m, _ in rows)
-    nt = (last[0] - first[0]) * 12 + (last[1] - first[1]) + 1
+    t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
     out: dict[str, np.ndarray] = {}
-    for name, y, m, v in rows:
-        series = out.setdefault(name, np.full(nt, np.nan))
-        series[(y - first[0]) * 12 + (m - first[1])] = v
+    for (name, _, _, v), k in zip(rows, slots.tolist()):
+        out.setdefault(name, np.full(nt, np.nan))[k] = v
     for name, series in out.items():
         if np.isnan(series).any():
             raise FormatError(f"index {name!r} has gaps on the common axis")
-    return out, f"{first[0]:04d}-{first[1]:02d}"
+    return out, t0

@@ -43,6 +43,22 @@ def year_axis(t0: str, nt: int) -> np.ndarray:
     return y0 + (m0 - 1 + np.arange(nt)) // 12
 
 
+def month_slots(years, months, t0: str | None = None) -> tuple[str, int, np.ndarray]:
+    """Place (year, month) rows on one monthly axis. Returns the axis start
+    'YYYY-MM' (t0 when given, else the earliest row), the axis length that
+    reaches the latest row, and each row's slot (negative before t0)."""
+    months = np.asarray(months, dtype=np.int64)
+    if ((months < 1) | (months > 12)).any():
+        raise FormatError("month out of range 1..12")
+    count = np.asarray(years, dtype=np.int64) * 12 + (months - 1)
+    if t0 is None:
+        first = int(count.min())
+        t0 = f"{first // 12:04d}-{first % 12 + 1:02d}"
+    y0, m0 = parse_ym(t0)
+    slots = count - (y0 * 12 + (m0 - 1))
+    return t0, int(slots.max(initial=-1)) + 1, slots
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular lat/lon grid with a monthly time axis.
@@ -77,9 +93,6 @@ class GridSpec:
 
     def months(self) -> np.ndarray:
         return month_axis(self.t0, self.nt)
-
-    def years(self) -> np.ndarray:
-        return year_axis(self.t0, self.nt)
 
     def domain(self) -> "Rect":
         """The whole grid as a rect: cell centres +/- half a cell."""
@@ -149,12 +162,12 @@ class SSTField:
         return ~np.isnan(self.values[0])
 
     def validate(self) -> None:
-        """Check the field invariants: constant land layout, sane values."""
+        """Check the field invariants: constant land layout, sane values
+        (an infinite value is out of range)."""
         nan = np.isnan(self.values)
         if not (nan == nan[0]).all():
             raise ValueError("land/ocean layout varies across time")
-        finite = self.values[~nan]
-        if finite.size and (finite.min() < -5.0 or finite.max() > 45.0):
+        if not nan.all() and (np.nanmin(self.values) < -5.0 or np.nanmax(self.values) > 45.0):
             raise ValueError("non-land SST outside [-5, 45] degC")
 
 
@@ -270,7 +283,12 @@ def load_sst(path: str | os.PathLike) -> SSTField:
             f" (mismatch at byte {min(len(payload), expected_bytes)})"
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(spec.nt, spec.nlat, spec.nlon)
-    return SSTField(spec=spec, values=values.copy())
+    field = SSTField(spec=spec, values=values.copy())
+    try:
+        field.validate()
+    except ValueError as exc:
+        raise FormatError(f"{data_path}: {exc}") from exc
+    return field
 
 
 @contextmanager

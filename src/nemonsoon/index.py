@@ -55,6 +55,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("pearson needs two equal-length 1-D series")
     if x.size < 2:
         raise ValueError("pearson needs at least 2 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("pearson needs finite series")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = np.sqrt((xc * xc).sum())

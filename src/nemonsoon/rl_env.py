@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geogrid, index
-from .errors import EpisodeOverError, InvalidInitialAreasError
+from .errors import ConfigError, EpisodeOverError, InvalidInitialAreasError
 from .geogrid import AreaSet, Rect, SSTField
 
 SHIFT_ONLY = "shift-only"
@@ -259,4 +259,7 @@ def save_areas(area_a: AreaSet, area_b: AreaSet, path: str | os.PathLike) -> Non
 
 def load_areas(path: str | os.PathLike) -> tuple[AreaSet, AreaSet]:
     with open(path) as fh:
-        return areas_from_json(json.load(fh))
+        try:
+            return areas_from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"bad areas file {path}: {exc!r}") from exc

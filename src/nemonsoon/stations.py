@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateColumnError, FormatError, NoObservationsError
-from .geogrid import atomic_write, month_axis, parse_ym, year_axis
+from .geogrid import atomic_write, month_axis, month_slots, year_axis
 
 FEATURE_NAMES = ["lat", "lon"] + [f"clim_{m:02d}" for m in range(1, 13)]
 
@@ -228,14 +228,11 @@ def read_stations_csv(path: str | os.PathLike) -> list[Station]:
                 raise FormatError(f"bad station CSV row at line {lineno}: {exc}") from exc
     if not rows:
         raise FormatError("station CSV has no data rows")
-    first = min((y, m) for _, _, _, y, m, _ in rows)
-    last = max((y, m) for _, _, _, y, m, _ in rows)
-    t0 = f"{first[0]:04d}-{first[1]:02d}"
-    nt = (last[0] - first[0]) * 12 + (last[1] - first[1]) + 1
+    t0, nt, slots = month_slots([r[3] for r in rows], [r[4] for r in rows])
     by_id: dict[str, dict] = {}
-    for sid, lat, lon, y, m, rain in rows:
+    for (sid, lat, lon, _, _, rain), k in zip(rows, slots.tolist()):
         rec = by_id.setdefault(sid, {"lat": lat, "lon": lon, "rain": np.full(nt, np.nan)})
-        rec["rain"][(y - first[0]) * 12 + (m - first[1])] = rain
+        rec["rain"][k] = rain
     return [
         Station(id=sid, lat=rec["lat"], lon=rec["lon"], t0=t0, rain=rec["rain"])
         for sid, rec in sorted(by_id.items())

@@ -180,6 +180,19 @@ class TestForecast:
         del args[k:k + 2]
         assert dispatch(args) == 2
 
+    @pytest.mark.parametrize("line", [5, 144], ids=["inner", "last"])
+    def test_ne_index_missing_a_month_is_config_error(self, forecast_world, tmp_path,
+                                                      capsys, line):
+        lines = (forecast_world / "ne.csv").read_text().splitlines(keepends=True)
+        gap = lines[line].split(",")
+        del lines[line]
+        short = tmp_path / "ne_short.csv"
+        short.write_text("".join(lines))
+        args = self._args(forecast_world, tmp_path / "x.csv")
+        args[args.index("--ne-index") + 1] = str(short)
+        assert dispatch(args) == 2
+        assert f"{gap[0]}-{int(gap[1]):02d}" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, world, tmp_path):
@@ -205,6 +218,22 @@ class TestConfigFile:
         flag = ["--config", str(cfg)] if spelling == "space" else [f"--config={cfg}"]
         assert dispatch(["cluster", *flag]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content", [
+    '{"A": [[8.0, 3.0, 103.0, 108.0]], "B": [[12.0, 17.0, 112.0, 117.0]]}',
+    '{"A": [[3.0, 8.0, 103.0, 108.0]]',
+    '{"A": [[3.0, 8.0, 103.0, 108.0]]}',
+    '{"A": [[3.0, 8.0, 103.0]], "B": [[12.0, 17.0, 112.0, 117.0]]}',
+], ids=["reversed-rect", "bad-json", "missing-B", "short-rect"])
+@pytest.mark.parametrize("command", ["evaluate", "optimize", "oracle"])
+def test_bad_areas_file_is_config_error(world, clustered, tmp_path, capsys, command, content):
+    areas = tmp_path / "areas.json"
+    areas.write_text(content)
+    rc = dispatch([command, *world_args(world, clustered), "--areas", str(areas),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad areas file")
 
 
 class TestExitCodes:

@@ -12,12 +12,14 @@ from nemonsoon.dqn import (
     act,
     epsilon_at,
     exhaustive_search,
+    flat_buffer,
     td_targets,
     train,
     train_step,
     write_history_csv,
 )
 from nemonsoon.errors import InvalidInitialAreasError, NemonsoonError, NonFiniteLossError
+from nemonsoon.forecast import ForecasterConfig, LSTMForecaster
 from nemonsoon.geogrid import AreaSet, Rect, area_cells
 from nemonsoon.index import evaluate_pair
 from nemonsoon.rl_env import SHIFT_ONLY, AreaEnv, EnvConfig
@@ -44,8 +46,13 @@ class TestQNetwork:
     def test_clone_is_independent(self, rng):
         net = QNetwork(4, 3, rng)
         other = net.clone()
+        np.testing.assert_array_equal(other.flat, net.flat)
         other.weights[0][:] = 0.0
         assert net.weights[0].any()
+        mine = [net.flat, *net.params, *net.weights, *net.biases]
+        theirs = [other.flat, *other.params, *other.weights, *other.biases]
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        assert all(np.shares_memory(p, other.flat) for p in theirs)
 
     def test_gradient_check_float64(self, rng):
         net = QNetwork(5, 4, rng, hidden=(8, 8), dtype=np.float64)
@@ -53,32 +60,82 @@ class TestQNetwork:
         actions = rng.integers(0, 4, size=6)
         targets = rng.normal(size=6)
         loss, grads = net.loss_and_grads(states, actions, targets)
-        params = net.params
         eps = 1e-6
-        for p, g in zip(params, grads):
+        for p, g in zip(net.params, grads):
             flat_p = p.reshape(-1)
             flat_g = g.reshape(-1)
             for k in rng.choice(flat_p.size, size=min(5, flat_p.size), replace=False):
                 orig = flat_p[k]
                 flat_p[k] = orig + eps
-                net.set_params(params)
                 lp, _ = net.loss_and_grads(states, actions, targets)
                 flat_p[k] = orig - eps
-                net.set_params(params)
                 lm, _ = net.loss_and_grads(states, actions, targets)
                 flat_p[k] = orig
-                net.set_params(params)
                 fd = (lp - lm) / (2 * eps)
                 assert abs(fd - flat_g[k]) <= 1e-6 * max(1.0, abs(fd))
 
 
+class TestFlatBuffer:
+    def test_params_are_views_of_flat(self, rng):
+        net = QNetwork(4, 3, rng)
+        lstm = LSTMForecaster(2, ForecasterConfig(hidden=3, layers=2), rng)
+        for model in (net, lstm):
+            assert model.flat.size == sum(p.size for p in model.params)
+            model.flat[:] = np.arange(model.flat.size)
+            np.testing.assert_array_equal(
+                np.concatenate([p.ravel() for p in model.params]), model.flat)
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            assert w is net.params[2 * k] and b is net.params[2 * k + 1]
+
+    def test_keeps_order_shapes_and_dtype(self, rng):
+        arrays = [rng.normal(size=(2, 3)).astype(np.float32), np.zeros(4, dtype=np.float32)]
+        flat, views = flat_buffer(arrays)
+        assert flat.dtype == np.float32 and flat.flags.c_contiguous
+        for a, v in zip(arrays, views):
+            assert v.shape == a.shape and not np.shares_memory(a, v)
+            np.testing.assert_array_equal(a, v)
+
+
+def per_array_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as a loop over parameter arrays, each with its own moments: the
+    reference for the optimizer over one flat buffer."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        b1t = 1.0 - beta1 ** t
+        b2t = 1.0 - beta2 ** t
+        for p, g, mp, vp in zip(params, grads, m, v):
+            mp *= beta1
+            mp += (1.0 - beta1) * g
+            vp *= beta2
+            vp += (1.0 - beta2) * g * g
+            p -= lr * (mp / b1t) / (np.sqrt(vp / b2t) + eps)
+
+
 class TestAdam:
     def test_minimizes_quadratic(self):
-        p = [np.array([10.0, -7.0])]
+        p = np.array([10.0, -7.0])
         opt = Adam(p, lr=0.1)
         for _ in range(500):
-            opt.step(p, [2 * p[0]])
-        np.testing.assert_allclose(p[0], 0.0, atol=1e-3)
+            opt.step(p, 2 * p)
+        np.testing.assert_allclose(p, 0.0, atol=1e-3)
+
+    @given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), min_size=1, max_size=5),
+           st.integers(1, 30), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([1e-3, 1e-2, 0.5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_flat_step_bit_equals_per_array_loop(self, shapes, steps, dtype, lr, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+        grad_steps = [[rng.normal(size=s).astype(dtype) for s in shapes] for _ in range(steps)]
+        reference = [a.copy() for a in arrays]
+        per_array_adam(reference, grad_steps, lr)
+        flat, params = flat_buffer(arrays)
+        opt = Adam(flat, lr=lr)
+        for grads in grad_steps:
+            opt.step(flat, np.concatenate([g.ravel() for g in grads]))
+        for p, r in zip(params, reference):
+            assert p.dtype == dtype and p.tobytes() == r.tobytes()
 
 
 class TestReplayBuffer:
@@ -131,7 +188,7 @@ class TestTraining:
     def test_train_step_reduces_loss_on_fixed_batch(self, rng):
         net = QNetwork(4, 2, rng)
         target = net.clone()
-        opt = Adam(net.params, lr=1e-2)
+        opt = Adam(net.flat, lr=1e-2)
         batch = (
             rng.normal(size=(32, 4)).astype(np.float32),
             rng.integers(0, 2, size=32),
@@ -149,7 +206,7 @@ class TestTraining:
         net = QNetwork(2, 2, rng)
         net.weights[0][:] = np.inf
         target = net.clone()
-        opt = Adam(net.params)
+        opt = Adam(net.flat)
         batch = (np.ones((4, 2), dtype=np.float32), np.zeros(4, dtype=np.int64),
                  np.zeros(4, dtype=np.float32), np.ones((4, 2), dtype=np.float32),
                  np.ones(4, dtype=bool))

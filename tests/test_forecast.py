@@ -58,6 +58,13 @@ class TestFeatureSelection:
         kept = select_features(feats, t, threshold=0.6)
         assert set(kept) == {"strong", "negative"}
 
+    def test_nan_column_rejected(self):
+        t = np.arange(10.0)
+        col = t.copy()
+        col[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            select_features({"gappy": col}, t)
+
     def test_exactly_at_threshold_excluded(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
         kept = select_features({"self": t}, t, threshold=1.0)

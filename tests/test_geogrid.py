@@ -12,6 +12,8 @@ from nemonsoon.geogrid import (
     area_indices,
     area_mean_sst,
     load_sst,
+    month_axis,
+    month_slots,
     ocean_fraction,
     rect_cells,
     save_sst,
@@ -174,6 +176,16 @@ class TestGridIO:
         with pytest.raises(FormatError):
             load_sst(tmp_path / "sst")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 60.0], ids=["nan", "inf", "hot"])
+    def test_invalid_field_rejected_on_load(self, tmp_path, rng, bad):
+        # one bad value at month 5 in an ocean cell: NaN there would make the
+        # cell land for one month only, which ocean_mask (month 0) misses
+        vals = rng.uniform(0, 30, size=(8, 4, 4)).astype(np.float32)
+        vals[5, 2, 1] = bad
+        save_sst(make_field(vals), tmp_path / "sst")
+        with pytest.raises(FormatError, match="sst.f32"):
+            load_sst(tmp_path / "sst")
+
     def test_wrong_keys(self, tmp_path, rng):
         vals = rng.uniform(0, 30, size=(1, 4, 4)).astype(np.float32)
         save_sst(make_field(vals), tmp_path / "sst")
@@ -199,3 +211,33 @@ class TestInvariants:
         field = make_field(vals)
         with pytest.raises(ValueError):
             field.validate()
+
+
+def hand_rolled_axis(years, months):
+    """The per-reader axis code that month_slots replaced: earliest and
+    latest (year, month), the span between them, each row's offset."""
+    first = min(zip(years, months))
+    last = max(zip(years, months))
+    nt = (last[0] - first[0]) * 12 + (last[1] - first[1]) + 1
+    slots = [(y - first[0]) * 12 + (m - first[1]) for y, m in zip(years, months)]
+    return f"{first[0]:04d}-{first[1]:02d}", nt, slots
+
+
+class TestMonthSlots:
+    @given(st.lists(st.tuples(st.integers(1900, 2100), st.integers(1, 12)), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_hand_rolled_axis(self, rows):
+        years, months = [y for y, _ in rows], [m for _, m in rows]
+        t0, nt, slots = month_slots(years, months)
+        want_t0, want_nt, want_slots = hand_rolled_axis(years, months)
+        assert (t0, nt, slots.tolist()) == (want_t0, want_nt, want_slots)
+        np.testing.assert_array_equal(month_axis(t0, nt)[slots], months)
+
+    def test_given_start(self):
+        t0, nt, slots = month_slots([1999, 2000, 2000], [12, 1, 3], t0="2000-01")
+        assert (t0, nt, slots.tolist()) == ("2000-01", 3, [-1, 0, 2])
+
+    @pytest.mark.parametrize("month", [0, 13])
+    def test_month_out_of_range(self, month):
+        with pytest.raises(FormatError):
+            month_slots([2000, 2000], [1, month])

@@ -70,6 +70,19 @@ class TestPearson:
         with pytest.raises(ZeroVarianceError):
             pearson(np.arange(5.0), np.ones(5))
 
+    def test_non_finite_raises(self):
+        # the clamp once turned this NaN into r = -1.0
+        x = np.arange(10.0)
+        y = x.copy()
+        y[4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pearson(x, y)
+        with pytest.raises(ValueError, match="finite"):
+            pearson(y, x)
+        y[4] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            pearson(x, y)
+
     @given(st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_bounded_and_symmetric(self, seed):

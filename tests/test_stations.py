@@ -214,6 +214,12 @@ class TestCSV:
         with pytest.raises(FormatError):
             read_stations_csv(path)
 
+    def test_month_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("station_id,lat,lon,year,month,rain_mm\nS0,1,2,2000,13,5.0\n")
+        with pytest.raises(FormatError):
+            read_stations_csv(path)
+
     def test_clusters_round_trip(self, tmp_path):
         clusters = [
             Cluster(1, frozenset({"B", "A"}), np.zeros(2)),
