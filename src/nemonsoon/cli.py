@@ -294,7 +294,12 @@ def _read_index_series(path: str, t0: str, nt: int) -> np.ndarray:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["year", "month", "z"]:
             raise ConfigError(f"index CSV header must be year,month,z: {path}")
-        rows = [(int(r["year"]), int(r["month"]), float(r["z"])) for r in reader]
+        rows = []
+        for lineno, r in enumerate(reader, start=2):
+            try:
+                rows.append((int(r["year"]), int(r["month"]), float(r["z"])))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad index CSV row at line {lineno} of {path}: {exc}") from exc
     out = np.full(nt, np.nan)
     _, _, slots = geogrid.month_slots([r[0] for r in rows], [r[1] for r in rows], t0)
     for (_, _, z), k in zip(rows, slots.tolist()):

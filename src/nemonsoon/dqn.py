@@ -6,6 +6,7 @@ oracle used for acceptance checks."""
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,9 +321,6 @@ def _placements(template: AreaSet, domain: Rect, step: float) -> list[tuple[floa
     ]
 
 
-_BLOCK_ROWS = 256
-
-
 def exhaustive_search(
     field: SSTField,
     y_onset: np.ndarray,
@@ -336,49 +334,42 @@ def exhaustive_search(
     """Evaluate every valid shift-lattice placement of A crossed with every
     valid placement of B; return the argmax-q pair (lexicographic ties go
     to the earlier placement). Placements that break the area constraint
-    are skipped; degenerate pairs never win.
+    or have a non-finite series are skipped; degenerate pairs never win.
 
-    Each placement's series is season-centred once, so every pair's index
-    is one subtraction away from what the batched scorer takes. B's
-    centred series are stacked; A's are scored as they are generated.
+    B's series are stacked once in `index.PairScorer`; A's are scored in
+    blocks as they are generated, all pairs of a block at once. The
+    winner's q is scored again by `index.evaluate_pair` on its direct
+    difference.
     """
     months = field.spec.months()
-    target = index.season_target(y_onset, y_retreat, months)
 
-    def valid_placements(template):
+    def valid_series(template):
         for offset in _placements(template, domain, step):
             s, _ = index.ocean_series(field, _shift_area(template, *offset), min_ocean)
-            if s is not None:
-                yield offset, index.season_centre(s, months)
+            if s is not None and np.isfinite(s).all():
+                yield offset, s
 
-    placed_b = list(valid_placements(template_b))
+    placed_b = list(valid_series(template_b))
     if not placed_b:
         raise NemonsoonError(f"no placement of B in {domain} meets the area constraint")
     offsets_b = [offset for offset, _ in placed_b]
-    centred_b = np.array([c for _, c in placed_b])
+    scorer = index.PairScorer(months, index.season_target(y_onset, y_retreat, months),
+                              [s for _, s in placed_b])
     del placed_b
-    # B is scored in row blocks through one reused buffer: a fresh
-    # multi-MB difference per placement makes the allocator hand pages back
-    # and fault them in again each time, and small blocks keep the peak
-    # memory of the float64 temporaries low
-    blocks = [centred_b[lo:lo + _BLOCK_ROWS] for lo in range(0, len(centred_b), _BLOCK_ROWS)]
-    diffs = np.empty_like(blocks[0])
     best_q = -np.inf
     best = None
-    for offset_a, c_a in valid_placements(template_a):
-        q = np.concatenate([
-            index.seasonal_scores(np.subtract(b, c_a, out=diffs[:len(b)]), target, months)[2]
-            for b in blocks
-        ])
-        q = np.nan_to_num(q, nan=-np.inf)
-        ib = int(np.argmax(q))
-        if q[ib] > best_q + 1e-15:
-            best_q = float(q[ib])
-            best = (offset_a, offsets_b[ib])
+    placed_a = valid_series(template_a)
+    while block := list(itertools.islice(placed_a, scorer.BLOCK_ROWS)):
+        q = np.nan_to_num(scorer.scores([s for _, s in block]), copy=False, nan=-np.inf)
+        for (offset_a, _), q_a, ib in zip(block, q, q.argmax(axis=1)):
+            if q_a[ib] > best_q + 1e-15:
+                best_q = float(q_a[ib])
+                best = (offset_a, offsets_b[ib])
     if best is None:
         raise NemonsoonError(
             f"no valid (A, B) pair in {domain}: no placement of A meets the area "
             "constraint, or every pair is degenerate (constant or non-finite)")
     area_a = _shift_area(template_a, *best[0])
     area_b = _shift_area(template_b, *best[1])
-    return (area_a, area_b), best_q
+    report = index.evaluate_pair(field, area_a, area_b, y_onset, y_retreat, min_ocean)
+    return (area_a, area_b), report.q

@@ -462,8 +462,12 @@ def read_indices_csv(path) -> tuple[dict[str, np.ndarray], str]:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["index_name", "year", "month", "value"]:
             raise FormatError(f"indices CSV header wrong: {reader.fieldnames}")
-        rows = [(r["index_name"], int(r["year"]), int(r["month"]), float(r["value"]))
-                for r in reader]
+        rows = []
+        for lineno, r in enumerate(reader, start=2):
+            try:
+                rows.append((r["index_name"], int(r["year"]), int(r["month"]), float(r["value"])))
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"bad indices CSV row at line {lineno}: {exc}") from exc
     if not rows:
         raise FormatError("indices CSV has no data rows")
     t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])

@@ -201,20 +201,32 @@ def rect_cells(rect: Rect, spec: GridSpec) -> set[tuple[int, int]]:
     return area_cells(AreaSet.of(rect), spec)
 
 
+def _area_selector(area: AreaSet, spec: GridSpec):
+    """Index over the (lat, lon) axes that picks the area's cells in
+    row-major order: two slices for one rect, so no index arrays are built,
+    else `area_indices`."""
+    if len(area.rects) > 1:
+        return area_indices(area, spec)
+    i0, i1, j0, j1 = _rect_index_bounds(area.rects[0], spec)
+    # an upper bound below zero would wrap round; clamp it to an empty slice
+    return slice(i0, max(i0, i1 + 1)), slice(j0, max(j0, j1 + 1))
+
+
 def ocean_fraction(area: AreaSet, mask: np.ndarray, spec: GridSpec) -> float:
     """Share of the area's (deduplicated) cells that are ocean."""
-    ii, jj = area_indices(area, spec)
-    if ii.size == 0:
+    cells = mask[_area_selector(area, spec)]
+    if cells.size == 0:
         raise EmptyAreaError(f"area covers no grid cells: {area}")
-    return float(mask[ii, jj].sum()) / ii.size
+    return float(cells.sum()) / cells.size
 
 
 def area_mean_series(field: SSTField, area: AreaSet) -> np.ndarray:
     """Mean SST over the area's ocean cells, for every month (length nt)."""
-    ii, jj = area_indices(area, field.spec)
-    if ii.size == 0:
+    # (nt, cells); the ocean gather below leaves the cells on the outer axis
+    # of memory, so the mean adds them in order whichever path made `sub`
+    sub = field.values[(slice(None), *_area_selector(area, field.spec))].reshape(field.spec.nt, -1)
+    if sub.shape[1] == 0:
         raise EmptyAreaError(f"area covers no grid cells: {area}")
-    sub = field.values[:, ii, jj]  # (nt, ncells)
     ocean = ~np.isnan(sub[0])
     if not ocean.any():
         raise NoOceanCellsError(f"area has no ocean cells: {area}")

@@ -194,6 +194,27 @@ class TestForecast:
         assert f"{gap[0]}-{int(gap[1]):02d}" in capsys.readouterr().err
 
 
+    def _with_bad_number(self, fw, tmp_path, flag, name):
+        lines = (fw / name).read_text().splitlines(keepends=True)
+        fields = lines[3].rstrip("\r\n").split(",")
+        lines[3] = ",".join(fields[:-1] + ["abc"]) + "\n"
+        bad = tmp_path / name
+        bad.write_text("".join(lines))
+        args = self._args(fw, tmp_path / "x.csv")
+        args[args.index(flag) + 1] = str(bad)
+        return args
+
+    def test_bad_number_in_indices_is_format_error(self, forecast_world, tmp_path, capsys):
+        args = self._with_bad_number(forecast_world, tmp_path, "--indices", "indices.csv")
+        assert dispatch(args) == 1
+        assert "line 4" in capsys.readouterr().err
+
+    def test_bad_number_in_ne_index_is_config_error(self, forecast_world, tmp_path, capsys):
+        args = self._with_bad_number(forecast_world, tmp_path, "--ne-index", "ne.csv")
+        assert dispatch(args) == 2
+        assert "line 4" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, world, tmp_path):
         cfg = tmp_path / "cfg.json"

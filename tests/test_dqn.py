@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nemonsoon import index
 from nemonsoon.dqn import (
     Adam,
     DQNConfig,
@@ -12,6 +13,8 @@ from nemonsoon.dqn import (
     act,
     epsilon_at,
     exhaustive_search,
+    _placements,
+    _shift_area,
     flat_buffer,
     td_targets,
     train,
@@ -20,7 +23,7 @@ from nemonsoon.dqn import (
 )
 from nemonsoon.errors import InvalidInitialAreasError, NemonsoonError, NonFiniteLossError
 from nemonsoon.forecast import ForecasterConfig, LSTMForecaster
-from nemonsoon.geogrid import AreaSet, Rect, area_cells
+from nemonsoon.geogrid import AreaSet, Rect, area_cells, area_mean_series
 from nemonsoon.index import evaluate_pair
 from nemonsoon.rl_env import SHIFT_ONLY, AreaEnv, EnvConfig
 from nemonsoon.synthdata import SynthSpec, gen_sst, gen_stations, regime_targets
@@ -303,6 +306,88 @@ class TestOracle:
         between_centres = AreaSet.of(Rect(0.1, 0.4, 100.05, 100.15))  # no cells
         with pytest.raises(NemonsoonError, match="no placement of A"):
             exhaustive_search(field, s, s, between_centres, a, domain)
+
+
+def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_b,
+                                domain, step=0.5, min_ocean=0.8):
+    """The per-placement loop the Gram-matrix oracle replaces: every A
+    placement against the stack of B's centred series, one difference per
+    pair, scored by `seasonal_scores`."""
+    months = field.spec.months()
+    target = index.season_target(y_onset, y_retreat, months)
+
+    def valid_placements(template):
+        for offset in _placements(template, domain, step):
+            s, _ = index.ocean_series(field, _shift_area(template, *offset), min_ocean)
+            if s is not None:
+                yield offset, index.season_centre(s, months)
+
+    placed_b = list(valid_placements(template_b))
+    if not placed_b:
+        raise NemonsoonError(f"no placement of B in {domain} meets the area constraint")
+    centred_b = np.array([c for _, c in placed_b])
+    best_q, best = -np.inf, None
+    for offset_a, c_a in valid_placements(template_a):
+        q = np.nan_to_num(index.seasonal_scores(centred_b - c_a, target, months)[2],
+                          nan=-np.inf)
+        ib = int(np.argmax(q))
+        if q[ib] > best_q + 1e-15:
+            best_q, best = float(q[ib]), (offset_a, placed_b[ib][0])
+    if best is None:
+        raise NemonsoonError(
+            f"no valid (A, B) pair in {domain}: no placement of A meets the area "
+            "constraint, or every pair is degenerate (constant or non-finite)")
+    return (_shift_area(template_a, *best[0]), _shift_area(template_b, *best[1])), best_q
+
+
+# templates on a 0.5 degree grid: one cell, a 2x2 block, a 3x2 block and a
+# two-rect union (the cell path of the area reductions)
+_TEMPLATES = [
+    AreaSet.of(Rect(0.0, 0.25, 100.0, 100.25)),
+    AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5)),
+    AreaSet.of(Rect(0.0, 1.0, 100.0, 100.5)),
+    AreaSet.of(Rect(0.0, 0.5, 100.0, 100.25), Rect(0.5, 1.0, 100.0, 100.5)),
+]
+
+
+class TestGramOracle:
+    @given(st.integers(0, 10_000), st.floats(0.0, 0.5), st.booleans(),
+           st.sampled_from(range(len(_TEMPLATES))), st.sampled_from(["identical", "other"]),
+           st.sampled_from(range(len(_TEMPLATES))), st.sampled_from([0.5, 0.8]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_placement_loop(self, seed, land, nan_month, ta, relation, tb,
+                                        min_ocean):
+        rng = np.random.default_rng(seed)
+        nt, nlat, nlon = 36, 6, 7
+        signal = rng.normal(size=nt)
+        vals = (20.0 + rng.normal(0, 0.5, size=(nt, nlat, nlon))
+                + signal[:, None, None] * rng.normal(size=(nlat, nlon)))
+        vals[:, rng.random((nlat, nlon)) < land] = np.nan
+        if nan_month:
+            vals[5, rng.integers(nlat), rng.integers(nlon)] = np.nan
+        field = make_field(vals.astype(np.float32))
+        y_on = rng.uniform(0, 2) * signal + rng.normal(size=nt)
+        y_re = rng.uniform(0, 2) * signal + rng.normal(size=nt)
+        # identical templates give identical series at every shared offset;
+        # others overlap at some offsets
+        a = _TEMPLATES[ta]
+        b = a if relation == "identical" else _TEMPLATES[tb]
+        domain = field.spec.domain()
+        args = (field, y_on, y_re, a, b, domain, 0.5, min_ocean)
+        try:
+            _, want_q = reference_exhaustive_search(*args)
+        except NemonsoonError as exc:
+            with pytest.raises(NemonsoonError) as got:
+                exhaustive_search(*args)
+            assert str(got.value) == str(exc)
+            return
+        (best_a, best_b), q = exhaustive_search(*args)
+        assert abs(q - want_q) <= 1e-9
+        report = evaluate_pair(field, best_a, best_b, y_on, y_re, min_ocean)
+        assert report.valid
+        assert abs(report.q - q) <= 1e-12
+        assert not np.array_equal(area_mean_series(field, best_a),
+                                  area_mean_series(field, best_b))
 
 
 def test_nan_month_in_planted_a_is_invalid_everywhere():

@@ -10,6 +10,7 @@ from nemonsoon.geogrid import (
     Rect,
     area_cells,
     area_indices,
+    area_mean_series,
     area_mean_sst,
     load_sst,
     month_axis,
@@ -148,6 +149,67 @@ class TestAreaMean:
         area = AreaSet.of(Rect(0.0, 1.0, 100.0, 101.0))
         m = area_mean_sst(field, area, t)
         assert vals[t].min() <= m <= vals[t].max()
+
+
+def cell_path_mean(field, area):
+    """The index-array reduction the one-rect slice path replaces."""
+    ii, jj = area_indices(area, field.spec)
+    if ii.size == 0:
+        raise EmptyAreaError(f"area covers no grid cells: {area}")
+    sub = field.values[:, ii, jj]
+    ocean = ~np.isnan(sub[0])
+    if not ocean.any():
+        raise NoOceanCellsError(f"area has no ocean cells: {area}")
+    return sub[:, ocean].mean(axis=1)
+
+
+def cell_path_fraction(area, mask, spec):
+    ii, jj = area_indices(area, spec)
+    if ii.size == 0:
+        raise EmptyAreaError(f"area covers no grid cells: {area}")
+    return float(mask[ii, jj].sum()) / ii.size
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is part of the outcome
+        return type(exc)
+
+
+class TestSlicePath:
+    # 7 x 9 cells, centres at lat 0..3, lon 100..104; quarter-degree corners
+    # land on centres, between centres and beyond every edge
+    @given(st.integers(0, 10_000), st.floats(0.0, 0.9),
+           st.tuples(*[st.integers(-4, 16)] * 4), st.integers(1, 8), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equals_cell_path(self, seed, land, corner, height, width):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(-2, 32, size=(12, 7, 9)).astype(np.float32)
+        vals[:, rng.random((7, 9)) < land] = np.nan
+        vals[5, rng.integers(7), rng.integers(9)] = np.nan  # NaN at month 5 only
+        field = make_field(vals)
+        i, j = corner[0] / 4 - 0.5, 100 + corner[2] / 4 - 0.5
+        area = AreaSet.of(Rect(i, i + height / 4, j, j + width / 4))
+        want, got = _outcome(cell_path_mean, field, area), _outcome(area_mean_series, field, area)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)  # NaN equals NaN
+        mask = field.ocean_mask()
+        want = _outcome(cell_path_fraction, area, mask, field.spec)
+        got = _outcome(ocean_fraction, area, mask, field.spec)
+        assert got == want and type(got) is type(want)
+
+    def test_rect_below_grid_is_empty(self):
+        # its upper row bound is negative; a slice must not wrap round
+        field = make_field(np.ones((3, 4, 4)))
+        area = AreaSet.of(Rect(-3.0, -1.0, 100.0, 101.0))
+        with pytest.raises(EmptyAreaError):
+            area_mean_series(field, area)
+        with pytest.raises(EmptyAreaError):
+            ocean_fraction(area, field.ocean_mask(), field.spec)
 
 
 class TestGridIO:

@@ -18,6 +18,7 @@ from nemonsoon.index import (
     raw_index,
     season_centre,
     season_masks,
+    PairScorer,
     season_target,
     seasonal_scores,
 )
@@ -119,6 +120,14 @@ class TestNormalise:
         with pytest.raises(ZeroVarianceError):
             normalise_series(np.full(12, 7.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        # once returned an all-NaN series
+        with pytest.raises(ValueError, match="finite"):
+            normalise_series(np.array([1.0, bad, 3.0]))
+        with pytest.raises(ValueError, match="finite"):
+            normalise_series(np.array([1.0, 2.0, 3.0, bad]), slice(0, 3))
+
     def test_preserves_pearson(self, rng):
         x = rng.normal(size=40)
         y = rng.normal(size=40)
@@ -178,6 +187,35 @@ def _series(seed, nt):
     y_on = rng.normal(100, 30, size=nt)
     y_re = rng.normal(60, 20, size=nt)
     return rng, raw, y_on, y_re
+
+
+class TestPairScorer:
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 9),
+           st.integers(1, PairScorer.BLOCK_ROWS))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_differences(self, seed, n_a, n_b, block_rows):
+        rng, _, y_on, y_re = _series(seed, 48)
+        months = month_axis("1982-07", 48)
+        series = (20.0 + rng.normal(size=(n_a + n_b, 48))
+                  * rng.uniform(0.1, 5, size=(n_a + n_b, 1))).astype(np.float32)
+        sa, sb = series[:n_a], series[n_a:]
+        sa[0] = sb[-1]  # an identical pair: degenerate, never a q
+        target = season_target(y_on, y_re, months)
+        scorer = PairScorer(months, target, list(sb))
+        for lo in range(0, n_a, block_rows):
+            got = scorer.scores(list(sa[lo:lo + block_rows]))
+            for k, s in enumerate(sa[lo:lo + block_rows]):
+                want = seasonal_scores(season_centre(sb, months) - season_centre(s, months),
+                                       target, months)[2]
+                np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)  # NaN == NaN
+        assert np.isnan(scorer.scores([sa[0]])[0, -1])
+
+    def test_target_constant_in_a_season_scores_nan(self):
+        _, raw, y_on, _ = _series(5, 36)
+        months = month_axis("1982-01", 36)
+        target = season_target(y_on, np.full(36, 7.0), months)
+        scorer = PairScorer(months, target, [raw, raw * 2.0 + 1.0])
+        assert np.isnan(scorer.scores([raw[::-1].copy()])).all()
 
 
 class TestBatchedScorer:
