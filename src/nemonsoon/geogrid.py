@@ -145,6 +145,12 @@ class AreaSet:
         return [r.as_list() for r in self.rects]
 
 
+def area_key(area: AreaSet) -> tuple[int, ...]:
+    """Hashable key of an area's geometry: every rect bound rounded to
+    1e-6 degrees, so bounds that drift by float steps share one key."""
+    return tuple(round(v * 1e6) for r in area.rects for v in r.as_list())
+
+
 @dataclass
 class SSTField:
     """Monthly SST values on a GridSpec; land cells are NaN at every t."""

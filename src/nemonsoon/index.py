@@ -97,7 +97,11 @@ def season_centre(series: np.ndarray, months: np.ndarray) -> np.ndarray:
 def _centre(series, masks) -> np.ndarray:
     out = np.array(series, dtype=float)
     for sel in masks:
-        out[..., sel] -= out[..., sel].mean(axis=-1, keepdims=True)
+        part = out[..., sel]
+        # a finite run with all values equal centres to exact zeros, not to
+        # the rounding residue of its mean (7.1 mm leaves about 1e-16)
+        flat = (part == part[..., :1]).all(axis=-1, keepdims=True) & np.isfinite(part[..., :1])
+        out[..., sel] = np.where(flat, 0.0, part - part.mean(axis=-1, keepdims=True))
     return out
 
 
@@ -121,15 +125,21 @@ def seasonal_scores(diffs: np.ndarray, target: np.ndarray, months: np.ndarray):
     normalised index. A row, or a target, that is constant within a season
     or not finite scores NaN: an invalid pair, never a fabricated q.
     """
-    return _scores(diffs, target, season_masks(months))
+    return _scores(diffs, _season_products(target, season_masks(months)))
 
 
-def _scores(diffs, target, masks):
+def _season_products(target, masks):
+    """The target's side of `_scores`, built once per target: the (nt, 2)
+    season matrix, the target times it, and its squared norm per season."""
+    seasons = np.stack(masks, axis=1).astype(float)
+    return seasons, target[:, None] * seasons, (target * target) @ seasons
+
+
+def _scores(diffs, products):
+    seasons, target_seasons, target_sq = products
     diffs = np.atleast_2d(diffs)
-    seasons = np.stack(masks, axis=1).astype(float)  # (nt, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (diffs @ (target[:, None] * seasons)) / np.sqrt(
-            ((diffs * diffs) @ seasons) * ((target * target) @ seasons))
+        r = (diffs @ target_seasons) / np.sqrt(((diffs * diffs) @ seasons) * target_sq)
     r = np.where(np.isfinite(r), np.clip(r, -1.0, 1.0), np.nan)
     return r[:, 0], r[:, 1], objective_q(r[:, 0], r[:, 1])
 
@@ -243,6 +253,68 @@ def ocean_series(field: SSTField, area: AreaSet, min_ocean: float) -> tuple[np.n
     return geogrid.area_mean_series(field, area), None
 
 
+def _invalid(violation: str) -> ObjectiveReport:
+    return ObjectiveReport(np.nan, np.nan, np.nan, False, violation)
+
+
+class PairObjective:
+    """`evaluate_pair` for one field, one pair of targets and one
+    `min_ocean`, prepared once. The season masks, the centred target and its
+    season products are built here, and each distinct area's `ocean_series`
+    outcome (its float32 series, or its violation) is kept in `series`,
+    keyed by `geogrid.area_key`. A call on two areas seen before costs one
+    subtraction, one centring and one small matmul, with no area reduction.
+
+    Calls make `evaluate_pair`'s checks in its order: A, then B, then the
+    seasons, then the targets' length. The field must not change while the
+    object is in use.
+    """
+
+    def __init__(self, field: SSTField, y_onset: np.ndarray, y_retreat: np.ndarray,
+                 min_ocean: float = 0.8):
+        self.field = field
+        self.min_ocean = min_ocean
+        self.series: dict[tuple, tuple[np.ndarray | None, str | None]] = {}
+        # too few months in a season is reported, targets off the time axis
+        # raised, but only once both areas have passed
+        self._error: Exception | None = None
+        try:
+            self._masks = season_masks(field.spec.months())
+            target = _target(y_onset, y_retreat, self._masks)
+        except (InsufficientSeasonSamplesError, ValueError) as exc:
+            self._error = exc
+            return
+        self._target_finite = bool(np.isfinite(target).all())
+        self._products = _season_products(target, self._masks)
+
+    def _area_series(self, area: AreaSet) -> tuple[np.ndarray | None, str | None]:
+        """`ocean_series` of the area, reduced on its first call only."""
+        key = geogrid.area_key(area)
+        found = self.series.get(key)
+        if found is None:
+            found = self.series[key] = ocean_series(self.field, area, self.min_ocean)
+        return found
+
+    def __call__(self, area_a: AreaSet, area_b: AreaSet) -> ObjectiveReport:
+        series = []
+        for label, area in (("A", area_a), ("B", area_b)):
+            s, violation = self._area_series(area)
+            if s is None:
+                return _invalid(f"{label}: {violation}")
+            series.append(s)
+        if isinstance(self._error, InsufficientSeasonSamplesError):
+            return _invalid(str(self._error))
+        if self._error is not None:
+            raise self._error
+        diff = _centre(np.subtract(series[1], series[0], dtype=float), self._masks)
+        r_onset, r_retreat, q = (float(v[0]) for v in _scores(diff, self._products))
+        if np.isnan(q):
+            finite = np.isfinite(diff).all() and self._target_finite
+            return _invalid("index or target constant within a season" if finite
+                            else "index or target has non-finite values")
+        return ObjectiveReport(r_onset, r_retreat, q, True)
+
+
 def evaluate_pair(
     field: SSTField,
     area_a: AreaSet,
@@ -252,26 +324,9 @@ def evaluate_pair(
     min_ocean: float = 0.8,
 ) -> ObjectiveReport:
     """Score an (A, B) pair; constraint violations and degenerate series are
-    reported as invalid, never raised, so an optimizer can penalize them."""
-    series = []
-    for label, area in (("A", area_a), ("B", area_b)):
-        s, violation = ocean_series(field, area, min_ocean)
-        if s is None:
-            return ObjectiveReport(np.nan, np.nan, np.nan, False, f"{label}: {violation}")
-        series.append(s)
-    try:
-        masks = season_masks(field.spec.months())
-    except InsufficientSeasonSamplesError as exc:
-        return ObjectiveReport(np.nan, np.nan, np.nan, False, str(exc))
-    diff = _centre(np.subtract(series[1], series[0], dtype=float), masks)
-    target = _target(y_onset, y_retreat, masks)
-    r_onset, r_retreat, q = (float(v[0]) for v in _scores(diff, target, masks))
-    if np.isnan(q):
-        finite = np.isfinite(diff).all() and np.isfinite(target).all()
-        violation = ("index or target constant within a season" if finite
-                     else "index or target has non-finite values")
-        return ObjectiveReport(np.nan, np.nan, np.nan, False, violation)
-    return ObjectiveReport(r_onset, r_retreat, q, True)
+    reported as invalid, never raised, so an optimizer can penalize them.
+    A caller that scores many pairs on one field keeps one `PairObjective`."""
+    return PairObjective(field, y_onset, y_retreat, min_ocean)(area_a, area_b)
 
 
 def write_objective_csv(report: ObjectiveReport, path: str | os.PathLike) -> None:

@@ -138,17 +138,14 @@ def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
 
 
 def _geometry_key(area_a: AreaSet, area_b: AreaSet) -> tuple:
-    return tuple(
-        round(v * 1e6)
-        for area in (area_a, area_b)
-        for r in area.rects
-        for v in r.as_list()
-    )
+    return geogrid.area_key(area_a), geogrid.area_key(area_b)
 
 
 class AreaEnv:
     """Stateful episode environment over one read-only SST field and fixed
-    rainfall targets. Objective values are cached per geometry."""
+    rainfall targets. Objective values are cached per geometry, and scored
+    through one `index.PairObjective`, which reduces each distinct area
+    once."""
 
     def __init__(
         self,
@@ -158,12 +155,11 @@ class AreaEnv:
         config: EnvConfig,
     ):
         self.field = field
-        self.y_onset = np.asarray(y_onset, dtype=float)
-        self.y_retreat = np.asarray(y_retreat, dtype=float)
         self.config = config
         self.actions = enumerate_actions(config.mode)
         self.n_actions = len(self.actions)
         self.obs_dim = len(encode_state(config.init_a, config.init_b, config.domain))
+        self.objective = index.PairObjective(field, y_onset, y_retreat, config.min_ocean)
         self._q_cache: dict[tuple, float | None] = {}
         self.state: EnvState | None = None
         self._done = True
@@ -175,10 +171,7 @@ class AreaEnv:
         covers a broken area constraint)."""
         key = _geometry_key(area_a, area_b)
         if key not in self._q_cache:
-            report = index.evaluate_pair(
-                self.field, area_a, area_b, self.y_onset, self.y_retreat,
-                min_ocean=self.config.min_ocean,
-            )
+            report = self.objective(area_a, area_b)
             self._q_cache[key] = report.q if report.valid else None
         return self._q_cache[key]
 

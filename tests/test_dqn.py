@@ -390,6 +390,19 @@ class TestGramOracle:
                                   area_mean_series(field, best_b))
 
 
+@pytest.mark.parametrize("value", [7.1, 0.3])
+def test_constant_target_never_scores_in_the_oracle(value):
+    # a retreat target exactly constant at 7.1 or 0.3: centring once left a
+    # residue of about 1e-16 and the oracle returned a q; now every pair is
+    # invalid, as in evaluate_pair and the environment
+    rng = np.random.default_rng(0)
+    field = make_field((20.0 + rng.normal(0, 0.5, size=(60, 6, 6))).astype(np.float32))
+    a = AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5))
+    with pytest.raises(NemonsoonError, match="degenerate"):
+        exhaustive_search(field, rng.normal(size=60), np.full(60, value), a, a,
+                          field.spec.domain())
+
+
 def test_nan_month_in_planted_a_is_invalid_everywhere():
     # one missing month in one ocean cell inside planted A; the scalar
     # scorer once turned it into q = 1.0 while the oracle skipped the pair

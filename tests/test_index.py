@@ -7,10 +7,11 @@ from nemonsoon.errors import (
     InsufficientSeasonSamplesError,
     ZeroVarianceError,
 )
-from nemonsoon.geogrid import AreaSet, Rect, month_axis
+from nemonsoon.geogrid import AreaSet, Rect, area_key, month_axis
 from nemonsoon.index import (
     ONSET_MONTHS,
     RETREAT_MONTHS,
+    PairObjective,
     evaluate_pair,
     normalise_series,
     objective_q,
@@ -311,3 +312,115 @@ class TestEvaluatePair:
         r_ba = evaluate_pair(field, b, a, y_on, y_re)
         assert r_ab.q == pytest.approx(r_ba.q, abs=1e-12)
         assert r_ab.r_onset == pytest.approx(-r_ba.r_onset, abs=1e-12)
+
+
+class TestExactlyConstant:
+    """A target or index that is exactly constant within a season is
+    invalid whatever its value. Centring once left a residue of about 1e-16
+    for 7.1 and 0.3 (not for 7.0), and such a target scored valid."""
+
+    NT = 60
+
+    def _world(self):
+        rng = np.random.default_rng(5)
+        field = make_field(rng.uniform(15, 25, size=(self.NT, 4, 4)).astype(np.float32))
+        a = AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5))
+        b = AreaSet.of(Rect(1.0, 1.5, 101.0, 101.5))
+        return field, a, b, rng.normal(size=self.NT)
+
+    @pytest.mark.parametrize("value", [7.1, 0.3])
+    @pytest.mark.parametrize("season", ["onset", "retreat"])
+    def test_target_invalid_in_evaluate_pair_and_pair_objective(self, value, season):
+        field, a, b, y = self._world()
+        flat = np.full(self.NT, value)
+        y_on, y_re = (flat, y) if season == "onset" else (y, flat)
+        objective = PairObjective(field, y_on, y_re)
+        for report in (evaluate_pair(field, a, b, y_on, y_re), objective(a, b), objective(b, a)):
+            assert not report.valid and np.isnan(report.q)
+            assert report.violation == "index or target constant within a season"
+
+    @pytest.mark.parametrize("value", [7.1, 0.3])
+    def test_target_invalid_in_pair_scorer(self, value):
+        rng, raw, y_on, _ = _series(5, self.NT)
+        months = month_axis("2000-01", self.NT)
+        target = season_target(y_on, np.full(self.NT, value), months)
+        assert not target[~np.isin(months, list(ONSET_MONTHS))].any()
+        scorer = PairScorer(months, target, [raw, raw * 2.0 + 1.0])
+        assert np.isnan(scorer.scores([raw[::-1].copy(), rng.normal(size=self.NT)])).all()
+
+    def test_index_row_invalid(self):
+        field, _, _, y = self._world()
+        assert not season_centre(np.full(self.NT, 7.1), field.spec.months()).any()
+        # A's cell is 1.2e-7 and B's 20.3 in every month: B - A is exactly
+        # constant and needs 52 bits, so centring once left a residue of
+        # about 1e-15 and the pair scored q = 1.6e-33
+        field.values[:, 0, 0] = 1.2e-7
+        field.values[:, 2, 2] = 20.3
+        a, b = AreaSet.of(Rect(0.0, 0.25, 100.0, 100.25)), AreaSet.of(Rect(1.0, 1.25, 101.0, 101.25))
+        report = evaluate_pair(field, a, b, y, y)
+        assert not report.valid
+        assert report.violation == "index or target constant within a season"
+
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_other_values_bit_unchanged(self, seed, rows, one_flat_season):
+        # the centring before the constant rule, kept as the reference
+        rng = np.random.default_rng(seed)
+        months = month_axis("1982-07", 48)
+        masks = season_masks(months)
+        x = rng.normal(rng.uniform(-50, 50), rng.uniform(1e-6, 9), size=(rows, 48))
+        if one_flat_season:
+            x[0, masks[0]] = rng.uniform(-50, 50)
+        want = x.copy()
+        for sel in masks:
+            want[:, sel] -= want[:, sel].mean(axis=-1, keepdims=True)
+        got = season_centre(x, months)
+        if one_flat_season:
+            assert not got[0, masks[0]].any()
+            got[0, masks[0]], want[0, masks[0]] = 0.0, 0.0
+        assert (got.view(np.int64) == want.view(np.int64)).all()  # bit for bit
+
+
+# a 6 x 8 grid of 0.5 degree cells (centres lat 0..2.5, lon 100..103.5) with
+# land and a cell that is NaN only at month 5; rect corners on a quarter
+# degree lattice reach past every edge, so areas can be empty or off the grid
+_NLAT, _NLON, _NT = 6, 8, 36
+_corner = st.tuples(st.integers(-3, 12), st.integers(-3, 16))
+_rect = st.builds(lambda c, h, w: Rect(c[0] / 4 - 0.5, (c[0] + h) / 4 - 0.5,
+                                       100 + c[1] / 4 - 0.5, 100 + (c[1] + w) / 4 - 0.5),
+                  _corner, st.integers(1, 10), st.integers(1, 10))
+_area = st.lists(_rect, min_size=1, max_size=2).map(lambda rs: AreaSet(tuple(rs)))
+
+
+class TestPairObjective:
+    @given(st.integers(0, 10_000), st.floats(0.0, 0.4), st.sampled_from([0.5, 0.8]),
+           st.lists(_area, min_size=2, max_size=8, unique_by=area_key),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=25),
+           st.sampled_from(["random", "random", "flat onset", "short"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_fresh_evaluate_pair(self, seed, land, min_ocean, pool, picks, targets):
+        rng = np.random.default_rng(seed)
+        signal = rng.normal(size=_NT)
+        vals = (20.0 + rng.normal(0, 0.5, size=(_NT, _NLAT, _NLON))
+                + signal[:, None, None] * rng.normal(size=(_NLAT, _NLON)))
+        vals[:, rng.random((_NLAT, _NLON)) < land] = np.nan
+        vals[5, rng.integers(_NLAT), rng.integers(_NLON)] = np.nan
+        field = make_field(vals.astype(np.float32))
+        y_on, y_re = signal + rng.normal(size=_NT), signal + rng.normal(size=_NT)
+        if targets == "flat onset":
+            y_on = np.full(_NT, 7.1)
+        elif targets == "short":  # off the time axis: raised once both areas pass
+            y_re = y_re[:-1]
+        objective = PairObjective(field, y_on, y_re, min_ocean)
+        for i, j in picks:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            try:
+                want = evaluate_pair(field, a, b, y_on, y_re, min_ocean)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    objective(a, b)
+                continue
+            got = objective(a, b)
+            # repr tells every float apart bit for bit, NaN included
+            assert repr(got) == repr(want)
+        assert len(objective.series) <= len({area_key(area) for area in pool})

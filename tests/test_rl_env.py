@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from nemonsoon import index
 from nemonsoon.errors import EpisodeOverError, InvalidInitialAreasError
-from nemonsoon.geogrid import AreaSet, Rect
+from nemonsoon.geogrid import AreaSet, Rect, area_key
 from nemonsoon.rl_env import (
     Action,
     AreaEnv,
@@ -196,6 +197,96 @@ class TestEpisode:
         q2 = env._q_of(a, b)
         assert q1 == q2
         assert len(env._q_cache) == 1
+
+
+class ReferenceEnv(AreaEnv):
+    """The environment as it scored before `index.PairObjective`: a fresh
+    `evaluate_pair` for every geometry, with no cache at all."""
+
+    def __init__(self, field, y_onset, y_retreat, config):
+        super().__init__(field, y_onset, y_retreat, config)
+        self.targets = y_onset, y_retreat
+
+    def _q_of(self, area_a, area_b):
+        report = index.evaluate_pair(self.field, area_a, area_b, *self.targets,
+                                     min_ocean=self.config.min_ocean)
+        return report.q if report.valid else None
+
+
+class VisitLog(AreaEnv):
+    """Records every geometry the environment asks the objective for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.visited = []
+
+    def _q_of(self, area_a, area_b):
+        self.visited.append((area_a, area_b))
+        return super()._q_of(area_a, area_b)
+
+
+def coastal_world(mode, nt=48):
+    """make_env's grid with land east of lon 108.25, so B breaks the ocean
+    constraint two steps east, and one cell (lat 4.5, lon 103) that is NaN
+    at month 5 only, one step north of A."""
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(15, 25, size=(nt, 21, 21)).astype(np.float32)
+    vals[:, :, 17:] = np.nan
+    vals[5, 9, 6] = np.nan
+    cfg = EnvConfig(mode, DOMAIN, AreaSet.of(Rect(2.0, 4.0, 102.0, 104.0)),
+                    AreaSet.of(Rect(6.0, 8.0, 106.0, 108.0)), episode_len=16, jitter=2)
+    return make_field(vals), rng.normal(size=nt), rng.normal(size=nt), cfg
+
+
+def run_random(env, steps, seed):
+    """Rewards and last_q over `steps` seeded random actions, resetting at
+    the end of each episode."""
+    rng = np.random.default_rng(seed)
+    rewards, qs = [], []
+    env.reset(rng)
+    for _ in range(steps):
+        _, reward, done = env.step(int(rng.integers(env.n_actions)))
+        rewards.append(reward)
+        qs.append(env.state.last_q)
+        if done:
+            env.reset(rng)
+            qs.append(env.state.last_q)
+    return rewards, qs
+
+
+class TestPairObjectiveEnv:
+    @pytest.mark.parametrize("mode", [SHIFT_ONLY, SHIFT_AND_RESIZE])
+    def test_bit_equals_fresh_evaluate_pair(self, mode):
+        world = coastal_world(mode)
+        env = AreaEnv(*world)
+        got = run_random(env, 400, seed=11)
+        want = run_random(ReferenceEnv(*world), 400, seed=11)
+        assert -env.config.invalid_penalty in got[0]  # some moves were refused
+        violations = [v for _, v in env.objective.series.values() if v]
+        assert any("ocean_fraction" in v for v in violations)
+        assert any(not np.isfinite(s).all() for s, _ in env.objective.series.values()
+                   if s is not None)
+        assert got == want  # float ==: bit-equal (no NaN reaches a reward)
+
+    def test_area_dict_holds_only_visited_areas(self):
+        env = VisitLog(*coastal_world(SHIFT_ONLY))
+        rng = np.random.default_rng(4)
+        env.reset(rng)
+        for _ in range(env.config.episode_len):
+            env.step(int(rng.integers(env.n_actions)))
+        distinct_a = {area_key(a) for a, _ in env.visited}
+        distinct_b = {area_key(b) for _, b in env.visited}
+        assert 0 < len(env.objective.series) <= len(distinct_a) + len(distinct_b)
+
+    @pytest.mark.parametrize("value", [7.1, 0.3])
+    def test_constant_target_is_invalid(self, value):
+        # exactly constant in the onset season; centring once left a
+        # residue of about 1e-16 there, and the pair scored valid
+        field, _, y_re, cfg = coastal_world(SHIFT_ONLY, nt=60)
+        env = AreaEnv(field, np.full(60, value), y_re, cfg)
+        assert env._q_of(cfg.init_a, cfg.init_b) is None
+        with pytest.raises(InvalidInitialAreasError):
+            env.reset(np.random.default_rng(0))
 
 
 class TestAreaIO:
