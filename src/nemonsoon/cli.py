@@ -259,9 +259,11 @@ def _cmd_forecast(args) -> None:
     membership = stations.read_clusters_csv(args.clusters)
     if args.cluster not in membership:
         raise ConfigError(f"cluster {args.cluster} not in {args.clusters}")
-    members = membership[args.cluster]
-    target = np.mean([st.rain for st in sts if st.id in members], axis=0)
-    t0 = next(st.t0 for st in sts if st.id in members)
+    members = [st for st in sts if st.id in membership[args.cluster]]
+    if not members:
+        raise ConfigError(f"cluster {args.cluster} has no usable stations in {args.stations}")
+    target = np.mean([st.rain for st in members], axis=0)
+    t0 = members[0].t0
     years = geogrid.year_axis(t0, len(target))
 
     indices, idx_t0 = forecast.read_indices_csv(args.indices)

@@ -82,13 +82,26 @@ class QNetwork:
         return other
 
 
+def lane_buffer(lanes: int, shapes: list[tuple[int, ...]],
+                dtype=np.float64) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed (lanes, P) buffer plus a (lanes, *shape) view into it per
+    shape, in order. Each lane's parameters are one contiguous row, so K
+    stacked models snapshot, restore and update per lane like one model."""
+    sizes = [int(np.prod(s)) for s in shapes]
+    ends = np.cumsum(sizes)
+    flat = np.zeros((lanes, int(ends[-1])), dtype=dtype)
+    return flat, [flat[:, end - size:end].reshape((lanes, *shape))
+                  for shape, size, end in zip(shapes, sizes, ends)]
+
+
 def flat_buffer(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """One contiguous copy of the arrays, in order, plus a view into it
     shaped like each array. Models keep their parameters this way, so Adam,
     snapshots and target syncs work on one vector."""
-    flat = np.concatenate([a.ravel() for a in arrays])
-    ends = np.cumsum([a.size for a in arrays])
-    return flat, [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    flat, views = lane_buffer(1, [a.shape for a in arrays], np.result_type(*arrays))
+    for view, a in zip(views, arrays):
+        view[0] = a
+    return flat[0], [view[0] for view in views]
 
 
 class Adam:

@@ -5,11 +5,11 @@ stopping, and the with/without-index ablation."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dqn import flat_buffer
+from .dqn import lane_buffer
 from .errors import (
     FormatError,
     NonFiniteLossError,
@@ -132,133 +132,204 @@ class LSTMForecaster:
     Parameters per layer: Wx (in, 4H), Wh (H, 4H), b (4H,); head Wy, by.
     `params` lists them in that order as views into one `flat` buffer.
     Forget-gate bias initialized to +1. All math in float64.
+
+    Lanes: given a sequence of input widths and one rng per lane, the model
+    is K independent models on a leading lane axis, run by the same numpy
+    calls: `flat` is (K, P), each parameter (K, ...), inputs one (N, T, F_k)
+    array per lane and predictions (K, N, out). Each lane draws its weights
+    from its own rng at its own width. np.matmul runs the same GEMM on each
+    slice, so every lane is bit-equal to a model of its own, except where
+    the widths differ: layer 0's input products run per lane on the
+    unpadded inputs, because a zero-padded input changes OpenBLAS's kernel
+    choice (gemv against gemm at width 1) and its gemv summation order (at
+    one window, widths 3 and 7). A narrower lane's Wx is padded with zero
+    rows in `flat` that are never read and never updated. Given an int and
+    one rng, the model is one lane with the lane axis left out of every
+    public array.
     """
 
-    def __init__(self, in_dim: int, config: ForecasterConfig,
-                 rng: np.random.Generator, out_dim: int = HORIZON):
+    def __init__(self, in_dim, config: ForecasterConfig, rng, out_dim: int = HORIZON):
+        self._allocate(in_dim, config, out_dim)
+        h = config.hidden
+        for lane, lane_rng in enumerate(rng if self.laned else [rng]):
+            arrays = []
+            d_in = self.in_dims[lane]
+            for _ in range(config.layers):
+                k = 1.0 / np.sqrt(h)
+                wx = lane_rng.uniform(-k, k, size=(d_in, 4 * h))
+                wh = lane_rng.uniform(-k, k, size=(h, 4 * h))
+                b = np.zeros(4 * h)
+                b[h:2 * h] = 1.0
+                arrays.extend([wx, wh, b])
+                d_in = h
+            k = 1.0 / np.sqrt(h)
+            arrays.append(lane_rng.uniform(-k, k, size=(h, out_dim)))
+            arrays.append(np.zeros(out_dim))
+            for view, a in zip(self._lanes, arrays):
+                view[lane, :len(a)] = a
+
+    def _allocate(self, in_dim, config: ForecasterConfig, out_dim: int) -> None:
+        """Zeroed parameters for one model (int width) or one per lane."""
+        self.laned = not isinstance(in_dim, (int, np.integer))
+        self.in_dims = tuple(int(d) for d in in_dim) if self.laned else (int(in_dim),)
+        self.in_dim = max(self.in_dims)
         self.config = config
-        self.in_dim = in_dim
         self.out_dim = out_dim
         h = config.hidden
-        arrays = []
-        d_in = in_dim
+        shapes = []
+        d_in = self.in_dim
         for _ in range(config.layers):
-            k = 1.0 / np.sqrt(h)
-            wx = rng.uniform(-k, k, size=(d_in, 4 * h))
-            wh = rng.uniform(-k, k, size=(h, 4 * h))
-            b = np.zeros(4 * h)
-            b[h:2 * h] = 1.0
-            arrays.extend([wx, wh, b])
+            shapes += [(d_in, 4 * h), (h, 4 * h), (4 * h,)]
             d_in = h
-        k = 1.0 / np.sqrt(h)
-        arrays.append(rng.uniform(-k, k, size=(h, out_dim)))
-        arrays.append(np.zeros(out_dim))
-        self.flat, self.params = flat_buffer(arrays)
+        shapes += [(h, out_dim), (out_dim,)]
+        self._flat, self._lanes = lane_buffer(len(self.in_dims), shapes)
+        self.flat = self._flat if self.laned else self._flat[0]
+        self.params = self._lanes if self.laned else [view[0] for view in self._lanes]
+
+    def select(self, lanes) -> "LSTMForecaster":
+        """A copy of some lanes as a model of their own: laned for a list of
+        lane indices, without a lane axis for one index. The copy is padded
+        only up to its own widest lane."""
+        keep = lanes if isinstance(lanes, list) else [lanes]
+        model = object.__new__(LSTMForecaster)
+        model._allocate([self.in_dims[k] for k in keep] if isinstance(lanes, list)
+                        else self.in_dims[lanes], self.config, self.out_dim)
+        for dst, src in zip(model._lanes, self._lanes):
+            dst[:] = src[keep, :dst.shape[1]]
+        return model
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                rng: np.random.Generator | None = None):
-        """Predictions (N, out_dim); keeps caches for backward."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[2] != self.in_dim:
-            raise ShapeMismatchError(
-                f"expected input (N, T, {self.in_dim}), got {x.shape}")
-        n, t_len, _ = x.shape
+    def forward(self, x, training: bool = False, rng=None):
+        """Predictions (N, out_dim), or (K, N, out_dim) for a laned model
+        given one (N, T, F_k) input per lane; keeps caches for backward.
+        Training dropout draws from `rng`, which is one generator per lane
+        for a laned model."""
+        xs = [np.asarray(a, dtype=float) for a in (x if self.laned else [x])]
+        lanes = len(self.in_dims)
+        if len(xs) != lanes or any(a.ndim != 3 or a.shape[2] != w or a.shape[:2] != xs[0].shape[:2]
+                                   for a, w in zip(xs, self.in_dims)):
+            expected = ", ".join(f"(N, T, {w})" for w in self.in_dims)
+            got = ", ".join(str(a.shape) for a in xs)
+            raise ShapeMismatchError(f"expected input {expected}, got {got}")
+        rngs = rng if self.laned or rng is None else [rng]
+        n, t_len = xs[0].shape[:2]
         h_dim = self.config.hidden
-        self._cache = {"x": x, "layers": [], "outputs": [], "masks": []}
-        seq = x
+        self._cache = {"xs": xs, "layers": [], "masks": []}
+        seq = None
+        proj = np.empty((lanes, n, 4 * h_dim))
         for layer in range(self.config.layers):
-            wx, wh, b = self.params[3 * layer:3 * layer + 3]
-            h = np.zeros((n, h_dim))
-            c = np.zeros((n, h_dim))
+            wx, wh, b = self._lanes[3 * layer:3 * layer + 3]
+            b = b[:, None]
+            h = np.zeros((lanes, n, h_dim))
+            c = np.zeros((lanes, n, h_dim))
             steps = []
-            outputs = np.zeros((n, t_len, h_dim))
+            top = layer == self.config.layers - 1
+            # below the top, the h sequence feeds the next layer; backward
+            # recomputes each h_{t-1} = o * tanh(c) from the step cache
+            outputs = None if top else np.zeros((lanes, n, t_len, h_dim))
             for t in range(t_len):
-                a = seq[:, t] @ wx + h @ wh + b
-                i = _sigmoid(a[:, :h_dim])
-                f = _sigmoid(a[:, h_dim:2 * h_dim])
-                g = np.tanh(a[:, 2 * h_dim:3 * h_dim])
-                o = _sigmoid(a[:, 3 * h_dim:])
+                if layer:
+                    x_t = seq[:, :, t]
+                    np.matmul(x_t, wx, out=proj)
+                else:
+                    x_t = None  # backward reads each lane's input from the cache
+                    for k, lane_x in enumerate(xs):
+                        np.matmul(lane_x[:, t], wx[k, :lane_x.shape[2]], out=proj[k])
+                a = proj + h @ wh + b
+                i_f = _sigmoid(a[..., :2 * h_dim])  # elementwise: one call for both gates
+                i, f = i_f[..., :h_dim], i_f[..., h_dim:]
+                g = np.tanh(a[..., 2 * h_dim:3 * h_dim])
+                o = _sigmoid(a[..., 3 * h_dim:])
                 c_prev = c
                 c = f * c_prev + i * g
                 h = o * np.tanh(c)
-                steps.append((seq[:, t], i, f, g, o, c_prev, c))
-                outputs[:, t] = h
+                steps.append((x_t, i, f, g, o, c_prev, c))
+                if not top:
+                    outputs[:, :, t] = h
             self._cache["layers"].append(steps)
-            self._cache["outputs"].append(outputs)
-            if layer < self.config.layers - 1:
+            if not top:
                 keep = 1.0 - self.config.dropout
                 if training and self.config.dropout > 0:
-                    if rng is None:
+                    if rngs is None or any(r is None for r in rngs):
                         raise ValueError("training dropout needs an rng")
-                    mask = (rng.random(outputs.shape) < keep) / keep
+                    draws = np.stack([r.random(outputs.shape[1:]) for r in rngs])
+                    mask = (draws < keep) / keep
                 else:
                     mask = np.ones_like(outputs)
                 self._cache["masks"].append(mask)
                 seq = outputs * mask
-            else:
-                seq = outputs
-        final_h = seq[:, -1]
+        final_h = h
         self._cache["final_h"] = final_h
-        wy, by = self.params[-2], self.params[-1]
-        return final_h @ wy + by
+        wy, by = self._lanes[-2], self._lanes[-1]
+        pred = final_h @ wy + by[:, None]
+        return pred if self.laned else pred[0]
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       training: bool = False,
-                       rng: np.random.Generator | None = None):
-        """MSE loss over all outputs plus gradients in parameter order."""
+    def loss_and_grads(self, x, y: np.ndarray, training: bool = False, rng=None):
+        """MSE loss over all outputs plus gradients in parameter order. A
+        laned model gives one loss per lane and gradients with the lane
+        axis, each lane's from its own slice only."""
         pred = self.forward(x, training=training, rng=rng)
         y = np.asarray(y, dtype=float)
         if pred.shape != y.shape:
             raise ShapeMismatchError(f"targets {y.shape} vs predictions {pred.shape}")
-        n = y.shape[0]
         err = pred - y
-        loss = float(np.mean(err * err))
-        if not np.isfinite(loss):
+        if not self.laned:
+            err = err[None]
+        losses = np.array([np.mean(e * e) for e in err])
+        loss = losses if self.laned else float(losses[0])
+        if not np.isfinite(losses).all():
             raise NonFiniteLossError(f"forecast loss became {loss}")
 
+        lanes, n = err.shape[:2]
         h_dim = self.config.hidden
-        wy = self.params[-2]
-        dout = 2.0 * err / err.size
-        grads = [np.zeros_like(p) for p in self.params]
-        grads[-2] = self._cache["final_h"].T @ dout
-        grads[-1] = dout.sum(axis=0)
+        dout = 2.0 * err / err[0].size
+        grads = [np.zeros_like(p) for p in self._lanes]
+        grads[-2] = self._cache["final_h"].swapaxes(1, 2) @ dout
+        grads[-1] = dout.sum(axis=1)
 
-        t_len = x.shape[1]
-        # dh arriving at each layer's output sequence from above
-        dseq_above = np.zeros((n, t_len, h_dim))
-        dseq_above[:, -1] = dout @ wy.T
+        xs = self._cache["xs"]
+        t_len = xs[0].shape[1]
+        # dh arriving at each layer's output sequence from above; the top
+        # layer gets the head's gradient at its last step only
+        dseq_above = None
+        dh_top = dout @ self._lanes[-2].swapaxes(1, 2)
+        da = np.empty((lanes, n, 4 * h_dim))
         for layer in range(self.config.layers - 1, -1, -1):
-            wx, wh, _ = self.params[3 * layer:3 * layer + 3]
+            wx, wh, _ = self._lanes[3 * layer:3 * layer + 3]
             dwx, dwh, db = grads[3 * layer:3 * layer + 3]
             steps = self._cache["layers"][layer]
-            outputs = self._cache["outputs"][layer]
-            if layer < self.config.layers - 1:
-                dseq_above = dseq_above * self._cache["masks"][layer]
-            dseq_below = np.zeros((n, t_len, wx.shape[0]))
-            dh_next = np.zeros((n, h_dim))
-            dc_next = np.zeros((n, h_dim))
+            if dseq_above is not None:
+                dseq_above *= self._cache["masks"][layer]
+            # layer 0's input gradient would be thrown away
+            dseq_below = np.zeros((lanes, n, t_len, wx.shape[1])) if layer else None
+            wx_t, wh_t = wx.swapaxes(1, 2), wh.swapaxes(1, 2)
+            dh_next = dh_top if dseq_above is None else np.zeros((lanes, n, h_dim))
+            dc_next = np.zeros((lanes, n, h_dim))
+            tc = np.tanh(steps[-1][-1])
             for t in range(t_len - 1, -1, -1):
-                x_t, i, f, g, o, c_prev, c = steps[t]
-                dh = dseq_above[:, t] + dh_next
-                tc = np.tanh(c)
+                x_t, i, f, g, o, c_prev, _ = steps[t]
+                dh = dh_next if dseq_above is None else dseq_above[:, :, t] + dh_next
                 dc = dc_next + dh * o * (1.0 - tc * tc)
-                da = np.concatenate([
-                    dc * g * i * (1.0 - i),
-                    dc * c_prev * f * (1.0 - f),
-                    dc * i * (1.0 - g * g),
-                    dh * tc * o * (1.0 - o),
-                ], axis=1)
-                dwx += x_t.T @ da
+                da[..., :h_dim] = dc * g * i * (1.0 - i)
+                da[..., h_dim:2 * h_dim] = dc * c_prev * f * (1.0 - f)
+                da[..., 2 * h_dim:3 * h_dim] = dc * i * (1.0 - g * g)
+                da[..., 3 * h_dim:] = dh * tc * o * (1.0 - o)
+                if layer:
+                    dwx += x_t.swapaxes(1, 2) @ da
+                else:
+                    for k, lane_x in enumerate(xs):
+                        dwx[k, :lane_x.shape[2]] += lane_x[:, t].T @ da[k]
                 if t > 0:  # h_{-1} is zero
-                    dwh += outputs[:, t - 1].T @ da
-                db += da.sum(axis=0)
-                dseq_below[:, t] = da @ wx.T
-                dh_next = da @ wh.T
+                    tc = np.tanh(c_prev)  # tanh(c_{t-1}), also used at step t - 1
+                    dwh += (steps[t - 1][4] * tc).swapaxes(1, 2) @ da
+                db += da.sum(axis=1)
+                if layer:
+                    dseq_below[:, :, t] = da @ wx_t
+                dh_next = da @ wh_t
                 dc_next = dc * f
             dseq_above = dseq_below
-        return loss, grads
+        return loss, grads if self.laned else [g[0] for g in grads]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, training=False)
@@ -278,56 +349,121 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
                      rng: np.random.Generator | None = None):
     """Minibatch gradient descent (BPTT) with early stopping on validation
     loss. Returns (model-with-best-val-params, validation loss curve).
+
+    Lanes: given a list with one array per lane for each of the four data
+    arguments (the same windows per lane; input widths may differ) and, if
+    any, a list of rngs, trains the lanes as one laned model and returns
+    (models, curves) with one entry per lane. Each lane keeps its own rng,
+    minibatch order, dropout masks, gradient clip and early stopping, so
+    each entry is bit-equal to a run on that lane's data alone. A lane
+    that stops leaves the stack.
     """
-    rng = rng or np.random.default_rng(config.seed)
-    model = LSTMForecaster(train_x.shape[2], config, rng)
-    best_params = model.flat.copy()
-    best_val = _val_loss(model, val_x, val_y)
-    curve = [best_val]
-    stale = 0
-    n = train_x.shape[0]
+    laned = isinstance(train_x, (list, tuple))
+    if laned:
+        rngs = list(rng) if rng is not None else \
+            [np.random.default_rng(config.seed) for _ in train_x]
+    else:
+        train_x, train_y, val_x, val_y = [train_x], [train_y], [val_x], [val_y]
+        rngs = [rng or np.random.default_rng(config.seed)]
+    tx = [np.asarray(x, dtype=float) for x in train_x]
+    vx = [np.asarray(x, dtype=float) for x in val_x]
+    ty = np.stack([np.asarray(y, dtype=float) for y in train_y])
+    vy = np.stack([np.asarray(y, dtype=float) for y in val_y])
+    n = ty.shape[1]
+    if any(x.ndim != 3 or x.shape[0] != n for x in tx):
+        raise ShapeMismatchError("every lane needs inputs (N, T, F) for the targets' N")
+    model = LSTMForecaster([x.shape[2] for x in tx], config, rngs)
+    best = model.select(list(range(len(rngs))))  # each active lane's best parameters
+    active = list(range(len(rngs)))              # the lane held in each row of `model`
+    curves = [[val] for val in _val_losses(model, vx, vy)]
+    best_val = [curve[0] for curve in curves]
+    stale = [0] * len(rngs)
+    done: list = [None] * len(rngs)
     for _ in range(config.max_epochs):
-        order = rng.permutation(n)
+        rows = np.array(active)[:, None]
+        lane_rngs = [rngs[k] for k in active]
+        orders = np.stack([r.permutation(n) for r in lane_rngs])
         for lo in range(0, n, BATCH_SIZE):
-            sel = order[lo:lo + BATCH_SIZE]
-            _, grads = model.loss_and_grads(train_x[sel], train_y[sel],
-                                            training=True, rng=rng)
-            norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
-            scale = config.lr * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
-            model.flat -= scale * np.concatenate([g.ravel() for g in grads])
-        val = _val_loss(model, val_x, val_y)
-        curve.append(val)
-        if val < best_val - 1e-12:
-            best_val = val
-            best_params = model.flat.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
+            sel = orders[:, lo:lo + BATCH_SIZE]
+            _, grads = model.loss_and_grads([tx[k][s] for k, s in zip(active, sel)],
+                                            ty[rows, sel], training=True, rng=lane_rngs)
+            scale = [config.lr * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
+                     for norm in _grad_norms(grads, model.in_dims)]
+            model.flat -= np.array(scale)[:, None] * np.concatenate(
+                [g.reshape(len(active), -1) for g in grads], axis=1)
+        vals = _val_losses(model, [vx[k] for k in active], vy[active])
+        stopped = []
+        for row, (k, val) in enumerate(zip(active, vals)):
+            curves[k].append(val)
+            if val < best_val[k] - 1e-12:
+                best_val[k] = val
+                best.flat[row] = model.flat[row]
+                stale[k] = 0
+            else:
+                stale[k] += 1
+                if stale[k] >= config.patience:
+                    stopped.append(row)
+        if stopped:
+            for row in stopped:
+                done[active[row]] = best.select(row)
+            keep = [row for row in range(len(active)) if row not in stopped]
+            active = [active[row] for row in keep]
+            if not active:
                 break
-    model.flat[:] = best_params
-    return model, curve
+            model, best = model.select(keep), best.select(keep)
+    for row, k in enumerate(active):
+        done[k] = best.select(row)
+    return (done, curves) if laned else (done[0], curves[0])
 
 
-def _val_loss(model: LSTMForecaster, val_x, val_y) -> float:
-    pred = model.predict(val_x)
-    return float(np.mean((pred - np.asarray(val_y, dtype=float)) ** 2))
+def _grad_norms(grads, in_dims) -> list[float]:
+    """Global gradient norm of each lane over its own parameters only: the
+    zero rows padding a narrower lane's Wx would change numpy's pairwise
+    sum."""
+    norms = []
+    for row, width in enumerate(in_dims):
+        lane = [grads[0][row, :width], *(g[row] for g in grads[1:])]
+        norms.append(np.sqrt(sum(float((g * g).sum()) for g in lane)))
+    return norms
+
+
+def _val_losses(model: LSTMForecaster, val_x, val_y) -> list[float]:
+    """Validation MSE of each lane, over that lane only."""
+    sq = (model.predict(val_x) - val_y) ** 2
+    return [float(np.mean(lane)) for lane in sq]
 
 
 def grid_search(train_x, train_y, val_x, val_y,
                 grid: list[ForecasterConfig], seed: int):
     """Train every configuration; return (best model, best config) by
-    validation loss, ties going to the earlier (smaller) entry."""
-    best = None
+    validation loss, ties going to the earlier (smaller) entry.
+
+    A one-layer config with dropout > 0 is skipped when its dropout-0 twin
+    came earlier: dropout acts only between layers, so it would train
+    bit-identically and lose the tie. Given lanes (lists, as for
+    `train_forecaster`), all lanes train together and each lane picks its
+    own config; returns (models, configs) with one entry per lane.
+    """
+    laned = isinstance(train_x, (list, tuple))
+    lanes = len(train_x) if laned else 1
+    best: list = [None] * lanes
+    trained = set()
     for cfg in grid:
-        model, curve = train_forecaster(
-            train_x, train_y, val_x, val_y, cfg,
-            rng=np.random.default_rng(seed),
-        )
-        val = min(curve)
-        if best is None or val < best[0] - 1e-12:
-            best = (val, model, cfg)
-    return best[1], best[2]
+        if cfg.layers == 1 and cfg.dropout > 0 and replace(cfg, dropout=0.0) in trained:
+            continue
+        trained.add(cfg)
+        rngs = [np.random.default_rng(seed) for _ in range(lanes)]
+        models, curves = train_forecaster(train_x, train_y, val_x, val_y, cfg,
+                                          rng=rngs if laned else rngs[0])
+        if not laned:
+            models, curves = [models], [curves]
+        for k, (model, curve) in enumerate(zip(models, curves)):
+            val = min(curve)
+            if best[k] is None or val < best[k][0] - 1e-12:
+                best[k] = (val, model, cfg)
+    if laned:
+        return [b[1] for b in best], [b[2] for b in best]
+    return best[0][1], best[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +507,9 @@ def ablation_experiment(
             base_cols["__target_history__"] = target
         ne_cols = dict(base_cols)
         ne_cols["__ne_index__"] = np.asarray(ne_index, dtype=float)
-        for arm, cols in (("base", base_cols), ("base+ne", ne_cols)):
-            result = _run_fold(cols, target, years, fold, grid, seed)
+        arms = {"base": base_cols, "base+ne": ne_cols}
+        results = _run_fold(list(arms.values()), target, years, fold, grid, seed)
+        for arm, result in zip(arms, results):
             rows.append({
                 "cluster_id": cluster_id, "fold": fold_no,
                 "arm": arm, "rmse_mm_month": result,
@@ -387,33 +524,37 @@ def _safe_abs_corr(x, y) -> float:
         return 0.0
 
 
-def _run_fold(cols: dict[str, np.ndarray], target, years, fold: FoldSpec,
-              grid, seed: int) -> float:
-    if not cols:
+def _run_fold(arms: list[dict[str, np.ndarray]], target, years, fold: FoldSpec,
+              grid, seed: int) -> list[float]:
+    """Test RMSE of each arm (a set of feature columns), the arms trained
+    together as lanes of one grid search."""
+    if not all(arms):
         raise ValueError("no features selected; cannot train")
     train_rows = (years >= fold.train[0]) & (years <= fold.train[1])
-    # standardize features and target against training-fold statistics
-    matrix = np.column_stack(list(cols.values()))
-    mu = matrix[train_rows].mean(axis=0)
-    sd = matrix[train_rows].std(axis=0)
-    sd[sd == 0] = 1.0
-    matrix = (matrix - mu) / sd
     t_mu = target[train_rows].mean()
     t_sd = target[train_rows].std()
     if t_sd == 0:
         raise ZeroVarianceError("target is constant on the training fold")
     target_z = (target - t_mu) / t_sd
-
-    inputs, targets_z = make_windows(matrix, target_z)
+    splits = []  # each arm's (train, validation, test) windows
+    for cols in arms:
+        # standardize features against training-fold statistics
+        matrix = np.column_stack(list(cols.values()))
+        mu = matrix[train_rows].mean(axis=0)
+        sd = matrix[train_rows].std(axis=0)
+        sd[sd == 0] = 1.0
+        inputs, targets_z = make_windows((matrix - mu) / sd, target_z)
+        if not splits:
+            tr, va, te = _assign_windows(years, fold, n_samples=inputs.shape[0])
+            if not (tr.any() and va.any() and te.any()):
+                raise ValueError("a fold split has no samples; check year ranges")
+        splits.append((inputs[tr], inputs[va], inputs[te]))
     _, targets_raw = make_windows(matrix, target)
-    split = _assign_windows(years, fold, n_samples=inputs.shape[0])
-    tr, va, te = split
-    if not (tr.any() and va.any() and te.any()):
-        raise ValueError("a fold split has no samples; check year ranges")
-    model, _ = grid_search(inputs[tr], targets_z[tr], inputs[va], targets_z[va],
-                           grid, seed)
-    pred = model.predict(inputs[te]) * t_sd + t_mu
-    return rmse(targets_raw[te], pred)
+    models, _ = grid_search([s[0] for s in splits], [targets_z[tr]] * len(arms),
+                            [s[1] for s in splits], [targets_z[va]] * len(arms),
+                            grid, seed)
+    return [rmse(targets_raw[te], model.predict(s[2]) * t_sd + t_mu)
+            for model, s in zip(models, splits)]
 
 
 def _assign_windows(years, fold: FoldSpec, n_samples: int):

@@ -214,6 +214,17 @@ class TestForecast:
         assert dispatch(args) == 2
         assert "line 4" in capsys.readouterr().err
 
+    def test_cluster_without_usable_stations_is_config_error(self, forecast_world,
+                                                             tmp_path, capsys):
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text((forecast_world / "clusters.csv").read_text() + "2,MISSING\n")
+        args = self._args(forecast_world, tmp_path / "x.csv")
+        args[args.index("--clusters") + 1] = str(clusters)
+        args[args.index("--cluster") + 1] = "2"
+        assert dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no usable stations" in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, world, tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nemonsoon.errors import FormatError, ShapeMismatchError, SkippedCluster
+from nemonsoon import forecast
+from nemonsoon.errors import FormatError, ShapeMismatchError, SkippedCluster, ZeroVarianceError
 from nemonsoon.forecast import (
     FOLD1,
     FOLD2,
@@ -11,6 +14,7 @@ from nemonsoon.forecast import (
     ForecasterConfig,
     LSTMForecaster,
     _assign_windows,
+    _safe_abs_corr,
     ablation_experiment,
     default_grid,
     grid_search,
@@ -22,6 +26,129 @@ from nemonsoon.forecast import (
     write_indices_csv,
     write_report_csv,
 )
+
+
+# ---------------------------------------------------------------------------
+# Slow references: one model at a time, as before the lane axis
+# ---------------------------------------------------------------------------
+
+def _ref_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+
+
+def reference_loss_and_grads(params, config, x, y, training=False, rng=None):
+    """LSTM forward and BPTT for one unpadded model: fresh gradient arrays,
+    one np.concatenate of the gate gradients per step, and layer 0's input
+    gradient computed too."""
+    x = np.asarray(x, dtype=float)
+    n, t_len, _ = x.shape
+    h_dim = config.hidden
+    layers, outputs_all, masks = [], [], []
+    seq = x
+    for layer in range(config.layers):
+        wx, wh, b = params[3 * layer:3 * layer + 3]
+        h = np.zeros((n, h_dim))
+        c = np.zeros((n, h_dim))
+        steps = []
+        outputs = np.zeros((n, t_len, h_dim))
+        for t in range(t_len):
+            a = seq[:, t] @ wx + h @ wh + b
+            i = _ref_sigmoid(a[:, :h_dim])
+            f = _ref_sigmoid(a[:, h_dim:2 * h_dim])
+            g = np.tanh(a[:, 2 * h_dim:3 * h_dim])
+            o = _ref_sigmoid(a[:, 3 * h_dim:])
+            c_prev = c
+            c = f * c_prev + i * g
+            h = o * np.tanh(c)
+            steps.append((seq[:, t], i, f, g, o, c_prev, c))
+            outputs[:, t] = h
+        layers.append(steps)
+        outputs_all.append(outputs)
+        if layer < config.layers - 1:
+            keep = 1.0 - config.dropout
+            if training and config.dropout > 0:
+                mask = (rng.random(outputs.shape) < keep) / keep
+            else:
+                mask = np.ones_like(outputs)
+            masks.append(mask)
+            seq = outputs * mask
+        else:
+            seq = outputs
+    final_h = seq[:, -1]
+    wy, by = params[-2], params[-1]
+    err = final_h @ wy + by - y
+    loss = float(np.mean(err * err))
+    dout = 2.0 * err / err.size
+    grads = [np.zeros_like(p) for p in params]
+    grads[-2] = final_h.T @ dout
+    grads[-1] = dout.sum(axis=0)
+    dseq_above = np.zeros((n, t_len, h_dim))
+    dseq_above[:, -1] = dout @ wy.T
+    for layer in range(config.layers - 1, -1, -1):
+        wx, wh, _ = params[3 * layer:3 * layer + 3]
+        dwx, dwh, db = grads[3 * layer:3 * layer + 3]
+        if layer < config.layers - 1:
+            dseq_above = dseq_above * masks[layer]
+        dseq_below = np.zeros((n, t_len, wx.shape[0]))
+        dh_next = np.zeros((n, h_dim))
+        dc_next = np.zeros((n, h_dim))
+        for t in range(t_len - 1, -1, -1):
+            x_t, i, f, g, o, c_prev, c = layers[layer][t]
+            dh = dseq_above[:, t] + dh_next
+            tc = np.tanh(c)
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            da = np.concatenate([
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tc * o * (1.0 - o),
+            ], axis=1)
+            dwx += x_t.T @ da
+            if t > 0:
+                dwh += outputs_all[layer][:, t - 1].T @ da
+            db += da.sum(axis=0)
+            dseq_below[:, t] = da @ wx.T
+            dh_next = da @ wh.T
+            dc_next = dc * f
+        dseq_above = dseq_below
+    return loss, grads
+
+
+def reference_ablation_rows(cluster_id, target, years, candidate_indices, ne_index,
+                            foldspecs, grid, seed=0, threshold=0.6,
+                            include_target_history=True):
+    """The ablation with one grid search per arm, base arm first."""
+    target = np.asarray(target, dtype=float)
+    rows = []
+    for fold_no, fold in enumerate(foldspecs, start=1):
+        train_rows = (years >= fold.train[0]) & (years <= fold.train[1])
+        if _safe_abs_corr(ne_index[train_rows], target[train_rows]) <= threshold:
+            raise SkippedCluster(cluster_id, "uncorrelated")
+        selected = select_features({k: v[train_rows] for k, v in candidate_indices.items()},
+                                   target[train_rows], threshold)
+        base_cols = {k: candidate_indices[k] for k in selected}
+        if include_target_history:
+            base_cols["__target_history__"] = target
+        ne_cols = dict(base_cols)
+        ne_cols["__ne_index__"] = np.asarray(ne_index, dtype=float)
+        for arm, cols in (("base", base_cols), ("base+ne", ne_cols)):
+            matrix = np.column_stack(list(cols.values()))
+            mu = matrix[train_rows].mean(axis=0)
+            sd = matrix[train_rows].std(axis=0)
+            sd[sd == 0] = 1.0
+            matrix = (matrix - mu) / sd
+            t_mu, t_sd = target[train_rows].mean(), target[train_rows].std()
+            if t_sd == 0:
+                raise ZeroVarianceError("constant target")
+            inputs, targets_z = make_windows(matrix, (target - t_mu) / t_sd)
+            _, targets_raw = make_windows(matrix, target)
+            tr, va, te = _assign_windows(years, fold, n_samples=inputs.shape[0])
+            model, _ = grid_search(inputs[tr], targets_z[tr], inputs[va], targets_z[va],
+                                   grid, seed)
+            pred = model.predict(inputs[te]) * t_sd + t_mu
+            rows.append({"cluster_id": cluster_id, "fold": fold_no, "arm": arm,
+                         "rmse_mm_month": rmse(targets_raw[te], pred)})
+    return rows
 
 
 class TestConstants:
@@ -145,6 +272,82 @@ class TestLSTM:
         with pytest.raises(ShapeMismatchError):
             model.predict(rng.normal(size=(2, 5, 4)))
 
+    def test_lanes_are_views_of_flat_and_select_copies(self):
+        cfg = ForecasterConfig(hidden=3, layers=2)
+        model = LSTMForecaster([2, 4], cfg, [np.random.default_rng(s) for s in (5, 6)])
+        assert model.flat.shape == (2, sum(p[0].size for p in model.params))
+        assert model.params[0].shape == (2, 4, 12)
+        np.testing.assert_array_equal(model.params[0][0, 2:], 0.0)  # lane 0's padding
+        solo = model.select(0)
+        assert solo.in_dim == 2 and solo.params[0].shape == (2, 12)
+        np.testing.assert_array_equal(
+            solo.flat, LSTMForecaster(2, cfg, np.random.default_rng(5)).flat)
+        model.flat[:] = np.arange(model.flat.size).reshape(model.flat.shape)
+        np.testing.assert_array_equal(
+            np.concatenate([p.reshape(2, -1) for p in model.params], axis=1), model.flat)
+        assert not np.shares_memory(solo.flat, model.flat)
+
+    def test_laned_input_shape_checked(self, rng):
+        model = LSTMForecaster([2, 3], ForecasterConfig(hidden=4), [rng, rng])
+        with pytest.raises(ShapeMismatchError):
+            model.predict(rng.normal(size=(5, 6, 3)))
+        with pytest.raises(ShapeMismatchError):
+            model.predict([rng.normal(size=(5, 6, 3)), rng.normal(size=(5, 6, 3))])
+        with pytest.raises(ShapeMismatchError):
+            model.predict([rng.normal(size=(5, 6, 2)), rng.normal(size=(4, 6, 3))])
+        assert model.predict([rng.normal(size=(5, 6, 2)),
+                              rng.normal(size=(5, 6, 3))]).shape == (2, 5, 12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           hidden=st.integers(1, 16), layers=st.integers(1, 3),
+           dropout=st.sampled_from([0.0, 0.4]), training=st.booleans(),
+           n=st.integers(1, 5), t_len=st.integers(1, 5), out_dim=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    @example(widths=[3, 4], hidden=16, layers=1, dropout=0.0, training=False,
+             n=3, t_len=3, out_dim=2, seed=0)  # the ablation's widths
+    def test_loss_and_grads_per_lane_match_reference(self, widths, hidden, layers, dropout,
+                                                     training, n, t_len, out_dim, seed):
+        """Each lane's loss and gradients, narrower lanes included, are
+        bit-equal to an unlaned model and, from two hidden units and two
+        outputs up, to the one-model reference; the rows padding a narrower
+        lane's Wx get exact-zero gradients, and each lane's clip norm equals
+        the unlaned model's (widths and hidden sizes reach past numpy's
+        128-element pairwise-sum block, where zero padding would change the
+        sum)."""
+        cfg = ForecasterConfig(hidden=hidden, layers=layers, dropout=dropout)
+        data = np.random.default_rng(seed)
+        xs = [data.normal(size=(n, t_len, w)) for w in widths]
+        ys = [data.normal(size=(n, out_dim)) for _ in widths]
+        laned = LSTMForecaster(widths, cfg, [np.random.default_rng(seed + k)
+                                             for k in range(len(widths))], out_dim=out_dim)
+        losses, grads = laned.loss_and_grads(
+            xs, np.stack(ys), training=training,
+            rng=[np.random.default_rng(99 + k) for k in range(len(widths))])
+        assert losses.shape == (len(widths),)
+        for k, w in enumerate(widths):
+            solo = LSTMForecaster(w, cfg, np.random.default_rng(seed + k), out_dim=out_dim)
+            ref_loss, ref_grads = reference_loss_and_grads(
+                solo.params, cfg, xs[k], ys[k], training, np.random.default_rng(99 + k))
+            loss, solo_grads = solo.loss_and_grads(xs[k], ys[k], training=training,
+                                                   rng=np.random.default_rng(99 + k))
+            assert loss == ref_loss == losses[k]
+            assert forecast._grad_norms(grads, widths)[k] == \
+                forecast._grad_norms([g[None] for g in solo_grads], [w])[0]
+            np.testing.assert_array_equal(grads[0][k, w:], 0.0)
+            lane_grads = [grads[0][k, :w], *(g[k] for g in grads[1:])]
+            for mine, theirs, ref in zip(lane_grads, solo_grads, ref_grads):
+                np.testing.assert_array_equal(mine, theirs)
+                if hidden > 1 and out_dim > 1:
+                    np.testing.assert_array_equal(theirs, ref)
+                else:
+                    # With one hidden unit or one output, h^T @ da or
+                    # h^T @ dout is numpy's gemv case, and OpenBLAS's gemv
+                    # rounds by the operand's strides: the reference reads h
+                    # from its (N, T, H) output buffer, the model recomputes
+                    # it into a contiguous array.
+                    np.testing.assert_allclose(theirs, ref, rtol=1e-12, atol=1e-15)
+
 
 class TestTraining:
     def _toy_problem(self, seed=0):
@@ -194,6 +397,54 @@ class TestTraining:
             m, curve = train_forecaster(tx, ty, vx, vy, cfg,
                                         rng=np.random.default_rng(0))
             assert picked_val <= min(curve) + 1e-9
+
+    def test_grid_search_skips_one_layer_dropout_twin(self, monkeypatch):
+        tx, ty, vx, vy, *_ = self._toy_problem()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return train_forecaster(*args, **kwargs)
+
+        monkeypatch.setattr(forecast, "train_forecaster", counting)
+        twin = ForecasterConfig(hidden=8, layers=1, dropout=0.0, max_epochs=3)
+        grid = [twin, ForecasterConfig(hidden=8, layers=1, dropout=0.5, max_epochs=3)]
+        _, chosen = grid_search(tx, ty, vx, vy, grid, seed=0)
+        assert chosen == twin and calls == [twin]
+        # alone, a one-layer dropout config still trains
+        _, chosen = grid_search(tx, ty, vx, vy, grid[1:], seed=0)
+        assert chosen == grid[1] and calls == [twin, grid[1]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           hidden=st.integers(1, 16), layers=st.integers(1, 2),
+           dropout=st.sampled_from([0.0, 0.3]), patience=st.integers(1, 3),
+           max_epochs=st.integers(1, 6), n=st.integers(2, 40), n_val=st.integers(1, 3),
+           t_len=st.integers(2, 4), y_scale=st.sampled_from([1.0, 30.0]),
+           seed=st.integers(0, 2**16))
+    def test_lanes_match_solo_runs(self, widths, hidden, layers, dropout, patience,
+                                   max_epochs, n, n_val, t_len, y_scale, seed):
+        """Each lane of a K-lane training is bit-equal to a solo run on its
+        own data and rng: final parameters, validation curve, predictions.
+        Lanes stop at different epochs; large targets make the gradient
+        clip act, and widths up to 6 with up to 16 hidden units put layer 0's
+        Wx on both sides of numpy's 128-element pairwise-sum block."""
+        cfg = ForecasterConfig(hidden=hidden, layers=layers, dropout=dropout,
+                               max_epochs=max_epochs, patience=patience)
+        data = np.random.default_rng(seed)
+        xs = [data.normal(size=(n + n_val, t_len, w)) for w in widths]
+        ys = [y_scale * data.normal(size=(n + n_val, HORIZON)) for _ in widths]
+        models, curves = train_forecaster(
+            [x[:n] for x in xs], [y[:n] for y in ys], [x[n:] for x in xs],
+            [y[n:] for y in ys], cfg,
+            rng=[np.random.default_rng(seed + k) for k in range(len(widths))])
+        assert len(models) == len(curves) == len(widths)
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            solo, curve = train_forecaster(x[:n], y[:n], x[n:], y[n:], cfg,
+                                           rng=np.random.default_rng(seed + k))
+            assert curves[k] == curve
+            np.testing.assert_array_equal(models[k].flat, solo.flat)
+            np.testing.assert_array_equal(models[k].predict(x), solo.predict(x))
 
 
 class TestFoldAssignment:
@@ -254,6 +505,26 @@ class TestAblation:
         assert [r["arm"] for r in rows] == ["base", "base+ne"]
         assert all(r["cluster_id"] == 2 and r["fold"] == 1 for r in rows)
         assert all(np.isfinite(r["rmse_mm_month"]) and r["rmse_mm_month"] > 0 for r in rows)
+
+    @pytest.mark.parametrize("history", [True, False])
+    def test_lanes_equal_per_arm_reference(self, history):
+        years, target, ne, cands = self._world(couple=True, seed=3)
+        folds = [FoldSpec((2000, 2008), (2009, 2009), (2010, 2010)),
+                 FoldSpec((2000, 2009), (2010, 2010), (2011, 2011))]
+        grid = [ForecasterConfig(hidden=6, layers=1, max_epochs=8, patience=2),
+                ForecasterConfig(hidden=6, layers=1, dropout=0.5, max_epochs=8, patience=2),
+                ForecasterConfig(hidden=4, layers=2, dropout=0.2, max_epochs=8, patience=2)]
+        args = (5, target, years, cands, ne, folds, grid)
+        rows = ablation_experiment(*args, seed=1, include_target_history=history)
+        assert rows == reference_ablation_rows(*args, seed=1, include_target_history=history)
+
+    def test_no_base_features_is_value_error(self):
+        years, target, ne, cands = self._world(couple=True)
+        fold = FoldSpec((2000, 2009), (2010, 2010), (2011, 2011))
+        with pytest.raises(ValueError, match="no features"):
+            ablation_experiment(1, target, years, {"NOISE": cands["NOISE"]}, ne, [fold],
+                                grid=[ForecasterConfig(hidden=4, max_epochs=1)],
+                                include_target_history=False)
 
 
 class TestReportCSV:
