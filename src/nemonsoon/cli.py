@@ -2,13 +2,12 @@
 
 Subcommands: synth, cluster, optimize, evaluate, forecast, oracle.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
-A JSON config file (--config) supplies defaults; explicit flags win.
+A JSON config file (--config) supplies defaults, checked as flags are; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,9 +30,6 @@ def dispatch(argv: list[str]) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        if not hasattr(args, "handler"):
-            parser.print_help()
-            return 2
         args.handler(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -65,86 +61,96 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
         prog="nemonsoon",
         description="Discover and evaluate a two-area SST monsoon index.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def flag(p, name, default=None, required=False, key=None, **kwargs):
+        """Add `--name`, whose default is the config's value under `key` (the name with
+        '_' for '-'); a typed flag gets it as text, as argparse types string defaults only."""
+        key = key or name.replace("-", "_")
+        if key in config:
+            default, required = config[key], False
+            if "type" in kwargs:
+                default = str(default)
+        p.add_argument(f"--{name}", default=default, required=required, **kwargs)
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config supplying flag defaults")
-        p.add_argument("--seed", type=int, default=config.get("seed", 0))
+        flag(p, "seed", 0, type=int)
+        return p
+
+    def add_world(name, help_text):
+        p = add(name, help_text)
+        flag(p, "sst", required=True)
+        flag(p, "stations", required=True)
+        flag(p, "clusters", required=True)
+        flag(p, "onset-clusters", "1,2,3,4", type=_cluster_ids,
+             help="comma-separated cluster ids feeding the onset target")
+        flag(p, "min-ocean", 0.8, type=float)
+        flag(p, "areas", required=True, help="areas JSON (the initial areas for optimize)")
+        flag(p, "out", ".")
         return p
 
     p = add("synth", "generate a synthetic world (SST grid, stations, indices)")
-    p.add_argument("--out", required="out" not in config, default=config.get("out"))
-    p.add_argument("--years", type=int, default=config.get("years", 20))
+    flag(p, "out", required=True)
+    flag(p, "years", 20, type=int)
     p.set_defaults(handler=_cmd_synth)
 
     p = add("cluster", "hierarchically cluster rainfall stations")
-    p.add_argument("--stations", required="stations" not in config,
-                   default=config.get("stations"))
-    p.add_argument("--d", type=float, default=config.get("d", 2.0))
-    p.add_argument("--n", type=int, default=config.get("n", 2))
-    p.add_argument("--out", default=config.get("out", "clusters.csv"))
+    flag(p, "stations", required=True)
+    flag(p, "d", 2.0, type=float)
+    flag(p, "n", 2, type=int)
+    flag(p, "out", "clusters.csv")
     p.set_defaults(handler=_cmd_cluster)
 
-    p = add("optimize", "train the DQN to place the index areas")
-    _add_world_args(p, config)
-    p.add_argument("--areas", required="areas" not in config, default=config.get("areas"),
-                   help="initial areas JSON")
-    p.add_argument("--mode", choices=[rl_env.SHIFT_ONLY, rl_env.SHIFT_AND_RESIZE],
-                   default=config.get("mode", rl_env.SHIFT_ONLY))
-    p.add_argument("--timesteps", type=int, default=config.get("timesteps", 20000))
-    p.add_argument("--episode-len", type=int, default=config.get("episode_len", 64))
-    p.add_argument("--jitter", type=int, default=config.get("jitter", 2))
-    p.add_argument("--out", default=config.get("out", "."))
+    p = add_world("optimize", "train the DQN to place the index areas")
+    flag(p, "mode", rl_env.SHIFT_ONLY, choices=[rl_env.SHIFT_ONLY, rl_env.SHIFT_AND_RESIZE])
+    flag(p, "timesteps", 20000, type=int)
+    flag(p, "episode-len", 64, type=int)
+    flag(p, "jitter", 2, type=int)
     p.set_defaults(handler=_cmd_optimize)
 
-    p = add("evaluate", "score an areas JSON and export its index series")
-    _add_world_args(p, config)
-    p.add_argument("--areas", required="areas" not in config, default=config.get("areas"))
-    p.add_argument("--out", default=config.get("out", "."))
+    p = add_world("evaluate", "score an areas JSON and export its index series")
     p.set_defaults(handler=_cmd_evaluate)
 
     p = add("forecast", "LSTM ablation for one cluster")
-    p.add_argument("--stations", required="stations" not in config,
-                   default=config.get("stations"))
-    p.add_argument("--clusters", required="clusters" not in config,
-                   default=config.get("clusters"))
-    p.add_argument("--indices", required="indices" not in config,
-                   default=config.get("indices"))
-    p.add_argument("--ne-index", required="ne_index" not in config,
-                   default=config.get("ne_index"),
-                   help="index CSV (year,month,z) with the candidate NE index")
-    p.add_argument("--cluster", type=int, required="cluster" not in config,
-                   default=config.get("cluster"))
-    p.add_argument("--with-ne", action="store_true",
-                   default=config.get("with_ne", False))
-    p.add_argument("--fold", action="append", default=config.get("folds"),
-                   help="fold as TRAINLO-TRAINHI:VALYEAR:TESTYEAR (repeatable)")
-    p.add_argument("--small-grid", action="store_true",
-                   default=config.get("small_grid", False),
-                   help="single small hyperparameter config instead of the full grid")
-    p.add_argument("--out", default=config.get("out", "report.csv"))
+    flag(p, "stations", required=True)
+    flag(p, "clusters", required=True)
+    flag(p, "indices", required=True)
+    flag(p, "ne-index", required=True,
+         help="index CSV (year,month,z) with the candidate NE index")
+    flag(p, "cluster", required=True, type=int)
+    flag(p, "with-ne", False, action="store_true")
+    flag(p, "fold", key="folds", action="append",
+         help="fold as TRAINLO-TRAINHI:VALYEAR:TESTYEAR (repeatable)")
+    flag(p, "small-grid", False, action="store_true",
+         help="single small hyperparameter config instead of the full grid")
+    flag(p, "out", "report.csv")
     p.set_defaults(handler=_cmd_forecast)
 
-    p = add("oracle", "exhaustive shift-lattice search (brute-force optimum)")
-    _add_world_args(p, config)
-    p.add_argument("--areas", required="areas" not in config, default=config.get("areas"))
-    p.add_argument("--step", type=float, default=config.get("step", 0.5))
-    p.add_argument("--out", default=config.get("out", "."))
+    p = add_world("oracle", "exhaustive shift-lattice search (brute-force optimum)")
+    flag(p, "step", 0.5, type=float)
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
 
 
-def _add_world_args(p, config):
-    p.add_argument("--sst", required="sst" not in config, default=config.get("sst"))
-    p.add_argument("--stations", required="stations" not in config,
-                   default=config.get("stations"))
-    p.add_argument("--clusters", required="clusters" not in config,
-                   default=config.get("clusters"))
-    p.add_argument("--onset-clusters", default=config.get("onset_clusters", "1,2,3,4"),
-                   help="comma-separated cluster ids feeding the onset target")
-    p.add_argument("--min-ocean", type=float, default=config.get("min_ocean", 0.8))
+def _cluster_ids(text: str) -> frozenset[int]:
+    """The --onset-clusters value: comma-separated cluster ids."""
+    try:
+        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated cluster ids, got {text!r}") from None
+
+
+def _checked(make, *args, **kwargs):
+    """`make(*args, **kwargs)`, for an object that checks the flag values
+    it is built from: its ValueError for a bad value is a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +159,7 @@ def _add_world_args(p, config):
 
 def _cmd_synth(args) -> None:
     spec = synthdata.SynthSpec(years=args.years)
+    _checked(spec.grid)
     os.makedirs(args.out, exist_ok=True)
     field = synthdata.gen_sst(spec, args.seed)
     geogrid.save_sst(field, os.path.join(args.out, "sst"))
@@ -163,49 +170,58 @@ def _cmd_synth(args) -> None:
     forecast.write_indices_csv(indices, spec.t0, os.path.join(args.out, "indices.csv"))
     area_a, area_b = spec.planted_areas()
     rl_env.save_areas(area_a, area_b, os.path.join(args.out, "planted_areas.json"))
-    shift = 2.0
-    init_a = geogrid.AreaSet.of(Rect(spec.rect_a.lat_min + shift, spec.rect_a.lat_max + shift,
-                                     spec.rect_a.lon_min - shift, spec.rect_a.lon_max - shift))
-    init_b = geogrid.AreaSet.of(Rect(spec.rect_b.lat_min - shift, spec.rect_b.lat_max - shift,
-                                     spec.rect_b.lon_min + shift, spec.rect_b.lon_max + shift))
-    rl_env.save_areas(init_a, init_b, os.path.join(args.out, "initial_areas.json"))
+    # the initial areas sit 2 degrees off the planted ones, A to the north-west
+    init = [geogrid.AreaSet.of(Rect(r.lat_min + s, r.lat_max + s, r.lon_min - s, r.lon_max - s))
+            for r, s in ((spec.rect_a, 2.0), (spec.rect_b, -2.0))]
+    rl_env.save_areas(*init, os.path.join(args.out, "initial_areas.json"))
     print(f"world written to {args.out}")
 
 
 def _cmd_cluster(args) -> None:
-    sts = stations.read_stations_csv(args.stations)
-    params = stations.ClusterParams(d=args.d, n=args.n)
-    clusters = stations.run_clustering(sts, params)
+    params = _checked(stations.ClusterParams, d=args.d, n=args.n)
+    clusters = stations.run_clustering(stations.read_stations_csv(args.stations), params)
     stations.write_clusters_csv(clusters, args.out)
     print(f"{len(clusters)} clusters written to {args.out}")
 
 
-def _load_world(args):
-    field = geogrid.load_sst(args.sst)
-    sts = [stations.impute_monthly_median(st)
-           for st in stations.qc_filter(stations.read_stations_csv(args.stations))]
-    membership = stations.read_clusters_csv(args.clusters)
-    onset_ids = {int(tok) for tok in str(args.onset_clusters).split(",") if tok.strip()}
-    onset_members = set().union(*(membership[c] for c in membership if c in onset_ids))
-    retreat_members = set().union(*(membership[c] for c in membership if c not in onset_ids))
-    if not onset_members or not retreat_members:
-        raise ConfigError("onset/retreat cluster split leaves one side empty")
-    y_onset = np.mean([st.rain for st in sts if st.id in onset_members], axis=0)
-    y_retreat = np.mean([st.rain for st in sts if st.id in retreat_members], axis=0)
-    if len(y_onset) != field.spec.nt:
+def _cluster_targets(args, t0: str, nt: int, ids, rest: bool = False) -> list[np.ndarray]:
+    """Mean rain over the usable stations (kept by QC, then imputed) of
+    the clusters `ids` and, with `rest`, of every other cluster in the
+    clusters CSV. The stations' axis must be (t0, nt), the other inputs'."""
+    sts = stations.read_stations_csv(args.stations)
+    if (sts[0].t0, len(sts[0].rain)) != (t0, nt):
         raise ConfigError(
-            f"station axis ({len(y_onset)} months) != SST axis ({field.spec.nt})")
-    return field, y_onset, y_retreat
+            f"station axis ({sts[0].t0}, {len(sts[0].rain)} months) in {args.stations} "
+            f"!= the other inputs' axis ({t0}, {nt} months)")
+    usable = [stations.impute_monthly_median(st) for st in stations.qc_filter(sts)]
+    membership = stations.read_clusters_csv(args.clusters)
+    targets = []
+    for group in [set(ids)] + ([set(membership) - set(ids)] if rest else []):
+        members = set().union(*(membership.get(c, ()) for c in group))
+        try:
+            targets.append(stations.cluster_mean_series(members, usable))
+        except ValueError as exc:
+            raise ConfigError(f"clusters {sorted(group)} have no usable stations "
+                              f"in {args.stations}") from exc
+    return targets
+
+
+def _load_world(args, mode: str = rl_env.SHIFT_ONLY, **env_flags):
+    """The SST field, the onset and retreat targets on its axis, and the
+    environment config of the areas file, --min-ocean and `env_flags`."""
+    field = geogrid.load_sst(args.sst)
+    y_onset, y_retreat = _cluster_targets(args, field.spec.t0, field.spec.nt,
+                                          args.onset_clusters, rest=True)
+    init_a, init_b = rl_env.load_areas(args.areas)
+    env_config = _checked(rl_env.EnvConfig, mode, field.spec.domain(), init_a, init_b,
+                          min_ocean=args.min_ocean, **env_flags)
+    return field, y_onset, y_retreat, env_config
 
 
 def _cmd_optimize(args) -> None:
-    field, y_onset, y_retreat = _load_world(args)
-    init_a, init_b = rl_env.load_areas(args.areas)
-    env_config = rl_env.EnvConfig(
-        mode=args.mode, domain=field.spec.domain(), init_a=init_a, init_b=init_b,
-        episode_len=args.episode_len, min_ocean=args.min_ocean, jitter=args.jitter,
-    )
-    dqn_config = dqn.DQNConfig(total_timesteps=args.timesteps, seed=args.seed)
+    field, y_onset, y_retreat, env_config = _load_world(
+        args, args.mode, episode_len=args.episode_len, jitter=args.jitter)
+    dqn_config = _checked(dqn.DQNConfig, total_timesteps=args.timesteps, seed=args.seed)
     factory = lambda: rl_env.AreaEnv(field, y_onset, y_retreat, env_config)
     best_areas, best_q, history = dqn.train(factory, dqn_config)
     os.makedirs(args.out, exist_ok=True)
@@ -215,14 +231,13 @@ def _cmd_optimize(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    field, y_onset, y_retreat = _load_world(args)
-    area_a, area_b = rl_env.load_areas(args.areas)
-    report = index.evaluate_pair(field, area_a, area_b, y_onset, y_retreat,
-                                 min_ocean=args.min_ocean)
+    field, y_onset, y_retreat, env = _load_world(args)
+    report = index.evaluate_pair(field, env.init_a, env.init_b, y_onset, y_retreat,
+                                 min_ocean=env.min_ocean)
     os.makedirs(args.out, exist_ok=True)
     index.write_objective_csv(report, os.path.join(args.out, "objective.csv"))
     if report.valid:
-        z = index.normalise_series(index.raw_index(field, area_a, area_b))
+        z = index.normalise_series(index.raw_index(field, env.init_a, env.init_b))
         index.write_index_csv(z, field.spec.t0, os.path.join(args.out, "index.csv"))
         print(f"q = {report.q:.4f} (r_onset={report.r_onset:.3f}, "
               f"r_retreat={report.r_retreat:.3f})")
@@ -231,11 +246,10 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    field, y_onset, y_retreat = _load_world(args)
-    template_a, template_b = rl_env.load_areas(args.areas)
+    field, y_onset, y_retreat, env = _load_world(args, step=args.step)
     (best_a, best_b), best_q = dqn.exhaustive_search(
-        field, y_onset, y_retreat, template_a, template_b,
-        domain=field.spec.domain(), step=args.step, min_ocean=args.min_ocean,
+        field, y_onset, y_retreat, env.init_a, env.init_b,
+        domain=env.domain, step=env.step, min_ocean=env.min_ocean,
     )
     os.makedirs(args.out, exist_ok=True)
     rl_env.save_areas(best_a, best_b, os.path.join(args.out, "best_areas.json"))
@@ -254,30 +268,16 @@ def _parse_fold(text: str) -> forecast.FoldSpec:
 
 
 def _cmd_forecast(args) -> None:
-    sts = [stations.impute_monthly_median(st)
-           for st in stations.qc_filter(stations.read_stations_csv(args.stations))]
-    membership = stations.read_clusters_csv(args.clusters)
-    if args.cluster not in membership:
-        raise ConfigError(f"cluster {args.cluster} not in {args.clusters}")
-    members = [st for st in sts if st.id in membership[args.cluster]]
-    if not members:
-        raise ConfigError(f"cluster {args.cluster} has no usable stations in {args.stations}")
-    target = np.mean([st.rain for st in members], axis=0)
-    t0 = members[0].t0
-    years = geogrid.year_axis(t0, len(target))
-
-    indices, idx_t0 = forecast.read_indices_csv(args.indices)
-    if idx_t0 != t0 or any(len(v) != len(target) for v in indices.values()):
-        raise ConfigError("indices CSV is not aligned with the station axis")
-    ne = _read_index_series(args.ne_index, t0, len(target))
-
-    folds = [_parse_fold(f) if isinstance(f, str) else f
-             for f in (args.fold or [])] or [forecast.FOLD1, forecast.FOLD2]
+    indices, t0 = forecast.read_indices_csv(args.indices)
+    nt = len(next(iter(indices.values())))
+    (target,) = _cluster_targets(args, t0, nt, {args.cluster})
+    ne = _read_index_series(args.ne_index, t0, nt)
+    folds = [_parse_fold(str(f)) for f in args.fold or []] or [forecast.FOLD1, forecast.FOLD2]
     grid = ([forecast.ForecasterConfig(hidden=16, layers=1, dropout=0.0)]
             if args.small_grid else forecast.default_grid())
     try:
-        rows = forecast.ablation_experiment(
-            args.cluster, target, years, indices, ne, folds, grid, seed=args.seed)
+        rows = forecast.ablation_experiment(args.cluster, target, geogrid.year_axis(t0, nt),
+                                            indices, ne, folds, grid, seed=args.seed)
     except SkippedCluster as exc:
         print(f"skipped: {exc}")
         forecast.write_report_csv([], args.out)
@@ -292,18 +292,12 @@ def _cmd_forecast(args) -> None:
 
 def _read_index_series(path: str, t0: str, nt: int) -> np.ndarray:
     """An index CSV's z on the axis (t0, nt); every month needs a finite z."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["year", "month", "z"]:
-            raise ConfigError(f"index CSV header must be year,month,z: {path}")
-        rows = []
-        for lineno, r in enumerate(reader, start=2):
-            try:
-                rows.append((int(r["year"]), int(r["month"]), float(r["z"])))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad index CSV row at line {lineno} of {path}: {exc}") from exc
+    rows = geogrid.read_csv_rows(
+        path, ["year", "month", "z"],
+        lambda y, m, z: (int(y), int(m), float(z)), error=ConfigError)
     out = np.full(nt, np.nan)
-    _, _, slots = geogrid.month_slots([r[0] for r in rows], [r[1] for r in rows], t0)
+    _, _, slots = geogrid.month_slots([r[0] for r in rows], [r[1] for r in rows], t0,
+                                      error=ConfigError)
     for (_, _, z), k in zip(rows, slots.tolist()):
         if 0 <= k < nt:
             out[k] = z

@@ -178,6 +178,8 @@ class DQNConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0 <= self.epsilon_final <= self.epsilon_initial <= 1:
             raise ValueError("need 0 <= epsilon_final <= epsilon_initial <= 1")
+        if self.total_timesteps < 1:
+            raise ValueError("total_timesteps must be >= 1")
 
 
 def epsilon_at(t: int, config: DQNConfig) -> float:

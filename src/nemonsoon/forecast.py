@@ -17,7 +17,7 @@ from .errors import (
     SkippedCluster,
     ZeroVarianceError,
 )
-from .geogrid import atomic_write, month_axis, month_slots, year_axis
+from .geogrid import atomic_write, month_axis, month_slots, read_csv_rows, year_axis
 from .index import pearson
 
 WINDOW = 24
@@ -36,7 +36,6 @@ class ForecasterConfig:
     lr: float = 0.01
     max_epochs: int = 200
     patience: int = 20
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -346,13 +345,14 @@ BATCH_SIZE = 32
 
 
 def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
-                     rng: np.random.Generator | None = None):
+                     rng: np.random.Generator):
     """Minibatch gradient descent (BPTT) with early stopping on validation
-    loss. Returns (model-with-best-val-params, validation loss curve).
+    loss. `rng` draws the initial weights, minibatch orders and dropout
+    masks. Returns (model-with-best-val-params, validation loss curve).
 
     Lanes: given a list with one array per lane for each of the four data
-    arguments (the same windows per lane; input widths may differ) and, if
-    any, a list of rngs, trains the lanes as one laned model and returns
+    arguments (the same windows per lane; input widths may differ) and a
+    list of rngs, trains the lanes as one laned model and returns
     (models, curves) with one entry per lane. Each lane keeps its own rng,
     minibatch order, dropout masks, gradient clip and early stopping, so
     each entry is bit-equal to a run on that lane's data alone. A lane
@@ -360,11 +360,10 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
     """
     laned = isinstance(train_x, (list, tuple))
     if laned:
-        rngs = list(rng) if rng is not None else \
-            [np.random.default_rng(config.seed) for _ in train_x]
+        rngs = list(rng)
     else:
         train_x, train_y, val_x, val_y = [train_x], [train_y], [val_x], [val_y]
-        rngs = [rng or np.random.default_rng(config.seed)]
+        rngs = [rng]
     tx = [np.asarray(x, dtype=float) for x in train_x]
     vx = [np.asarray(x, dtype=float) for x in val_x]
     ty = np.stack([np.asarray(y, dtype=float) for y in train_y])
@@ -599,23 +598,13 @@ def write_indices_csv(indices: dict[str, np.ndarray], t0: str, path) -> None:
 
 def read_indices_csv(path) -> tuple[dict[str, np.ndarray], str]:
     """Read aligned monthly indices; returns ({name: series}, t0)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["index_name", "year", "month", "value"]:
-            raise FormatError(f"indices CSV header wrong: {reader.fieldnames}")
-        rows = []
-        for lineno, r in enumerate(reader, start=2):
-            try:
-                rows.append((r["index_name"], int(r["year"]), int(r["month"]), float(r["value"])))
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"bad indices CSV row at line {lineno}: {exc}") from exc
-    if not rows:
-        raise FormatError("indices CSV has no data rows")
+    rows = read_csv_rows(path, ["index_name", "year", "month", "value"],
+                         lambda name, y, m, v: (name, int(y), int(m), float(v)))
     t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
     out: dict[str, np.ndarray] = {}
     for (name, _, _, v), k in zip(rows, slots.tolist()):
         out.setdefault(name, np.full(nt, np.nan))[k] = v
     for name, series in out.items():
-        if np.isnan(series).any():
-            raise FormatError(f"index {name!r} has gaps on the common axis")
+        if not np.isfinite(series).all():
+            raise FormatError(f"index {name!r} has gaps or non-finite values on the common axis")
     return out, t0

@@ -1,8 +1,9 @@
-"""Gridded SST data model: grid geometry, rectangles, area reductions, and
-the on-disk grid format (grid.json + sst.f32)."""
+"""Gridded SST data model (grid geometry, rectangles, area reductions, the grid.json + sst.f32
+format) and the helpers every file format shares: monthly axis, CSV row reader, atomic write."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -43,14 +44,19 @@ def year_axis(t0: str, nt: int) -> np.ndarray:
     return y0 + (m0 - 1 + np.arange(nt)) // 12
 
 
-def month_slots(years, months, t0: str | None = None) -> tuple[str, int, np.ndarray]:
+def month_slots(years, months, t0: str | None = None,
+                error: type[Exception] = FormatError) -> tuple[str, int, np.ndarray]:
     """Place (year, month) rows on one monthly axis. Returns the axis start
     'YYYY-MM' (t0 when given, else the earliest row), the axis length that
-    reaches the latest row, and each row's slot (negative before t0)."""
+    reaches the latest row, and each row's slot (negative before t0). A
+    month or year out of range raises `error`."""
     months = np.asarray(months, dtype=np.int64)
+    years = np.asarray(years, dtype=np.int64)
     if ((months < 1) | (months > 12)).any():
-        raise FormatError("month out of range 1..12")
-    count = np.asarray(years, dtype=np.int64) * 12 + (months - 1)
+        raise error("month out of range 1..12")
+    if ((years < 0) | (years > 9999)).any():  # a YYYY-MM stamp's range
+        raise error("year out of range 0..9999")
+    count = years * 12 + (months - 1)
     if t0 is None:
         first = int(count.min())
         t0 = f"{first // 12:04d}-{first % 12 + 1:02d}"
@@ -202,11 +208,6 @@ def area_cells(area: AreaSet, spec: GridSpec) -> set[tuple[int, int]]:
     return set(zip(ii.tolist(), jj.tolist()))
 
 
-def rect_cells(rect: Rect, spec: GridSpec) -> set[tuple[int, int]]:
-    """Grid cells whose centers fall inside the closed rectangle."""
-    return area_cells(AreaSet.of(rect), spec)
-
-
 def _area_selector(area: AreaSet, spec: GridSpec):
     """Index over the (lat, lon) axes that picks the area's cells in
     row-major order: two slices for one rect, so no index arrays are built,
@@ -237,13 +238,6 @@ def area_mean_series(field: SSTField, area: AreaSet) -> np.ndarray:
     if not ocean.any():
         raise NoOceanCellsError(f"area has no ocean cells: {area}")
     return sub[:, ocean].mean(axis=1)
-
-
-def area_mean_sst(field: SSTField, area: AreaSet, t: int) -> float:
-    """Mean SST over the area's ocean cells at month index t."""
-    if not 0 <= t < field.spec.nt:
-        raise IndexError(f"month index {t} out of range [0, {field.spec.nt})")
-    return float(area_mean_series(field, area)[t])
 
 
 def save_sst(field: SSTField, path: str | os.PathLike) -> None:
@@ -307,6 +301,31 @@ def load_sst(path: str | os.PathLike) -> SSTField:
     except ValueError as exc:
         raise FormatError(f"{data_path}: {exc}") from exc
     return field
+
+
+def read_csv_rows(path: str | os.PathLike, header: list[str], convert,
+                  error: type[Exception] = FormatError) -> list:
+    """Each data row of the CSV at `path` as `convert(*fields)`, blank lines
+    skipped. A wrong header, a row with the wrong number of fields or that
+    `convert` rejects with ValueError, and a file without rows raise `error`."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise error(f"{path}: header must be {','.join(header)}, got {got}")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise ValueError(f"{len(fields)} fields, expected {len(header)}")
+                rows.append(convert(*fields))
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise error(f"bad row at line {reader.line_num} of {path}: {exc}") from exc
+    if not rows:
+        raise error(f"{path} has no data rows")
+    return rows
 
 
 @contextmanager

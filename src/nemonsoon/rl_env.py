@@ -56,8 +56,12 @@ class EnvConfig:
     def __post_init__(self):
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("step must be positive")
+        if not 0 <= self.min_ocean <= 1:
+            raise ValueError("min_ocean must be in [0, 1]")
+        if self.jitter < 0:
+            raise ValueError("jitter must be >= 0")
         enumerate_actions(self.mode)
 
 

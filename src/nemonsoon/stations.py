@@ -4,14 +4,16 @@ imputation, feature building, PCA, and greedy centroid-linkage clustering."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateColumnError, FormatError, NoObservationsError
-from .geogrid import atomic_write, month_axis, month_slots, year_axis
+from .errors import DegenerateColumnError, NoObservationsError
+from .geogrid import atomic_write, month_axis, month_slots, read_csv_rows, year_axis
 
+STATIONS_HEADER = ["station_id", "lat", "lon", "year", "month", "rain_mm"]
 FEATURE_NAMES = ["lat", "lon"] + [f"clim_{m:02d}" for m in range(1, 13)]
 
 
@@ -27,13 +29,17 @@ class Station:
     rain: np.ndarray
 
     def __post_init__(self):
-        if not -90 <= self.lat <= 90:
-            raise ValueError(f"station {self.id}: lat {self.lat} out of range")
-        if not -180 <= self.lon <= 180:
-            raise ValueError(f"station {self.id}: lon {self.lon} out of range")
+        _check_site(self.id, self.lat, self.lon)
         present = self.rain[~np.isnan(self.rain)]
         if present.size and present.min() < 0:
             raise ValueError(f"station {self.id}: negative rainfall")
+
+
+def _check_site(sid: str, lat: float, lon: float) -> None:
+    if not -90 <= lat <= 90:
+        raise ValueError(f"station {sid}: lat {lat} out of range")
+    if not -180 <= lon <= 180:
+        raise ValueError(f"station {sid}: lon {lon} out of range")
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class ClusterParams:
     n: int = 2
 
     def __post_init__(self):
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValueError("threshold d must be positive")
         if not 1 <= self.n <= len(FEATURE_NAMES):
             raise ValueError(f"n must be in [1, {len(FEATURE_NAMES)}]")
@@ -65,17 +71,10 @@ def qc_filter(stations: list[Station], completeness: float = 0.8) -> list[Statio
     kept = []
     for st in stations:
         months = month_axis(st.t0, len(st.rain))
-        ok = True
-        for m in range(1, 13):
-            slots = months == m
-            total = int(slots.sum())
-            if total == 0:
-                continue
-            present = int((~np.isnan(st.rain[slots])).sum())
-            if present / total < completeness:
-                ok = False
-                break
-        if ok:
+        total = np.bincount(months, minlength=13)
+        present = np.bincount(months, weights=~np.isnan(st.rain), minlength=13)
+        seen = total > 0
+        if (present[seen] / total[seen] >= completeness).all():
             kept.append(st)
     return kept
 
@@ -190,11 +189,12 @@ def cluster_stations(
     ]
 
 
-def cluster_mean_series(cluster: Cluster, stations: list[Station]) -> np.ndarray:
-    """Pointwise unweighted mean rainfall across the cluster's members."""
-    members = [st for st in stations if st.id in cluster.member_ids]
+def cluster_mean_series(member_ids, stations: list[Station]) -> np.ndarray:
+    """Pointwise unweighted mean rainfall across the stations whose id is
+    in `member_ids`, in the order of `stations`."""
+    members = [st for st in stations if st.id in member_ids]
     if not members:
-        raise ValueError(f"cluster {cluster.id} has no members among given stations")
+        raise ValueError("none of the member ids is among the given stations")
     t0 = members[0].t0
     if any(st.t0 != t0 or len(st.rain) != len(members[0].rain) for st in members):
         raise ValueError("cluster members must share one time axis")
@@ -211,23 +211,7 @@ def run_clustering(stations: list[Station], params: ClusterParams) -> list[Clust
 def read_stations_csv(path: str | os.PathLike) -> list[Station]:
     """Read `station_id,lat,lon,year,month,rain_mm` rows onto a common
     monthly axis (missing rain = empty field or absent row)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["station_id", "lat", "lon", "year", "month", "rain_mm"]
-        if reader.fieldnames != expected:
-            raise FormatError(f"station CSV header must be {expected}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((
-                    row["station_id"], float(row["lat"]), float(row["lon"]),
-                    int(row["year"]), int(row["month"]),
-                    float(row["rain_mm"]) if row["rain_mm"] != "" else np.nan,
-                ))
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"bad station CSV row at line {lineno}: {exc}") from exc
-    if not rows:
-        raise FormatError("station CSV has no data rows")
+    rows = read_csv_rows(path, STATIONS_HEADER, _station_row)
     t0, nt, slots = month_slots([r[3] for r in rows], [r[4] for r in rows])
     by_id: dict[str, dict] = {}
     for (sid, lat, lon, _, _, rain), k in zip(rows, slots.tolist()):
@@ -239,10 +223,19 @@ def read_stations_csv(path: str | os.PathLike) -> list[Station]:
     ]
 
 
+def _station_row(sid, lat, lon, year, month, rain):
+    lat, lon = float(lat), float(lon)
+    _check_site(sid, lat, lon)
+    rain = float(rain) if rain else math.nan
+    if rain < 0 or rain == math.inf:
+        raise ValueError(f"station {sid}: rain_mm {rain} is negative or infinite")
+    return sid, lat, lon, int(year), int(month), rain
+
+
 def write_stations_csv(stations: list[Station], path: str | os.PathLike) -> None:
     with atomic_write(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["station_id", "lat", "lon", "year", "month", "rain_mm"])
+        w.writerow(STATIONS_HEADER)
         for st in stations:
             years = year_axis(st.t0, len(st.rain))
             months = month_axis(st.t0, len(st.rain))
@@ -265,10 +258,7 @@ def write_clusters_csv(clusters: list[Cluster], path: str | os.PathLike) -> None
 
 def read_clusters_csv(path: str | os.PathLike) -> dict[int, set[str]]:
     out: dict[int, set[str]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["cluster_id", "station_id"]:
-            raise FormatError(f"cluster CSV header wrong: {reader.fieldnames}")
-        for row in reader:
-            out.setdefault(int(row["cluster_id"]), set()).add(row["station_id"])
+    for cid, sid in read_csv_rows(path, ["cluster_id", "station_id"],
+                                  lambda cid, sid: (int(cid), sid)):
+        out.setdefault(cid, set()).add(sid)
     return out

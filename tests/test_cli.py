@@ -226,6 +226,63 @@ class TestForecast:
         assert err.startswith("error:") and "no usable stations" in err
 
 
+class TestBadInputs:
+    """Inputs that once gave a traceback or a plausible wrong answer."""
+
+    def _evaluate(self, world, clustered, tmp_path, **swap):
+        args = ["evaluate", *world_args(world, clustered),
+                "--areas", str(world / "planted_areas.json"), "--out", str(tmp_path / "out")]
+        for flag, value in swap.items():
+            args[args.index(f"--{flag.replace('_', '-')}") + 1] = str(value)
+        return dispatch(args)
+
+    @pytest.mark.parametrize("command", ["evaluate", "optimize", "oracle"])
+    def test_onset_cluster_without_usable_stations(self, world, clustered, tmp_path,
+                                                   capsys, command):
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text(clustered.read_text() + "9,MISSING\n")
+        args = world_args(world, clustered)
+        args[args.index("--clusters") + 1] = str(clusters)
+        args[args.index("--onset-clusters") + 1] = "9"
+        rc = dispatch([command, *args, "--areas", str(world / "initial_areas.json"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "no usable stations" in capsys.readouterr().err
+
+    def test_station_axis_off_the_sst_axis(self, world, clustered, tmp_path, capsys):
+        lines = (world / "stations.csv").read_text().splitlines(keepends=True)
+        shifted = tmp_path / "stations.csv"
+        with open(shifted, "w") as fh:
+            fh.write(lines[0])
+            for line in lines[1:]:
+                fields = line.split(",")
+                fields[3] = str(int(fields[3]) - 5)
+                fh.write(",".join(fields))
+        assert self._evaluate(world, clustered, tmp_path, stations=shifted) == 2
+        assert "station axis (1977-01, 240 months)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [(5, "-4.0"), (1, "95.0"), (2, "-181")],
+                             ids=["negative-rain", "lat", "lon"])
+    def test_station_value_out_of_range_is_format_error(self, world, tmp_path, capsys,
+                                                        field, value):
+        lines = (world / "stations.csv").read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        fields[field] = value + ("\n" if field == 5 else "")
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "stations.csv"
+        bad.write_text("".join(lines))
+        rc = dispatch(["cluster", "--stations", str(bad), "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 4" in err
+
+    def test_bad_cluster_id_is_format_error(self, world, clustered, tmp_path, capsys):
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text(clustered.read_text() + "x,S000\n")
+        assert self._evaluate(world, clustered, tmp_path, clusters=clusters) == 1
+        assert "line 42" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, world, tmp_path):
         cfg = tmp_path / "cfg.json"

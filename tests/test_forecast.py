@@ -362,24 +362,24 @@ class TestTraining:
 
     def test_learns_sinusoid(self):
         tx, ty, vx, vy, ex, ey = self._toy_problem()
-        cfg = ForecasterConfig(hidden=16, layers=1, max_epochs=200, patience=30, seed=0)
-        model, curve = train_forecaster(tx, ty, vx, vy, cfg)
+        cfg = ForecasterConfig(hidden=16, layers=1, max_epochs=200, patience=30)
+        model, curve = train_forecaster(tx, ty, vx, vy, cfg, rng=np.random.default_rng(0))
         assert min(curve) < curve[0] * 0.7
         # clearly better than always predicting the series mean (0 here)
         assert rmse(ey, model.predict(ex)) < 0.8 * rmse(ey, np.zeros_like(ey))
 
     def test_early_stopping_keeps_best(self):
         tx, ty, vx, vy, *_ = self._toy_problem()
-        cfg = ForecasterConfig(hidden=8, layers=1, max_epochs=30, patience=3, seed=1)
-        model, curve = train_forecaster(tx, ty, vx, vy, cfg)
+        cfg = ForecasterConfig(hidden=8, layers=1, max_epochs=30, patience=3)
+        model, curve = train_forecaster(tx, ty, vx, vy, cfg, rng=np.random.default_rng(1))
         final_val = float(np.mean((model.predict(vx) - vy) ** 2))
         assert final_val == pytest.approx(min(curve), rel=1e-9)
 
     def test_deterministic_given_seed(self):
         tx, ty, vx, vy, *_ = self._toy_problem()
-        cfg = ForecasterConfig(hidden=8, max_epochs=5, seed=7)
-        m1, c1 = train_forecaster(tx, ty, vx, vy, cfg)
-        m2, c2 = train_forecaster(tx, ty, vx, vy, cfg)
+        cfg = ForecasterConfig(hidden=8, max_epochs=5)
+        m1, c1 = train_forecaster(tx, ty, vx, vy, cfg, rng=np.random.default_rng(7))
+        m2, c2 = train_forecaster(tx, ty, vx, vy, cfg, rng=np.random.default_rng(7))
         assert c1 == c2
         for p1, p2 in zip(m1.params, m2.params):
             np.testing.assert_array_equal(p1, p2)

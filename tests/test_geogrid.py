@@ -11,12 +11,10 @@ from nemonsoon.geogrid import (
     area_cells,
     area_indices,
     area_mean_series,
-    area_mean_sst,
     load_sst,
     month_axis,
     month_slots,
     ocean_fraction,
-    rect_cells,
     save_sst,
 )
 
@@ -29,29 +27,29 @@ SPEC = GridSpec(0.0, 100.0, 0.5, 0.5, 4, 4, "2000-01", 3)
 class TestRectCells:
     def test_whole_grid(self):
         rect = SPEC.domain()
-        assert len(rect_cells(rect, SPEC)) == 16
+        assert len(area_cells(AreaSet.of(rect), SPEC)) == 16
 
     def test_between_centers_is_empty(self):
         # centers at lat 0 and 0.5; rect strictly between them
         rect = Rect(0.1, 0.4, 100.1, 100.4)
-        assert rect_cells(rect, SPEC) == set()
+        assert area_cells(AreaSet.of(rect), SPEC) == set()
 
     def test_2x3_block(self):
         # centers: lat 0.5, 1.0; lon 100.0, 100.5, 101.0
         rect = Rect(0.5, 1.0, 100.0, 101.0)
-        cells = rect_cells(rect, SPEC)
+        cells = area_cells(AreaSet.of(rect), SPEC)
         assert cells == {(i, j) for i in (1, 2) for j in (0, 1, 2)}
 
     def test_closed_bounds_include_edge_centers(self):
         rect = Rect(0.0, 0.5, 100.0, 100.5)
-        assert (0, 0) in rect_cells(rect, SPEC)
-        assert (1, 1) in rect_cells(rect, SPEC)
+        assert (0, 0) in area_cells(AreaSet.of(rect), SPEC)
+        assert (1, 1) in area_cells(AreaSet.of(rect), SPEC)
 
     def test_union_semantics(self):
         r1 = Rect(0.0, 0.5, 100.0, 100.5)
         r2 = Rect(1.0, 1.5, 101.0, 101.5)
         union = area_cells(AreaSet.of(r1, r2), SPEC)
-        assert union == rect_cells(r1, SPEC) | rect_cells(r2, SPEC)
+        assert union == area_cells(AreaSet.of(r1), SPEC) | area_cells(AreaSet.of(r2), SPEC)
 
     @given(st.lists(st.tuples(*[st.integers(-3, 10)] * 4), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -107,7 +105,7 @@ class TestOceanFraction:
 class TestAreaMean:
     def test_uniform_field(self, small_field):
         area = AreaSet.of(small_field.spec.domain())
-        assert area_mean_sst(small_field, area, 1) == pytest.approx(21.0)
+        assert area_mean_series(small_field, area)[1] == pytest.approx(21.0)
 
     def test_two_cells_hand_mean(self):
         vals = np.full((1, 4, 4), np.nan, dtype=np.float32)
@@ -115,7 +113,7 @@ class TestAreaMean:
         vals[0, 0, 1] = 22.0
         field = make_field(vals)
         area = AreaSet.of(Rect(0.0, 0.25, 100.0, 100.5))
-        assert area_mean_sst(field, area, 0) == pytest.approx(21.0)
+        assert area_mean_series(field, area)[0] == pytest.approx(21.0)
 
     def test_land_excluded_from_mean(self):
         vals = np.full((1, 4, 4), 10.0, dtype=np.float32)
@@ -123,7 +121,7 @@ class TestAreaMean:
         vals[0, 0, 1] = 30.0
         field = make_field(vals)
         area = AreaSet.of(Rect(0.0, 0.25, 100.0, 100.5))
-        assert area_mean_sst(field, area, 0) == pytest.approx(30.0)
+        assert area_mean_series(field, area)[0] == pytest.approx(30.0)
 
     def test_all_land_raises(self):
         vals = np.full((1, 4, 4), 10.0, dtype=np.float32)
@@ -131,13 +129,13 @@ class TestAreaMean:
         field = make_field(vals)
         area = AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5))
         with pytest.raises(NoOceanCellsError):
-            area_mean_sst(field, area, 0)
+            area_mean_series(field, area)[0]
 
     def test_rect_order_invariant(self, small_field):
         r1 = Rect(0.0, 0.5, 100.0, 100.5)
         r2 = Rect(1.0, 1.5, 101.0, 101.5)
-        m12 = area_mean_sst(small_field, AreaSet.of(r1, r2), 0)
-        m21 = area_mean_sst(small_field, AreaSet.of(r2, r1), 0)
+        m12 = area_mean_series(small_field, AreaSet.of(r1, r2))[0]
+        m21 = area_mean_series(small_field, AreaSet.of(r2, r1))[0]
         assert m12 == m21
 
     @given(st.integers(0, 2))
@@ -147,7 +145,7 @@ class TestAreaMean:
         vals = rng.uniform(0, 30, size=(3, 4, 4)).astype(np.float32)
         field = make_field(vals)
         area = AreaSet.of(Rect(0.0, 1.0, 100.0, 101.0))
-        m = area_mean_sst(field, area, t)
+        m = area_mean_series(field, area)[t]
         assert vals[t].min() <= m <= vals[t].max()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nemonsoon.errors import DegenerateColumnError, FormatError, NoObservationsError
 from nemonsoon.stations import (
@@ -19,6 +21,7 @@ from nemonsoon.stations import (
     write_clusters_csv,
     write_stations_csv,
 )
+from nemonsoon.geogrid import month_axis
 
 
 def make_station(sid="S0", lat=10.0, lon=100.0, years=5, base=100.0, seed=0):
@@ -57,6 +60,33 @@ class TestQC:
         rain[0] = np.nan  # 4/5 = 0.8 observed, exactly at threshold
         ok = Station(st.id, st.lat, st.lon, st.t0, rain)
         assert qc_filter([ok], completeness=0.8) == [ok]
+
+    @settings(max_examples=80, deadline=None)
+    @given(nt=hst.integers(1, 40), start=hst.integers(1, 12), seed=hst.integers(0, 2**16),
+           missing=hst.floats(0, 1),
+           completeness=hst.sampled_from([0.2, 0.5, 0.75, 0.8, 1.0]))
+    def test_matches_per_month_loop(self, nt, start, seed, missing, completeness):
+        rng = np.random.default_rng(seed)
+        rain = np.where(rng.random(nt) < missing, np.nan, 10.0)
+        station = Station("S", 0.0, 0.0, f"2000-{start:02d}", rain)
+        assert qc_filter([station], completeness) == \
+            reference_qc_filter([station], completeness)
+
+
+def reference_qc_filter(stations, completeness):
+    """The per-calendar-month loop `qc_filter` replaced."""
+    kept = []
+    for st in stations:
+        months = month_axis(st.t0, len(st.rain))
+        ok = True
+        for m in range(1, 13):
+            slots = months == m
+            total = int(slots.sum())
+            if total and int((~np.isnan(st.rain[slots])).sum()) / total < completeness:
+                ok = False
+        if ok:
+            kept.append(st)
+    return kept
 
 
 class TestImpute:
@@ -170,8 +200,10 @@ class TestClustering:
     def test_mean_series(self):
         s1 = Station("A", 0, 0, "2000-01", np.full(12, 10.0))
         s2 = Station("B", 0, 0, "2000-01", np.full(12, 30.0))
-        cl = Cluster(1, frozenset({"A", "B"}), np.zeros(2))
-        np.testing.assert_allclose(cluster_mean_series(cl, [s1, s2]), 20.0)
+        s3 = Station("C", 0, 0, "2000-01", np.full(12, 90.0))
+        np.testing.assert_allclose(cluster_mean_series({"A", "B", "X"}, [s1, s2, s3]), 20.0)
+        with pytest.raises(ValueError):
+            cluster_mean_series({"X"}, [s1, s2, s3])
 
     def test_run_clustering_pipeline(self):
         rng = np.random.default_rng(3)
