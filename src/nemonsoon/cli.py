@@ -121,7 +121,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
          help="index CSV (year,month,z) with the candidate NE index")
     flag(p, "cluster", required=True, type=int)
     flag(p, "with-ne", False, action="store_true")
-    flag(p, "fold", key="folds", action="append",
+    flag(p, "fold", key="folds", action=_AppendOverDefault,
          help="fold as TRAINLO-TRAINHI:VALYEAR:TESTYEAR (repeatable)")
     flag(p, "small-grid", False, action="store_true",
          help="single small hyperparameter config instead of the full grid")
@@ -133,6 +133,15 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
+
+
+class _AppendOverDefault(argparse.Action):
+    """argparse's `append`, except that the first use drops the default (a
+    config file's list) instead of extending it, so explicit flags win."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
 
 
 def _cluster_ids(text: str) -> frozenset[int]:

@@ -4,6 +4,18 @@
 class NemonsoonError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # Exception pickles as cls(*args), which hands a subclass's formatted
+        # message to its own __init__; rebuilding from args and attributes
+        # keeps the type, attributes and str() of an error raised in a worker.
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls, args):
+    err = cls.__new__(cls)
+    err.args = args
+    return err
+
 
 class ConfigError(NemonsoonError):
     """A flag, config file or areas file given by the user is invalid."""

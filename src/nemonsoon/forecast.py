@@ -5,12 +5,15 @@ stopping, and the with/without-index ablation."""
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .dqn import lane_buffer
 from .errors import (
+    ConfigError,
     FormatError,
     NonFiniteLossError,
     ShapeMismatchError,
@@ -196,6 +199,17 @@ class LSTMForecaster:
         for dst, src in zip(model._lanes, self._lanes):
             dst[:] = src[keep, :dst.shape[1]]
         return model
+
+    def __getstate__(self):
+        """Pickle the parameters only: pickle would copy each view in
+        `params` apart from `flat`, so unpickling rebuilds the views."""
+        return (list(self.in_dims) if self.laned else self.in_dims[0], self.config,
+                self.out_dim, self._flat)
+
+    def __setstate__(self, state):
+        in_dim, config, out_dim, flat = state
+        self._allocate(in_dim, config, out_dim)
+        self._flat[:] = flat
 
     # -- forward -------------------------------------------------------------
 
@@ -442,27 +456,69 @@ def grid_search(train_x, train_y, val_x, val_y,
     bit-identically and lose the tie. Given lanes (lists, as for
     `train_forecaster`), all lanes train together and each lane picks its
     own config; returns (models, configs) with one entry per lane.
+
+    The configs train in parallel, one job per config in a pool of
+    min(usable CPUs // BLAS threads, jobs) worker processes; with one
+    worker they train in-process and no process starts. Each job draws
+    from its own `default_rng(seed)` per lane and the results are walked
+    in grid order, so the outcome is bit-identical to training one config
+    after another. Workers are forked, so they start without re-importing
+    and see the parent's module state; the package starts no Python
+    threads, which would make forking unsafe.
     """
     laned = isinstance(train_x, (list, tuple))
     lanes = len(train_x) if laned else 1
+    jobs = [cfg for k, cfg in enumerate(grid)
+            if not (cfg.layers == 1 and cfg.dropout > 0
+                    and replace(cfg, dropout=0.0) in grid[:k])]
+    train = partial(_train_config, train_x, train_y, val_x, val_y, seed=seed)
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cpus // _blas_threads(cpus), len(jobs))
+    if workers <= 1:
+        best = _best_per_lane(jobs, map(train, jobs), lanes)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            best = _best_per_lane(jobs, pool.map(train, jobs), lanes)
+    if laned:
+        return [b[1] for b in best], [b[2] for b in best]
+    return best[0][1], best[0][2]
+
+
+def _blas_threads(cpus: int) -> int:
+    """The threads numpy's OpenBLAS runs on, read as OpenBLAS reads them
+    when it loads: the first positive OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS or OMP_NUM_THREADS, else one per usable CPU. Forked
+    workers keep that count, and more BLAS threads than cores spin against
+    each other (twice the serial time on the full grid at 2 cores)."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _train_config(train_x, train_y, val_x, val_y, config: ForecasterConfig, seed: int):
+    """One grid job: (models, curves), one entry per lane, trained with a
+    fresh `default_rng(seed)` per lane."""
+    laned = isinstance(train_x, (list, tuple))
+    rngs = [np.random.default_rng(seed) for _ in range(len(train_x) if laned else 1)]
+    models, curves = train_forecaster(train_x, train_y, val_x, val_y, config,
+                                      rng=rngs if laned else rngs[0])
+    return (models, curves) if laned else ([models], [curves])
+
+
+def _best_per_lane(jobs, results, lanes: int) -> list[tuple]:
+    """(lowest validation loss, model, config) of each lane over `results`
+    in grid order; a later config must beat the best by more than 1e-12."""
     best: list = [None] * lanes
-    trained = set()
-    for cfg in grid:
-        if cfg.layers == 1 and cfg.dropout > 0 and replace(cfg, dropout=0.0) in trained:
-            continue
-        trained.add(cfg)
-        rngs = [np.random.default_rng(seed) for _ in range(lanes)]
-        models, curves = train_forecaster(train_x, train_y, val_x, val_y, cfg,
-                                          rng=rngs if laned else rngs[0])
-        if not laned:
-            models, curves = [models], [curves]
+    for cfg, (models, curves) in zip(jobs, results):
         for k, (model, curve) in enumerate(zip(models, curves)):
             val = min(curve)
             if best[k] is None or val < best[k][0] - 1e-12:
                 best[k] = (val, model, cfg)
-    if laned:
-        return [b[1] for b in best], [b[2] for b in best]
-    return best[0][1], best[0][2]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +602,8 @@ def _run_fold(arms: list[dict[str, np.ndarray]], target, years, fold: FoldSpec,
         if not splits:
             tr, va, te = _assign_windows(years, fold, n_samples=inputs.shape[0])
             if not (tr.any() and va.any() and te.any()):
-                raise ValueError("a fold split has no samples; check year ranges")
+                raise ConfigError(f"{fold} leaves a split without windows on the "
+                                  f"data's years {years[0]}-{years[-1]}")
         splits.append((inputs[tr], inputs[va], inputs[te]))
     _, targets_raw = make_windows(matrix, target)
     models, _ = grid_search([s[0] for s in splits], [targets_z[tr]] * len(arms),

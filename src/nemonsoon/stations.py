@@ -210,17 +210,29 @@ def run_clustering(stations: list[Station], params: ClusterParams) -> list[Clust
 
 def read_stations_csv(path: str | os.PathLike) -> list[Station]:
     """Read `station_id,lat,lon,year,month,rain_mm` rows onto a common
-    monthly axis (missing rain = empty field or absent row)."""
-    rows = read_csv_rows(path, STATIONS_HEADER, _station_row)
-    t0, nt, slots = month_slots([r[3] for r in rows], [r[4] for r in rows])
-    by_id: dict[str, dict] = {}
-    for (sid, lat, lon, _, _, rain), k in zip(rows, slots.tolist()):
-        rec = by_id.setdefault(sid, {"lat": lat, "lon": lon, "rain": np.full(nt, np.nan)})
-        rec["rain"][k] = rain
-    return [
-        Station(id=sid, lat=rec["lat"], lon=rec["lon"], t0=t0, rain=rec["rain"])
-        for sid, rec in sorted(by_id.items())
-    ]
+    monthly axis (missing rain = empty field or absent row). A second row
+    for a station and month, or a row whose lat/lon differ from the
+    station's first row, is a FormatError naming its line."""
+    sites: dict[str, tuple[float, float]] = {}
+    seen: set[tuple[str, int, int]] = set()
+
+    def row(*fields):
+        sid, lat, lon, year, month, rain = _station_row(*fields)
+        if sites.setdefault(sid, (lat, lon)) != (lat, lon):
+            raise ValueError(f"station {sid}: site ({lat}, {lon}) differs from "
+                             f"its first row's {sites[sid]}")
+        if (sid, year, month) in seen:
+            raise ValueError(f"station {sid}: second row for {year}-{month:02d}")
+        seen.add((sid, year, month))
+        return sid, year, month, rain
+
+    rows = read_csv_rows(path, STATIONS_HEADER, row)
+    t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
+    rain = {sid: np.full(nt, np.nan) for sid in sites}
+    for (sid, _, _, value), k in zip(rows, slots.tolist()):
+        rain[sid][k] = value
+    return [Station(id=sid, lat=lat, lon=lon, t0=t0, rain=rain[sid])
+            for sid, (lat, lon) in sorted(sites.items())]
 
 
 def _station_row(sid, lat, lon, year, month, rain):

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+from nemonsoon import forecast
 from nemonsoon.cli import dispatch
+from nemonsoon.errors import NonFiniteLossError
 from nemonsoon.geogrid import SSTField, load_sst, save_sst
 from nemonsoon.index import write_index_csv
 from nemonsoon.rl_env import load_areas
@@ -213,6 +216,38 @@ class TestForecast:
         args = self._with_bad_number(forecast_world, tmp_path, "--ne-index", "ne.csv")
         assert dispatch(args) == 2
         assert "line 4" in capsys.readouterr().err
+
+    def test_fold_without_windows_is_config_error(self, forecast_world, tmp_path, capsys):
+        """The world ends in 1993, so a 2050 test year gets no window."""
+        args = self._args(forecast_world, tmp_path / "x.csv")
+        args[args.index("--fold") + 1] = "1982-1991:1992:2050"
+        assert dispatch(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_fold_flags_replace_config_folds(self, forecast_world, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"folds": ["1982-1990:1991:1992"]}))
+        flag_only = tmp_path / "flag.csv"
+        assert dispatch(self._args(forecast_world, flag_only)) == 0
+        both = tmp_path / "both.csv"
+        assert dispatch(self._args(forecast_world, both) + ["--config", str(cfg)]) == 0
+        assert both.read_bytes() == flag_only.read_bytes()
+
+    def test_worker_error_exits_1_without_traceback(self, forecast_world, tmp_path, capsys,
+                                                    monkeypatch):
+        """The full grid trains in worker processes; one's error reaches
+        the CLI as its own type."""
+        def diverge(*args, **kwargs):
+            raise NonFiniteLossError("forecast loss became nan")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(forecast, "train_forecaster", diverge)
+        args = self._args(forecast_world, tmp_path / "x.csv")
+        args.remove("--small-grid")
+        assert dispatch(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: forecast loss became nan\n"
 
     def test_cluster_without_usable_stations_is_config_error(self, forecast_world,
                                                              tmp_path, capsys):

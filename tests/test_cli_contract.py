@@ -129,8 +129,8 @@ def _set_field(line, k, value):
 @given(dy=st.integers(-5, 5), dm=st.integers(-13, 13), one_station=st.booleans())
 def test_shifted_station_axis_is_config_error(world, dy, dm, one_station):
     """Stations whose dates are shifted no longer sit on the SST axis."""
-    if dy == 0 and dm == 0:
-        dm = 1
+    if 12 * dy + dm == 0:  # e.g. -1 year and +12 months: no shift at all
+        dm += 1
 
     def shift(lines):
         out = [lines[0]]
@@ -215,6 +215,24 @@ def test_corrupt_number_is_an_error(world, name, where, field, token):
             + lines[row + 1:]
 
     check(world, name, corrupt, MALFORMED_EXIT[name])
+
+
+@settings(max_examples=6, deadline=None)
+@given(where=st.floats(0, 1, exclude_max=True), moved=st.booleans(),
+       before=st.booleans())
+def test_duplicated_station_block_is_an_error(world, where, moved, before):
+    """Add a second copy of one station's row block, before or after the
+    first, the copy as it is or with its site moved: a mis-merged file
+    must not pass for one station."""
+    def duplicate(lines):
+        sid = lines[1 + int(where * (len(lines) - 1))].split(",")[0]
+        block = [line for line in lines[1:] if line.split(",")[0] == sid]
+        if moved:
+            block = [_set_field(line, 2, repr(float(line.split(",")[2]) + 0.5))
+                     for line in block]
+        return lines[:1] + block + lines[1:] if before else lines + block
+
+    check(world, "stations", duplicate, MALFORMED_EXIT["stations"])
 
 
 BAD_VALUES = [

@@ -1,10 +1,20 @@
+import os
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nemonsoon import forecast
-from nemonsoon.errors import FormatError, ShapeMismatchError, SkippedCluster, ZeroVarianceError
+from nemonsoon.errors import (
+    FormatError,
+    NonFiniteLossError,
+    ShapeMismatchError,
+    SkippedCluster,
+    ZeroVarianceError,
+)
 from nemonsoon.forecast import (
     FOLD1,
     FOLD2,
@@ -149,6 +159,29 @@ def reference_ablation_rows(cluster_id, target, years, candidate_indices, ne_ind
             rows.append({"cluster_id": cluster_id, "fold": fold_no, "arm": arm,
                          "rmse_mm_month": rmse(targets_raw[te], pred)})
     return rows
+
+
+def reference_grid_search(train_x, train_y, val_x, val_y, grid, seed):
+    """The grid search as one config after another in this process, as
+    before the pool. Returns (models, configs) per lane, as a laned
+    grid_search, and (config, models, curves) of each config trained."""
+    laned = isinstance(train_x, list)
+    lanes = len(train_x) if laned else 1
+    best, trained = [None] * lanes, []
+    for cfg in grid:
+        if cfg.layers == 1 and cfg.dropout > 0 and \
+                replace(cfg, dropout=0.0) in [t[0] for t in trained]:
+            continue
+        rngs = [np.random.default_rng(seed) for _ in range(lanes)]
+        models, curves = train_forecaster(train_x, train_y, val_x, val_y, cfg,
+                                          rng=rngs if laned else rngs[0])
+        if not laned:
+            models, curves = [models], [curves]
+        trained.append((cfg, models, curves))
+        for k, (model, curve) in enumerate(zip(models, curves)):
+            if best[k] is None or min(curve) < best[k][0] - 1e-12:
+                best[k] = (min(curve), model, cfg)
+    return [b[1] for b in best], [b[2] for b in best], trained
 
 
 class TestConstants:
@@ -445,6 +478,114 @@ class TestTraining:
             assert curves[k] == curve
             np.testing.assert_array_equal(models[k].flat, solo.flat)
             np.testing.assert_array_equal(models[k].predict(x), solo.predict(x))
+
+
+class TestGridPool:
+    """grid_search trains its configs in forked worker processes."""
+
+    @staticmethod
+    def _problem(widths, n, seed, laned=True):
+        data = np.random.default_rng(seed)
+        xs = [data.normal(size=(n + 2, 3, w)) for w in widths]
+        ys = [data.normal(size=(n + 2, HORIZON)) for _ in widths]
+        args = ([x[:n] for x in xs], [y[:n] for y in ys], [x[n:] for x in xs],
+                [y[n:] for y in ys])
+        return args if laned else tuple(a[0] for a in args)
+
+    @staticmethod
+    def _forks(mp):
+        """Pretend two CPUs are usable and BLAS runs on one thread, and
+        count the processes forked."""
+        forks = []
+        real_fork = os.fork
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        return forks
+
+    @settings(max_examples=20, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+           laned=st.booleans(),
+           configs=st.lists(st.tuples(st.sampled_from([2, 5]), st.integers(1, 2),
+                                      st.sampled_from([0.0, 0.3])), min_size=1, max_size=3),
+           twin=st.booleans(), tie=st.booleans(), max_epochs=st.integers(1, 3),
+           n=st.integers(2, 12), seed=st.integers(0, 2**16))
+    def test_pool_matches_serial_loop(self, widths, laned, configs, twin, tie, max_epochs,
+                                      n, seed):
+        """Every job's models and curves, each lane's chosen model and config:
+        bit-identical to the serial loop. A grid may hold a dropout twin,
+        which is skipped, and a copy of its first config whose larger
+        patience cannot act, which trains identically and ties."""
+        grid = [ForecasterConfig(hidden=h, layers=l, dropout=d, max_epochs=max_epochs,
+                                 patience=max_epochs) for h, l, d in configs]
+        if twin:
+            grid.append(ForecasterConfig(hidden=3, max_epochs=max_epochs))
+            grid.append(replace(grid[-1], dropout=0.5))
+        if tie:
+            grid.append(replace(grid[0], patience=max_epochs + 1))
+        laned = laned or len(widths) > 1
+        args = self._problem(widths, n, seed, laned)
+        recorded = []
+        best_per_lane = forecast._best_per_lane
+
+        def recording(jobs, results, lanes):
+            recorded.extend(results)
+            return best_per_lane(jobs, recorded, lanes)
+
+        with pytest.MonkeyPatch.context() as mp:
+            forks = self._forks(mp)
+            mp.setattr(forecast, "_best_per_lane", recording)
+            models, chosen = grid_search(*args, grid, seed=seed)
+        ref_models, ref_chosen, trained = reference_grid_search(*args, grid, seed=seed)
+        assert len(forks) == (2 if len(trained) > 1 else 0)
+        if not laned:
+            models, chosen = [models], [chosen]
+        assert chosen == ref_chosen
+        for model, ref in zip(models, ref_models):
+            np.testing.assert_array_equal(model.flat, ref.flat)
+        assert len(recorded) == len(trained)
+        for (job_models, job_curves), (_, ref_job_models, ref_curves) in zip(recorded, trained):
+            assert job_curves == ref_curves
+            for model, ref in zip(job_models, ref_job_models):
+                np.testing.assert_array_equal(model.flat, ref.flat)
+
+    @pytest.mark.parametrize("jobs, blas_threads", [(1, "1"), (2, None)],
+                             ids=["one-job", "blas-thread-per-cpu"])
+    def test_no_process_without_a_core_to_spare(self, monkeypatch, jobs, blas_threads):
+        """One job (a grid whose dropout twin is skipped) trains in-process,
+        and so does any grid when BLAS already runs a thread on every CPU."""
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if blas_threads:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        monkeypatch.setattr(os, "fork", no_fork)
+        base = ForecasterConfig(hidden=3, max_epochs=2)
+        grid = [base, replace(base, dropout=0.5) if jobs == 1 else replace(base, hidden=4)]
+        args = self._problem([2, 3], 6, 0)
+        _, chosen = grid_search(*args, grid, seed=0)
+        assert chosen == reference_grid_search(*args, grid, seed=0)[1]
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        forks = self._forks(monkeypatch)
+        train_x, train_y, val_x, val_y = self._problem([2], 6, 0)
+        train_y[0][0, 0] = np.inf
+        grid = [ForecasterConfig(hidden=3, max_epochs=2), ForecasterConfig(hidden=4, max_epochs=2)]
+        with pytest.raises(NonFiniteLossError, match="forecast loss became"):
+            grid_search(train_x, train_y, val_x, val_y, grid, seed=0)
+        assert len(forks) == 2
+
+    def test_model_pickles_with_params_as_views_of_flat(self):
+        model = LSTMForecaster([2, 3], ForecasterConfig(hidden=3, layers=2),
+                               [np.random.default_rng(k) for k in range(2)])
+        for original in (model, model.select(1)):
+            back = pickle.loads(pickle.dumps(original))
+            assert (back.laned, back.in_dims) == (original.laned, original.in_dims)
+            np.testing.assert_array_equal(back.flat, original.flat)
+            assert all(np.shares_memory(p, back.flat) for p in back.params)
 
 
 class TestFoldAssignment:

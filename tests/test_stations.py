@@ -252,6 +252,17 @@ class TestCSV:
         with pytest.raises(FormatError):
             read_stations_csv(path)
 
+    @pytest.mark.parametrize("second, message", [
+        ("A,1,2,2000,1,7", "second row for 2000-01"),
+        ("A,9,2,2000,2,7", "differs from its first row's"),
+    ], ids=["same-month", "moved-site"])
+    def test_conflicting_rows_rejected(self, tmp_path, second, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("station_id,lat,lon,year,month,rain_mm\n"
+                        f"A,1,2,2000,1,5\nB,1,2,2000,1,5\n{second}\n")
+        with pytest.raises(FormatError, match=f"line 4 .*{message}"):
+            read_stations_csv(path)
+
     def test_clusters_round_trip(self, tmp_path):
         clusters = [
             Cluster(1, frozenset({"B", "A"}), np.zeros(2)),
