@@ -76,7 +76,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config supplying flag defaults")
-        flag(p, "seed", 0, type=int)
+        flag(p, "seed", 0, type=_seed)
         return p
 
     def add_world(name, help_text):
@@ -151,6 +151,14 @@ def _cluster_ids(text: str) -> frozenset[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated cluster ids, got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    """The --seed value: a non-negative integer, as numpy's generators need."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _checked(make, *args, **kwargs):

@@ -23,7 +23,14 @@ from .geogrid import AreaSet, Rect, SSTField
 class QNetwork:
     """Fully connected net: input -> 64 -> 64 -> n_actions, ReLU hidden
     activations, linear head. float32 for training, float64 for gradient
-    checks."""
+    checks.
+
+    The online parameters and the target network's (Mnih et al. 2015) are
+    rows 0 and 1 of one (2, P) buffer, `lanes`. `flat`, `params`, `weights`
+    and `biases` view row 0; `target` is a QNetwork whose views are row 1.
+    A target sync copies row 0 into row 1, and `train_step` runs both rows
+    in one stacked forward pass. `grad` is row 0's flat gradient buffer,
+    with `grads` its per-parameter views, which `train_step` overwrites."""
 
     def __init__(self, in_dim: int, n_actions: int, rng: np.random.Generator,
                  hidden: tuple[int, int] = (64, 64), dtype=np.float32):
@@ -36,21 +43,33 @@ class QNetwork:
             scale = np.sqrt(2.0 / d_in)  # He init for ReLU
             arrays.append((rng.standard_normal((d_in, d_out)) * scale).astype(dtype))
             arrays.append(np.zeros(d_out, dtype=dtype))
-        self.flat, self.params = flat_buffer(arrays)  # params: [w0, b0, w1, b1, ...]
+        shapes = [a.shape for a in arrays]
+        self.lanes, self.lane_params = lane_buffer(2, shapes, dtype)
+        for view, a in zip(self.lane_params, arrays):
+            view[:] = a
+        # per layer: (2, d_in, d_out) weights and (2, 1, d_out) biases
+        self.lane_weights = self.lane_params[0::2]
+        self.lane_biases = [b[:, None] for b in self.lane_params[1::2]]
+        self.grad, self.grads = flat_buffer(arrays)
+        self._bind(0)
+        self.target = copy.copy(self)
+        self.target._bind(1)
+
+    def _bind(self, row: int) -> None:
+        self.flat = self.lanes[row]
+        self.params = [p[row] for p in self.lane_params]  # [w0, b0, w1, b1, ...]
         self.weights, self.biases = self.params[0::2], self.params[1::2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a batch (or single) of states."""
-        h = np.atleast_2d(np.asarray(x, dtype=self.dtype))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out if np.asarray(x).ndim > 1 else out[0]
+        x = np.asarray(x, dtype=self.dtype)
+        out = _forward(x.reshape(1, -1) if x.ndim == 1 else x, self.weights, self.biases)
+        return out if x.ndim > 1 else out[0]
 
     def loss_and_grads(self, states: np.ndarray, actions: np.ndarray,
                        targets: np.ndarray) -> tuple[float, list[np.ndarray]]:
         """Mean-squared TD error on Q(s, a_taken) plus gradients, ordered
-        [w0, b0, w1, b1, ...]."""
+        [w0, b0, w1, b1, ...]. The slow reference for `train_step`."""
         x = np.asarray(states, dtype=self.dtype)
         n = x.shape[0]
         acts = [x]
@@ -75,11 +94,21 @@ class QNetwork:
         grads.reverse()
         return loss, grads
 
-    def clone(self) -> "QNetwork":
-        other = copy.copy(self)
-        other.flat, other.params = flat_buffer(self.params)
-        other.weights, other.biases = other.params[0::2], other.params[1::2]
-        return other
+
+def _forward(h: np.ndarray, weights, biases, acts: list | None = None) -> np.ndarray:
+    """A QNetwork on `h`, one matmul per layer: ReLU hidden layers, then the
+    linear head. Takes one row's (n, in) input with its (in, out) weights,
+    or the stacked (2, n, in) input with `lane_weights` and `lane_biases`.
+    Each hidden activation is appended to `acts`."""
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+        if acts is not None:
+            acts.append(h)
+    out = h @ weights[-1]
+    out += biases[-1]
+    return out
 
 
 def lane_buffer(lanes: int, shapes: list[tuple[int, ...]],
@@ -96,8 +125,7 @@ def lane_buffer(lanes: int, shapes: list[tuple[int, ...]],
 
 def flat_buffer(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """One contiguous copy of the arrays, in order, plus a view into it
-    shaped like each array. Models keep their parameters this way, so Adam,
-    snapshots and target syncs work on one vector."""
+    shaped like each array, so Adam can step all of them as one vector."""
     flat, views = lane_buffer(1, [a.shape for a in arrays], np.result_type(*arrays))
     for view, a in zip(views, arrays):
         view[0] = a
@@ -113,17 +141,31 @@ class Adam:
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.t = 0
+        self._scratch = np.empty_like(flat), np.empty_like(flat)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        """Update `flat` in place from the gradient of the same layout."""
+        """Update `flat` in place from the gradient of the same layout:
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, then
+        flat -= lr (m / b1t) / (sqrt(v / b2t) + eps), each operation in
+        that order through two reused scratch buffers."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        flat -= self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.eps)
+        m, v, (s, u) = self.m, self.v, self._scratch
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s)
+        s *= grad
+        v += s
+        np.divide(m, b1t, out=s)
+        s *= self.lr
+        np.divide(v, b2t, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        s /= u
+        flat -= s
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +173,34 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 class ReplayBuffer:
-    """FIFO ring buffer of (s, a, r, s', done) transitions."""
+    """FIFO ring buffer of (s, a, r, s', done) transitions. s and s' are
+    rows 0 and 1 of one (2, capacity, obs_dim) array, `obs`."""
 
     def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, obs_dim), dtype=np.float32)
+        self.obs = np.zeros((2, capacity, obs_dim), dtype=np.float32)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity, dtype=np.float32)
-        self.next_states = np.zeros((capacity, obs_dim), dtype=np.float32)
         self.dones = np.zeros(capacity, dtype=bool)
         self.size = 0
         self._cursor = 0
 
     def push(self, state, action, reward, next_state, done) -> None:
         i = self._cursor
-        self.states[i] = state
+        self.obs[0, i] = state
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_states[i] = next_state
+        self.obs[1, i] = next_state
         self.dones[i] = done
         self._cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator):
+        """(obs, actions, rewards, dones) of up to `batch` distinct
+        transitions; obs is the stacked (2, n, obs_dim) [s; s'], gathered
+        in one take, as `train_step` reads it."""
         idx = rng.choice(self.size, size=min(batch, self.size), replace=False)
-        return (self.states[idx], self.actions[idx], self.rewards[idx],
-                self.next_states[idx], self.dones[idx])
+        return self.obs.take(idx, axis=1), self.actions[idx], self.rewards[idx], self.dones[idx]
 
 
 @dataclass(frozen=True)
@@ -178,8 +222,23 @@ class DQNConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0 <= self.epsilon_final <= self.epsilon_initial <= 1:
             raise ValueError("need 0 <= epsilon_final <= epsilon_initial <= 1")
+        if not 0 <= self.decay_fraction <= 1:
+            raise ValueError("decay_fraction must be in [0, 1]")
         if self.total_timesteps < 1:
             raise ValueError("total_timesteps must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if self.buffer_capacity < self.batch:
+            # a smaller buffer never holds a batch, so the learner never runs
+            raise ValueError("buffer_capacity must be >= batch")
+        if self.target_sync_every < 1:
+            raise ValueError("target_sync_every must be >= 1")
+        if self.learn_start < 0:
+            raise ValueError("learn_start must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def epsilon_at(t: int, config: DQNConfig) -> float:
@@ -201,25 +260,51 @@ def act(state: np.ndarray, qnet: QNetwork, epsilon: float,
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(qnet.n_actions))
-    return int(np.argmax(qnet.forward(state)))
+    state = np.array(state, dtype=qnet.dtype, ndmin=2)
+    return int(_forward(state, qnet.weights, qnet.biases).argmax())
 
 
 def td_targets(rewards: np.ndarray, next_states: np.ndarray, dones: np.ndarray,
                target_net: QNetwork, gamma: float) -> np.ndarray:
-    """y = r + gamma * max_a' Q_target(s', a') * (1 - done)."""
+    """y = r + gamma * max_a' Q_target(s', a') * (1 - done). With
+    `QNetwork.loss_and_grads`, the slow reference for `train_step`."""
     q_next = target_net.forward(next_states).max(axis=1)
     return np.asarray(rewards) + gamma * q_next * (~np.asarray(dones))
 
 
-def train_step(qnet: QNetwork, target_net: QNetwork, batch, optimizer: Adam,
-               gamma: float) -> float:
-    """One gradient step on one sampled batch; returns the pre-step loss."""
-    states, actions, rewards, next_states, dones = batch
-    targets = td_targets(rewards, next_states, dones, target_net, gamma)
-    loss, grads = qnet.loss_and_grads(states, actions, targets)
+def train_step(qnet: QNetwork, batch, optimizer: Adam, gamma: float) -> float:
+    """One gradient step on one sampled batch; returns the pre-step loss.
+
+    `batch` is `ReplayBuffer.sample`'s (obs, actions, rewards, dones), obs
+    the stacked (2, n, obs_dim) [s; s']. One forward pass runs s through the
+    online row of `qnet.lanes` and s' through the target row. The TD
+    targets come from the target row and the online row is backpropagated
+    into `qnet.grad`. Bit-equal to `td_targets`, then
+    `QNetwork.loss_and_grads`, then `Adam.step` on the concatenated
+    gradients.
+    """
+    obs, actions, rewards, dones = batch
+    x = np.asarray(obs, dtype=qnet.dtype)
+    n = x.shape[1]
+    acts = [x]
+    q = _forward(x, qnet.lane_weights, qnet.lane_biases, acts)
+    q_next = np.maximum.reduce(q[1], axis=1)
+    targets = np.asarray(rewards + gamma * q_next * ~dones, dtype=qnet.dtype)
+    rows = np.arange(n)
+    err = q[0, rows, actions] - targets
+    # ndarray.mean's sum / count, without its wrapper
+    loss = float(np.add.reduce(err * err) / n)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"TD loss became {loss}")
-    optimizer.step(qnet.flat, np.concatenate([g.ravel() for g in grads]))
+    # backprop row 0 through the picked-action head only
+    delta = np.zeros_like(q[0])
+    delta[rows, actions] = 2.0 * err / n
+    for layer in range(len(qnet.weights) - 1, -1, -1):
+        np.add.reduce(delta, axis=0, out=qnet.grads[2 * layer + 1])
+        np.matmul(acts[layer][0].T, delta, out=qnet.grads[2 * layer])
+        if layer > 0:
+            delta = (delta @ qnet.weights[layer].T) * (acts[layer][0] > 0)
+    optimizer.step(qnet.flat, qnet.grad)
     return loss
 
 
@@ -252,7 +337,6 @@ def train_with_net(env_factory, config: DQNConfig):
     rng = np.random.default_rng(config.seed)
     env = env_factory()
     qnet = QNetwork(env.obs_dim, env.n_actions, rng)
-    target_net = qnet.clone()
     optimizer = Adam(qnet.flat, lr=config.lr)
     buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim)
 
@@ -271,9 +355,9 @@ def train_with_net(env_factory, config: DQNConfig):
         best_areas, best_q = _maybe_better(env, best_areas, best_q)
         if t + 1 >= config.learn_start and buffer.size >= config.batch:
             batch = buffer.sample(config.batch, rng)
-            train_step(qnet, target_net, batch, optimizer, config.gamma)
+            train_step(qnet, batch, optimizer, config.gamma)
         if (t + 1) % config.target_sync_every == 0:
-            target_net.flat[:] = qnet.flat
+            qnet.lanes[1] = qnet.lanes[0]
         history.append(HistoryRow(step=t, episode=episode, reward=float(reward),
                                   best_q=float(best_q), epsilon=eps))
         if done:
@@ -358,28 +442,32 @@ def exhaustive_search(
     """
     months = field.spec.months()
 
-    def valid_series(template):
+    def placed_series(template):
         for offset in _placements(template, domain, step):
             s, _ = index.ocean_series(field, _shift_area(template, *offset), min_ocean)
-            if s is not None and np.isfinite(s).all():
+            if s is not None:
                 yield offset, s
 
-    placed_b = list(valid_series(template_b))
+    placed_b = list(placed_series(template_b))
     if not placed_b:
         raise NemonsoonError(f"no placement of B in {domain} meets the area constraint")
-    offsets_b = [offset for offset, _ in placed_b]
-    scorer = index.PairScorer(months, index.season_target(y_onset, y_retreat, months),
-                              [s for _, s in placed_b])
-    del placed_b
+    # a non-finite series makes every pair it is in invalid
+    placed_b = [(offset, s) for offset, s in placed_b if np.isfinite(s).all()]
     best_q = -np.inf
     best = None
-    placed_a = valid_series(template_a)
-    while block := list(itertools.islice(placed_a, scorer.BLOCK_ROWS)):
-        q = np.nan_to_num(scorer.scores([s for _, s in block]), copy=False, nan=-np.inf)
-        for (offset_a, _), q_a, ib in zip(block, q, q.argmax(axis=1)):
-            if q_a[ib] > best_q + 1e-15:
-                best_q = float(q_a[ib])
-                best = (offset_a, offsets_b[ib])
+    if placed_b:
+        offsets_b = [offset for offset, _ in placed_b]
+        scorer = index.PairScorer(months, index.season_target(y_onset, y_retreat, months),
+                                  [s for _, s in placed_b])
+        del placed_b
+        placed_a = ((offset, s) for offset, s in placed_series(template_a)
+                    if np.isfinite(s).all())
+        while block := list(itertools.islice(placed_a, scorer.BLOCK_ROWS)):
+            q = np.nan_to_num(scorer.scores([s for _, s in block]), copy=False, nan=-np.inf)
+            for (offset_a, _), q_a, ib in zip(block, q, q.argmax(axis=1)):
+                if q_a[ib] > best_q + 1e-15:
+                    best_q = float(q_a[ib])
+                    best = (offset_a, offsets_b[ib])
     if best is None:
         raise NemonsoonError(
             f"no valid (A, B) pair in {domain}: no placement of A meets the area "

@@ -4,6 +4,7 @@ objective used to score an (A, B) area pair."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -94,14 +95,18 @@ def season_centre(series: np.ndarray, months: np.ndarray) -> np.ndarray:
     return _centre(series, season_masks(months))
 
 
-def _centre(series, masks) -> np.ndarray:
+def _centre(series, seasons) -> np.ndarray:
+    """`season_centre` with each season given as a mask or as its month
+    indices; the mean is `ndarray.mean`'s sum / count."""
     out = np.array(series, dtype=float)
-    for sel in masks:
+    for sel in seasons:
         part = out[..., sel]
+        first = part[..., :1]
         # a finite run with all values equal centres to exact zeros, not to
         # the rounding residue of its mean (7.1 mm leaves about 1e-16)
-        flat = (part == part[..., :1]).all(axis=-1, keepdims=True) & np.isfinite(part[..., :1])
-        out[..., sel] = np.where(flat, 0.0, part - part.mean(axis=-1, keepdims=True))
+        flat = np.logical_and.reduce(part == first, axis=-1, keepdims=True) & np.isfinite(first)
+        mean = np.add.reduce(part, axis=-1, keepdims=True) / part.shape[-1]
+        out[..., sel] = np.where(flat, 0.0, part - mean)
     return out
 
 
@@ -125,7 +130,8 @@ def seasonal_scores(diffs: np.ndarray, target: np.ndarray, months: np.ndarray):
     normalised index. A row, or a target, that is constant within a season
     or not finite scores NaN: an invalid pair, never a fabricated q.
     """
-    return _scores(diffs, _season_products(target, season_masks(months)))
+    r, q = _scores(np.atleast_2d(diffs), _season_products(target, season_masks(months)))
+    return r[:, 0], r[:, 1], q
 
 
 def _season_products(target, masks):
@@ -136,12 +142,17 @@ def _season_products(target, masks):
 
 
 def _scores(diffs, products):
+    """(n, 2) season correlations and (n,) q of the rows of `diffs`:
+    non-finite r is NaN, the rest is clipped to [-1, 1], and q is
+    `objective_q`'s mean of the two squares."""
     seasons, target_seasons, target_sq = products
-    diffs = np.atleast_2d(diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (diffs @ target_seasons) / np.sqrt(((diffs * diffs) @ seasons) * target_sq)
-    r = np.where(np.isfinite(r), np.clip(r, -1.0, 1.0), np.nan)
-    return r[:, 0], r[:, 1], objective_q(r[:, 0], r[:, 1])
+    r = np.where(np.isfinite(r), r, np.nan)
+    np.maximum(r, -1.0, out=r)
+    np.minimum(r, 1.0, out=r)
+    r_on, r_re = r[:, 0], r[:, 1]
+    return r, 0.5 * (r_on * r_on + r_re * r_re)
 
 
 # A pair whose Gram-form |B - A|^2 is below this share of |A|^2 + |B|^2 is
@@ -279,13 +290,14 @@ class PairObjective:
         # raised, but only once both areas have passed
         self._error: Exception | None = None
         try:
-            self._masks = season_masks(field.spec.months())
-            target = _target(y_onset, y_retreat, self._masks)
+            masks = season_masks(field.spec.months())
+            target = _target(y_onset, y_retreat, masks)
         except (InsufficientSeasonSamplesError, ValueError) as exc:
             self._error = exc
             return
+        self._seasons = [np.flatnonzero(sel) for sel in masks]
         self._target_finite = bool(np.isfinite(target).all())
-        self._products = _season_products(target, self._masks)
+        self._products = _season_products(target, masks)
 
     def _area_series(self, area: AreaSet) -> tuple[np.ndarray | None, str | None]:
         """`ocean_series` of the area, reduced on its first call only."""
@@ -306,12 +318,14 @@ class PairObjective:
             return _invalid(str(self._error))
         if self._error is not None:
             raise self._error
-        diff = _centre(np.subtract(series[1], series[0], dtype=float), self._masks)
-        r_onset, r_retreat, q = (float(v[0]) for v in _scores(diff, self._products))
-        if np.isnan(q):
+        diff = _centre(np.subtract(series[1], series[0], dtype=float), self._seasons)
+        r, q = _scores(diff[None], self._products)
+        q = float(q[0])
+        if math.isnan(q):
             finite = np.isfinite(diff).all() and self._target_finite
             return _invalid("index or target constant within a season" if finite
                             else "index or target has non-finite values")
+        r_onset, r_retreat = r[0].tolist()
         return ObjectiveReport(r_onset, r_retreat, q, True)
 
 

@@ -78,6 +78,7 @@ def test_criterion_02_action_cardinalities():
              (n_shift, n_resize) == (8, 16), f"got {n_shift}/{n_resize}")
 
 
+@pytest.mark.slow
 def test_criterion_03_oracle_parity(accept_world):
     spec, field, y_onset, y_retreat = accept_world
     t_start = time.monotonic()
@@ -279,6 +280,7 @@ def test_criterion_08_clustering_recovery():
              f"d->0 {len(shattered)} cluster(s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_forecast_lift():
     nt = (2024 - 1982 + 1) * 12
     years = np.repeat(np.arange(1982, 2025), 12)

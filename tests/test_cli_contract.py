@@ -249,6 +249,8 @@ BAD_VALUES = [
     ("cluster", "n", "99"),
     ("cluster", "n", "2.5"),
     ("synth", "years", "0"),
+    ("synth", "seed", "-1"),
+    ("optimize", "seed", "-1"),
 ]
 
 

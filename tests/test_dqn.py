@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nemonsoon import index
@@ -46,16 +46,19 @@ class TestQNetwork:
         for i in range(7):
             np.testing.assert_allclose(net.forward(x[i]), batch[i], rtol=1e-5, atol=1e-6)
 
-    def test_clone_is_independent(self, rng):
+    def test_target_lane_is_independent(self, rng):
         net = QNetwork(4, 3, rng)
-        other = net.clone()
-        np.testing.assert_array_equal(other.flat, net.flat)
-        other.weights[0][:] = 0.0
+        target = net.target
+        np.testing.assert_array_equal(target.flat, net.flat)
+        target.weights[0][:] = 0.0
         assert net.weights[0].any()
         mine = [net.flat, *net.params, *net.weights, *net.biases]
-        theirs = [other.flat, *other.params, *other.weights, *other.biases]
+        theirs = [target.flat, *target.params, *target.weights, *target.biases]
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
-        assert all(np.shares_memory(p, other.flat) for p in theirs)
+        assert all(np.shares_memory(p, target.flat) for p in theirs)
+        assert all(np.shares_memory(p, net.lanes) for p in mine + theirs)
+        net.lanes[1] = net.lanes[0]  # a target sync
+        np.testing.assert_array_equal(target.weights[0], net.weights[0])
 
     def test_gradient_check_float64(self, rng):
         net = QNetwork(5, 4, rng, hidden=(8, 8), dtype=np.float64)
@@ -156,6 +159,45 @@ class TestReplayBuffer:
         _, actions, *_ = buf.sample(10, rng)
         assert sorted(actions.tolist()) == list(range(10))
 
+    def test_sample_stacks_states_and_next_states(self):
+        buf = ReplayBuffer(8, 3)
+        for k in range(6):
+            buf.push(np.full(3, k), k, 0.5 * k, np.full(3, 10 + k), k % 2 == 0)
+        obs, actions, rewards, dones = buf.sample(4, np.random.default_rng(5))
+        idx = np.random.default_rng(5).choice(6, size=4, replace=False)
+        assert obs.shape == (2, 4, 3) and obs.dtype == np.float32 and obs.flags.c_contiguous
+        np.testing.assert_array_equal(actions, idx)
+        np.testing.assert_array_equal(obs[0], np.repeat(idx[:, None], 3, axis=1))
+        np.testing.assert_array_equal(obs[1], obs[0] + 10)
+        np.testing.assert_array_equal(rewards, 0.5 * idx)
+        np.testing.assert_array_equal(dones, idx % 2 == 0)
+
+
+class TestDQNConfig:
+    @pytest.mark.parametrize("bad", [
+        {"gamma": 0.0},
+        {"epsilon_initial": 0.05},
+        {"decay_fraction": -0.1},
+        {"decay_fraction": 1.5},
+        {"total_timesteps": 0},
+        {"batch": 0},
+        {"buffer_capacity": 63},
+        {"target_sync_every": 0},
+        {"learn_start": -1},
+        {"lr": 0.0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"seed": -1},
+    ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+    def test_out_of_range_field_is_value_error(self, bad):
+        with pytest.raises(ValueError):
+            DQNConfig(**bad)
+
+    def test_edges_are_accepted(self):
+        DQNConfig(decay_fraction=0.0, batch=1, buffer_capacity=1, target_sync_every=1,
+                  learn_start=0, seed=0)
+        DQNConfig(decay_fraction=1.0)
+
 
 class TestPolicy:
     def test_epsilon_schedule(self):
@@ -190,31 +232,58 @@ class TestPolicy:
 class TestTraining:
     def test_train_step_reduces_loss_on_fixed_batch(self, rng):
         net = QNetwork(4, 2, rng)
-        target = net.clone()
         opt = Adam(net.flat, lr=1e-2)
         batch = (
-            rng.normal(size=(32, 4)).astype(np.float32),
+            rng.normal(size=(2, 32, 4)).astype(np.float32),
             rng.integers(0, 2, size=32),
             rng.normal(size=32).astype(np.float32),
-            rng.normal(size=(32, 4)).astype(np.float32),
             np.ones(32, dtype=bool),  # done: targets are just rewards, fixed
         )
-        first = train_step(net, target, batch, opt, 0.99)
+        first = train_step(net, batch, opt, 0.99)
         for _ in range(200):
-            last = train_step(net, target, batch, opt, 0.99)
+            last = train_step(net, batch, opt, 0.99)
         assert last < first * 0.1
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_loss_raises(self, rng):
         net = QNetwork(2, 2, rng)
         net.weights[0][:] = np.inf
-        target = net.clone()
         opt = Adam(net.flat)
-        batch = (np.ones((4, 2), dtype=np.float32), np.zeros(4, dtype=np.int64),
-                 np.zeros(4, dtype=np.float32), np.ones((4, 2), dtype=np.float32),
-                 np.ones(4, dtype=bool))
+        batch = (np.ones((2, 4, 2), dtype=np.float32), np.zeros(4, dtype=np.int64),
+                 np.zeros(4, dtype=np.float32), np.ones(4, dtype=bool))
         with pytest.raises(NonFiniteLossError):
-            train_step(net, target, batch, opt, 0.99)
+            train_step(net, batch, opt, 0.99)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([(64, 64), (5, 3)]), st.integers(1, 9), st.integers(2, 9),
+           st.integers(1, 64), st.integers(1, 6), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_fused_step_bit_equals_reference(self, seed, dtype, hidden, obs_dim, n_actions,
+                                             n, steps, sync_every):
+        """Consecutive fused steps, with target syncs between them, leave
+        the same bytes in both lanes and in Adam's moments, and return the
+        same losses, as td_targets -> loss_and_grads -> Adam.step."""
+        nets = [QNetwork(obs_dim, n_actions, np.random.default_rng(seed), hidden, dtype)
+                for _ in range(2)]
+        fused, ref = nets
+        opts = [Adam(net.flat, lr=1e-2) for net in nets]
+        rng = np.random.default_rng(seed + 1)
+        for t in range(steps):
+            obs = rng.normal(size=(2, n, obs_dim)).astype(np.float32)
+            actions = rng.integers(0, n_actions, size=n)
+            rewards = rng.normal(size=n).astype(np.float32)
+            dones = rng.random(n) < 0.3
+            loss = train_step(fused, (obs, actions, rewards, dones), opts[0], 0.9)
+            targets = td_targets(rewards, obs[1], dones, ref.target, 0.9)
+            want, grads = ref.loss_and_grads(obs[0], actions, targets)
+            opts[1].step(ref.flat, np.concatenate([g.ravel() for g in grads]))
+            assert repr(loss) == repr(want)
+            if (t + 1) % sync_every == 0:
+                for net in nets:
+                    net.lanes[1] = net.lanes[0]
+            for a, b in ((fused.lanes, ref.lanes), (opts[0].m, opts[1].m),
+                         (opts[0].v, opts[1].v)):
+                assert a.dtype == dtype and a.tobytes() == b.tobytes()
 
     def test_history_shape_and_determinism(self):
         cfg = DQNConfig(total_timesteps=300, learn_start=50, batch=16,
@@ -355,6 +424,10 @@ class TestGramOracle:
            st.sampled_from(range(len(_TEMPLATES))), st.sampled_from(["identical", "other"]),
            st.sampled_from(range(len(_TEMPLATES))), st.sampled_from([0.5, 0.8]))
     @settings(max_examples=60, deadline=None)
+    # every B placement that meets the area constraint has a NaN month: both
+    # must raise the "no valid (A, B) pair" error, not "no placement of B"
+    @example(seed=1164, land=0.5, nan_month=True, ta=0, relation="other", tb=1,
+             min_ocean=0.8)
     def test_matches_per_placement_loop(self, seed, land, nan_month, ta, relation, tb,
                                         min_ocean):
         rng = np.random.default_rng(seed)
