@@ -65,12 +65,19 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
 
     def flag(p, name, default=None, required=False, key=None, **kwargs):
         """Add `--name`, whose default is the config's value under `key` (the name with
-        '_' for '-'); a typed flag gets it as text, as argparse types string defaults only."""
+        '_' for '-'); a typed flag gets it as text, as argparse types string defaults only.
+        Any other config value must have the flag's JSON type: a boolean for a switch,
+        a list of strings for a repeatable flag, else a string."""
         key = key or name.replace("-", "_")
         if key in config:
             default, required = config[key], False
+            want = {"store_true": bool, _AppendOverDefault: list}.get(kwargs.get("action"), str)
             if "type" in kwargs:
                 default = str(default)
+            elif not isinstance(default, want) or \
+                    want is list and not all(isinstance(v, str) for v in default):
+                kind = {bool: "a boolean", list: "a list of strings", str: "a string"}[want]
+                raise ConfigError(f"config value {key!r} must be {kind}, got {default!r}")
         p.add_argument(f"--{name}", default=default, required=required, **kwargs)
 
     def add(name, help_text):
@@ -289,7 +296,7 @@ def _cmd_forecast(args) -> None:
     nt = len(next(iter(indices.values())))
     (target,) = _cluster_targets(args, t0, nt, {args.cluster})
     ne = _read_index_series(args.ne_index, t0, nt)
-    folds = [_parse_fold(str(f)) for f in args.fold or []] or [forecast.FOLD1, forecast.FOLD2]
+    folds = [_parse_fold(f) for f in args.fold or []] or [forecast.FOLD1, forecast.FOLD2]
     grid = ([forecast.ForecasterConfig(hidden=16, layers=1, dropout=0.0)]
             if args.small_grid else forecast.default_grid())
     try:
@@ -308,10 +315,18 @@ def _cmd_forecast(args) -> None:
 
 
 def _read_index_series(path: str, t0: str, nt: int) -> np.ndarray:
-    """An index CSV's z on the axis (t0, nt); every month needs a finite z."""
-    rows = geogrid.read_csv_rows(
-        path, ["year", "month", "z"],
-        lambda y, m, z: (int(y), int(m), float(z)), error=ConfigError)
+    """An index CSV's z on the axis (t0, nt); every month needs a finite z,
+    and a second row for a month is an error naming its line."""
+    seen: set[tuple[int, int]] = set()
+
+    def row(y, m, z):
+        key = (int(y), int(m))
+        if key in seen:
+            raise ValueError(f"second row for {key[0]}-{key[1]:02d}")
+        seen.add(key)
+        return (*key, float(z))
+
+    rows = geogrid.read_csv_rows(path, ["year", "month", "z"], row, error=ConfigError)
     out = np.full(nt, np.nan)
     _, _, slots = geogrid.month_slots([r[0] for r in rows], [r[1] for r in rows], t0,
                                       error=ConfigError)

@@ -29,8 +29,9 @@ class QNetwork:
     rows 0 and 1 of one (2, P) buffer, `lanes`. `flat`, `params`, `weights`
     and `biases` view row 0; `target` is a QNetwork whose views are row 1.
     A target sync copies row 0 into row 1, and `train_step` runs both rows
-    in one stacked forward pass. `grad` is row 0's flat gradient buffer,
-    with `grads` its per-parameter views, which `train_step` overwrites."""
+    in one stacked forward pass. `grad` is the one row of a gradient
+    `lane_buffer`, with `grads` its per-parameter views, which `train_step`
+    overwrites."""
 
     def __init__(self, in_dim: int, n_actions: int, rng: np.random.Generator,
                  hidden: tuple[int, int] = (64, 64), dtype=np.float32):
@@ -50,7 +51,8 @@ class QNetwork:
         # per layer: (2, d_in, d_out) weights and (2, 1, d_out) biases
         self.lane_weights = self.lane_params[0::2]
         self.lane_biases = [b[:, None] for b in self.lane_params[1::2]]
-        self.grad, self.grads = flat_buffer(arrays)
+        grad, grads = lane_buffer(1, shapes, dtype)
+        self.grad, self.grads = grad[0], [g[0] for g in grads]
         self._bind(0)
         self.target = copy.copy(self)
         self.target._bind(1)
@@ -121,15 +123,6 @@ def lane_buffer(lanes: int, shapes: list[tuple[int, ...]],
     flat = np.zeros((lanes, int(ends[-1])), dtype=dtype)
     return flat, [flat[:, end - size:end].reshape((lanes, *shape))
                   for shape, size, end in zip(shapes, sizes, ends)]
-
-
-def flat_buffer(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One contiguous copy of the arrays, in order, plus a view into it
-    shaped like each array, so Adam can step all of them as one vector."""
-    flat, views = lane_buffer(1, [a.shape for a in arrays], np.result_type(*arrays))
-    for view, a in zip(views, arrays):
-        view[0] = a
-    return flat[0], [view[0] for view in views]
 
 
 class Adam:

@@ -93,18 +93,16 @@ def select_features(features: dict[str, np.ndarray], target: np.ndarray,
 
 def make_windows(features: np.ndarray, target: np.ndarray,
                  window: int = WINDOW, horizon: int = HORIZON):
-    """Stride-1 sliding windows: inputs (N, window, F), targets (N, horizon).
+    """Stride-1 sliding windows over (T, F) features and a length-T target:
+    inputs (N, window, F), targets (N, horizon).
 
     Sample k covers input months [k, k+window) and target months
     [k+window, k+window+horizon), chronologically ordered.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if features.shape[0] == len(target):
-        pass
-    elif features.shape[1] == len(target):
-        features = features.T
-    else:
-        raise ShapeMismatchError("features and target lengths differ")
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] != len(target):
+        raise ShapeMismatchError(f"features {features.shape} are not (T, F) "
+                                 f"for a target of {len(target)} months")
     t_len = len(target)
     n = max(0, t_len - window - horizon + 1)
     inputs = np.stack([features[k:k + window] for k in range(n)]) if n else \
@@ -135,45 +133,41 @@ class LSTMForecaster:
     `params` lists them in that order as views into one `flat` buffer.
     Forget-gate bias initialized to +1. All math in float64.
 
-    Lanes: given a sequence of input widths and one rng per lane, the model
-    is K independent models on a leading lane axis, run by the same numpy
-    calls: `flat` is (K, P), each parameter (K, ...), inputs one (N, T, F_k)
-    array per lane and predictions (K, N, out). Each lane draws its weights
-    from its own rng at its own width. np.matmul runs the same GEMM on each
-    slice, so every lane is bit-equal to a model of its own, except where
-    the widths differ: layer 0's input products run per lane on the
-    unpadded inputs, because a zero-padded input changes OpenBLAS's kernel
-    choice (gemv against gemm at width 1) and its gemv summation order (at
-    one window, widths 3 and 7). A narrower lane's Wx is padded with zero
-    rows in `flat` that are never read and never updated. Given an int and
-    one rng, the model is one lane with the lane axis left out of every
-    public array.
+    Lanes: given a sequence of K input widths and one rng per lane, the
+    model is K independent models on a leading lane axis, run by the same
+    numpy calls: `flat` is (K, P), each parameter (K, ...), inputs one
+    (N, T, F_k) array per lane and predictions (K, N, out). One model is
+    K = 1. Each lane draws its weights from its own rng at its own width.
+    np.matmul runs the same GEMM on each slice, so every lane is bit-equal
+    to a model of its own, except where the widths differ: layer 0's input
+    products run per lane on the unpadded inputs, because a zero-padded
+    input changes OpenBLAS's kernel choice (gemv against gemm at width 1)
+    and its gemv summation order (at one window, widths 3 and 7). A
+    narrower lane's Wx is padded with zero rows in `flat` that are never
+    read and never updated.
     """
 
-    def __init__(self, in_dim, config: ForecasterConfig, rng, out_dim: int = HORIZON):
-        self._allocate(in_dim, config, out_dim)
+    def __init__(self, in_dims, config: ForecasterConfig, rngs, out_dim: int = HORIZON):
+        self._allocate(in_dims, config, out_dim)
         h = config.hidden
-        for lane, lane_rng in enumerate(rng if self.laned else [rng]):
+        k = 1.0 / np.sqrt(h)
+        for lane, rng in enumerate(rngs):
             arrays = []
             d_in = self.in_dims[lane]
             for _ in range(config.layers):
-                k = 1.0 / np.sqrt(h)
-                wx = lane_rng.uniform(-k, k, size=(d_in, 4 * h))
-                wh = lane_rng.uniform(-k, k, size=(h, 4 * h))
+                wx = rng.uniform(-k, k, size=(d_in, 4 * h))
+                wh = rng.uniform(-k, k, size=(h, 4 * h))
                 b = np.zeros(4 * h)
                 b[h:2 * h] = 1.0
                 arrays.extend([wx, wh, b])
                 d_in = h
-            k = 1.0 / np.sqrt(h)
-            arrays.append(lane_rng.uniform(-k, k, size=(h, out_dim)))
-            arrays.append(np.zeros(out_dim))
-            for view, a in zip(self._lanes, arrays):
+            arrays.extend([rng.uniform(-k, k, size=(h, out_dim)), np.zeros(out_dim)])
+            for view, a in zip(self.params, arrays):
                 view[lane, :len(a)] = a
 
-    def _allocate(self, in_dim, config: ForecasterConfig, out_dim: int) -> None:
-        """Zeroed parameters for one model (int width) or one per lane."""
-        self.laned = not isinstance(in_dim, (int, np.integer))
-        self.in_dims = tuple(int(d) for d in in_dim) if self.laned else (int(in_dim),)
+    def _allocate(self, in_dims, config: ForecasterConfig, out_dim: int) -> None:
+        """Zeroed parameters, one lane per input width."""
+        self.in_dims = tuple(int(d) for d in in_dims)
         self.in_dim = max(self.in_dims)
         self.config = config
         self.out_dim = out_dim
@@ -184,55 +178,47 @@ class LSTMForecaster:
             shapes += [(d_in, 4 * h), (h, 4 * h), (4 * h,)]
             d_in = h
         shapes += [(h, out_dim), (out_dim,)]
-        self._flat, self._lanes = lane_buffer(len(self.in_dims), shapes)
-        self.flat = self._flat if self.laned else self._flat[0]
-        self.params = self._lanes if self.laned else [view[0] for view in self._lanes]
+        self.flat, self.params = lane_buffer(len(self.in_dims), shapes)
 
-    def select(self, lanes) -> "LSTMForecaster":
-        """A copy of some lanes as a model of their own: laned for a list of
-        lane indices, without a lane axis for one index. The copy is padded
-        only up to its own widest lane."""
-        keep = lanes if isinstance(lanes, list) else [lanes]
+    def select(self, lanes: list[int]) -> "LSTMForecaster":
+        """A copy of the listed lanes as a model of their own, padded only
+        up to its own widest lane."""
         model = object.__new__(LSTMForecaster)
-        model._allocate([self.in_dims[k] for k in keep] if isinstance(lanes, list)
-                        else self.in_dims[lanes], self.config, self.out_dim)
-        for dst, src in zip(model._lanes, self._lanes):
-            dst[:] = src[keep, :dst.shape[1]]
+        model._allocate([self.in_dims[k] for k in lanes], self.config, self.out_dim)
+        for dst, src in zip(model.params, self.params):
+            dst[:] = src[lanes, :dst.shape[1]]
         return model
 
     def __getstate__(self):
         """Pickle the parameters only: pickle would copy each view in
         `params` apart from `flat`, so unpickling rebuilds the views."""
-        return (list(self.in_dims) if self.laned else self.in_dims[0], self.config,
-                self.out_dim, self._flat)
+        return self.in_dims, self.config, self.out_dim, self.flat
 
     def __setstate__(self, state):
-        in_dim, config, out_dim, flat = state
-        self._allocate(in_dim, config, out_dim)
-        self._flat[:] = flat
+        in_dims, config, out_dim, flat = state
+        self._allocate(in_dims, config, out_dim)
+        self.flat[:] = flat
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, x, training: bool = False, rng=None):
-        """Predictions (N, out_dim), or (K, N, out_dim) for a laned model
-        given one (N, T, F_k) input per lane; keeps caches for backward.
-        Training dropout draws from `rng`, which is one generator per lane
-        for a laned model."""
-        xs = [np.asarray(a, dtype=float) for a in (x if self.laned else [x])]
+    def forward(self, xs, training: bool = False, rngs=None):
+        """Predictions (K, N, out_dim) given one (N, T, F_k) input per lane;
+        keeps caches for backward. Training dropout draws from `rngs`, one
+        generator per lane."""
+        xs = [np.asarray(a, dtype=float) for a in xs]
         lanes = len(self.in_dims)
         if len(xs) != lanes or any(a.ndim != 3 or a.shape[2] != w or a.shape[:2] != xs[0].shape[:2]
                                    for a, w in zip(xs, self.in_dims)):
             expected = ", ".join(f"(N, T, {w})" for w in self.in_dims)
             got = ", ".join(str(a.shape) for a in xs)
             raise ShapeMismatchError(f"expected input {expected}, got {got}")
-        rngs = rng if self.laned or rng is None else [rng]
         n, t_len = xs[0].shape[:2]
         h_dim = self.config.hidden
         self._cache = {"xs": xs, "layers": [], "masks": []}
         seq = None
         proj = np.empty((lanes, n, 4 * h_dim))
         for layer in range(self.config.layers):
-            wx, wh, b = self._lanes[3 * layer:3 * layer + 3]
+            wx, wh, b = self.params[3 * layer:3 * layer + 3]
             b = b[:, None]
             h = np.zeros((lanes, n, h_dim))
             c = np.zeros((lanes, n, h_dim))
@@ -272,32 +258,25 @@ class LSTMForecaster:
                     mask = np.ones_like(outputs)
                 self._cache["masks"].append(mask)
                 seq = outputs * mask
-        final_h = h
-        self._cache["final_h"] = final_h
-        wy, by = self._lanes[-2], self._lanes[-1]
-        pred = final_h @ wy + by[:, None]
-        return pred if self.laned else pred[0]
+        self._cache["final_h"] = h
+        return h @ self.params[-2] + self.params[-1][:, None]
 
-    def loss_and_grads(self, x, y: np.ndarray, training: bool = False, rng=None):
-        """MSE loss over all outputs plus gradients in parameter order. A
-        laned model gives one loss per lane and gradients with the lane
-        axis, each lane's from its own slice only."""
-        pred = self.forward(x, training=training, rng=rng)
-        y = np.asarray(y, dtype=float)
+    def loss_and_grads(self, xs, ys, training: bool = False, rngs=None):
+        """MSE loss of each lane over its outputs, plus gradients with the
+        lane axis in parameter order, each lane's from its own slice only."""
+        pred = self.forward(xs, training=training, rngs=rngs)
+        y = np.asarray(ys, dtype=float)
         if pred.shape != y.shape:
             raise ShapeMismatchError(f"targets {y.shape} vs predictions {pred.shape}")
         err = pred - y
-        if not self.laned:
-            err = err[None]
         losses = np.array([np.mean(e * e) for e in err])
-        loss = losses if self.laned else float(losses[0])
         if not np.isfinite(losses).all():
-            raise NonFiniteLossError(f"forecast loss became {loss}")
+            raise NonFiniteLossError(f"forecast loss became {losses}")
 
         lanes, n = err.shape[:2]
         h_dim = self.config.hidden
         dout = 2.0 * err / err[0].size
-        grads = [np.zeros_like(p) for p in self._lanes]
+        grads = [np.zeros_like(p) for p in self.params]
         grads[-2] = self._cache["final_h"].swapaxes(1, 2) @ dout
         grads[-1] = dout.sum(axis=1)
 
@@ -306,10 +285,10 @@ class LSTMForecaster:
         # dh arriving at each layer's output sequence from above; the top
         # layer gets the head's gradient at its last step only
         dseq_above = None
-        dh_top = dout @ self._lanes[-2].swapaxes(1, 2)
+        dh_top = dout @ self.params[-2].swapaxes(1, 2)
         da = np.empty((lanes, n, 4 * h_dim))
         for layer in range(self.config.layers - 1, -1, -1):
-            wx, wh, _ = self._lanes[3 * layer:3 * layer + 3]
+            wx, wh, _ = self.params[3 * layer:3 * layer + 3]
             dwx, dwh, db = grads[3 * layer:3 * layer + 3]
             steps = self._cache["layers"][layer]
             if dseq_above is not None:
@@ -342,10 +321,7 @@ class LSTMForecaster:
                 dh_next = da @ wh_t
                 dc_next = dc * f
             dseq_above = dseq_below
-        return loss, grads if self.laned else [g[0] for g in grads]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, training=False)
+        return losses, grads
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -358,26 +334,18 @@ GRAD_CLIP = 5.0  # global-norm clip keeps plain GD at lr 0.01 stable
 BATCH_SIZE = 32
 
 
-def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
-                     rng: np.random.Generator):
+def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig, rngs):
     """Minibatch gradient descent (BPTT) with early stopping on validation
-    loss. `rng` draws the initial weights, minibatch orders and dropout
-    masks. Returns (model-with-best-val-params, validation loss curve).
-
-    Lanes: given a list with one array per lane for each of the four data
-    arguments (the same windows per lane; input widths may differ) and a
-    list of rngs, trains the lanes as one laned model and returns
-    (models, curves) with one entry per lane. Each lane keeps its own rng,
-    minibatch order, dropout masks, gradient clip and early stopping, so
-    each entry is bit-equal to a run on that lane's data alone. A lane
-    that stops leaves the stack.
+    loss, the lanes trained together as one stacked model. Each data
+    argument is a list with one array per lane (the same windows per lane;
+    input widths may differ), and `rngs` holds one rng per lane, which
+    draws that lane's initial weights, minibatch orders and dropout masks.
+    Returns (models, curves), one per lane: a one-lane model with the
+    lane's best validation parameters, and its validation loss curve. Each
+    lane keeps its own gradient clip and early stopping, so each entry is
+    bit-equal to a run on that lane's data alone. A lane that stops leaves
+    the stack.
     """
-    laned = isinstance(train_x, (list, tuple))
-    if laned:
-        rngs = list(rng)
-    else:
-        train_x, train_y, val_x, val_y = [train_x], [train_y], [val_x], [val_y]
-        rngs = [rng]
     tx = [np.asarray(x, dtype=float) for x in train_x]
     vx = [np.asarray(x, dtype=float) for x in val_x]
     ty = np.stack([np.asarray(y, dtype=float) for y in train_y])
@@ -399,7 +367,7 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
         for lo in range(0, n, BATCH_SIZE):
             sel = orders[:, lo:lo + BATCH_SIZE]
             _, grads = model.loss_and_grads([tx[k][s] for k, s in zip(active, sel)],
-                                            ty[rows, sel], training=True, rng=lane_rngs)
+                                            ty[rows, sel], training=True, rngs=lane_rngs)
             scale = [config.lr * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
                      for norm in _grad_norms(grads, model.in_dims)]
             model.flat -= np.array(scale)[:, None] * np.concatenate(
@@ -418,15 +386,15 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig,
                     stopped.append(row)
         if stopped:
             for row in stopped:
-                done[active[row]] = best.select(row)
+                done[active[row]] = best.select([row])
             keep = [row for row in range(len(active)) if row not in stopped]
             active = [active[row] for row in keep]
             if not active:
                 break
             model, best = model.select(keep), best.select(keep)
     for row, k in enumerate(active):
-        done[k] = best.select(row)
-    return (done, curves) if laned else (done[0], curves[0])
+        done[k] = best.select([row])
+    return done, curves
 
 
 def _grad_norms(grads, in_dims) -> list[float]:
@@ -442,20 +410,19 @@ def _grad_norms(grads, in_dims) -> list[float]:
 
 def _val_losses(model: LSTMForecaster, val_x, val_y) -> list[float]:
     """Validation MSE of each lane, over that lane only."""
-    sq = (model.predict(val_x) - val_y) ** 2
+    sq = (model.forward(val_x) - val_y) ** 2
     return [float(np.mean(lane)) for lane in sq]
 
 
 def grid_search(train_x, train_y, val_x, val_y,
                 grid: list[ForecasterConfig], seed: int):
-    """Train every configuration; return (best model, best config) by
-    validation loss, ties going to the earlier (smaller) entry.
+    """Train every configuration on the lanes (lists, as for
+    `train_forecaster`) together; return (models, configs), each lane's
+    best by validation loss, ties going to the earlier (smaller) entry.
 
     A one-layer config with dropout > 0 is skipped when its dropout-0 twin
     came earlier: dropout acts only between layers, so it would train
-    bit-identically and lose the tie. Given lanes (lists, as for
-    `train_forecaster`), all lanes train together and each lane picks its
-    own config; returns (models, configs) with one entry per lane.
+    bit-identically and lose the tie.
 
     The configs train in parallel, one job per config in a pool of
     min(usable CPUs // BLAS threads, jobs) worker processes; with one
@@ -466,8 +433,6 @@ def grid_search(train_x, train_y, val_x, val_y,
     and see the parent's module state; the package starts no Python
     threads, which would make forking unsafe.
     """
-    laned = isinstance(train_x, (list, tuple))
-    lanes = len(train_x) if laned else 1
     jobs = [cfg for k, cfg in enumerate(grid)
             if not (cfg.layers == 1 and cfg.dropout > 0
                     and replace(cfg, dropout=0.0) in grid[:k])]
@@ -475,15 +440,13 @@ def grid_search(train_x, train_y, val_x, val_y,
     cpus = len(os.sched_getaffinity(0))
     workers = min(cpus // _blas_threads(cpus), len(jobs))
     if workers <= 1:
-        best = _best_per_lane(jobs, map(train, jobs), lanes)
+        best = _best_per_lane(jobs, map(train, jobs), len(train_x))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            best = _best_per_lane(jobs, pool.map(train, jobs), lanes)
-    if laned:
-        return [b[1] for b in best], [b[2] for b in best]
-    return best[0][1], best[0][2]
+            best = _best_per_lane(jobs, pool.map(train, jobs), len(train_x))
+    return [b[1] for b in best], [b[2] for b in best]
 
 
 def _blas_threads(cpus: int) -> int:
@@ -502,11 +465,8 @@ def _blas_threads(cpus: int) -> int:
 def _train_config(train_x, train_y, val_x, val_y, config: ForecasterConfig, seed: int):
     """One grid job: (models, curves), one entry per lane, trained with a
     fresh `default_rng(seed)` per lane."""
-    laned = isinstance(train_x, (list, tuple))
-    rngs = [np.random.default_rng(seed) for _ in range(len(train_x) if laned else 1)]
-    models, curves = train_forecaster(train_x, train_y, val_x, val_y, config,
-                                      rng=rngs if laned else rngs[0])
-    return (models, curves) if laned else ([models], [curves])
+    rngs = [np.random.default_rng(seed) for _ in train_x]
+    return train_forecaster(train_x, train_y, val_x, val_y, config, rngs)
 
 
 def _best_per_lane(jobs, results, lanes: int) -> list[tuple]:
@@ -609,7 +569,7 @@ def _run_fold(arms: list[dict[str, np.ndarray]], target, years, fold: FoldSpec,
     models, _ = grid_search([s[0] for s in splits], [targets_z[tr]] * len(arms),
                             [s[1] for s in splits], [targets_z[va]] * len(arms),
                             grid, seed)
-    return [rmse(targets_raw[te], model.predict(s[2]) * t_sd + t_mu)
+    return [rmse(targets_raw[te], model.forward([s[2]])[0] * t_sd + t_mu)
             for model, s in zip(models, splits)]
 
 
@@ -654,9 +614,18 @@ def write_indices_csv(indices: dict[str, np.ndarray], t0: str, path) -> None:
 
 
 def read_indices_csv(path) -> tuple[dict[str, np.ndarray], str]:
-    """Read aligned monthly indices; returns ({name: series}, t0)."""
-    rows = read_csv_rows(path, ["index_name", "year", "month", "value"],
-                         lambda name, y, m, v: (name, int(y), int(m), float(v)))
+    """Read aligned monthly indices; returns ({name: series}, t0). A second
+    row for an index and month is a FormatError naming its line."""
+    seen: set[tuple[str, int, int]] = set()
+
+    def row(name, y, m, v):
+        key = (name, int(y), int(m))
+        if key in seen:
+            raise ValueError(f"index {name}: second row for {key[1]}-{key[2]:02d}")
+        seen.add(key)
+        return (*key, float(v))
+
+    rows = read_csv_rows(path, ["index_name", "year", "month", "value"], row)
     t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
     out: dict[str, np.ndarray] = {}
     for (name, _, _, v), k in zip(rows, slots.tolist()):

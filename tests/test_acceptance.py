@@ -207,12 +207,13 @@ def test_criterion_06_gradient_checks():
     _, q_grads = q_loss()
     q_err = _max_rel_grad_err(q_loss, qnet.params, q_grads, rng)
 
-    lstm = LSTMForecaster(3, ForecasterConfig(hidden=6, layers=2), rng, out_dim=4)
+    lstm = LSTMForecaster([3], ForecasterConfig(hidden=6, layers=2), [rng], out_dim=4)
     lx = rng.normal(size=(4, 9, 3))
     ly = rng.normal(size=(4, 4))
 
     def l_loss():
-        return lstm.loss_and_grads(lx, ly)
+        loss, grads = lstm.loss_and_grads([lx], [ly])
+        return loss[0], grads
 
     _, l_grads = l_loss()
     l_err = _max_rel_grad_err(l_loss, lstm.params, l_grads, rng)

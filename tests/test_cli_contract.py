@@ -95,7 +95,8 @@ def world(tmp_path_factory):
 
 def check(world, name, mutate, expected_exit, onset=ONSET):
     """Run the reader of input `name` on a copy that `mutate` rewrites
-    (lines -> lines for a CSV, bytes -> bytes for the SST payload)."""
+    (lines -> lines for a CSV, bytes -> bytes for the SST payload); returns
+    the run's stderr."""
     reader = READER[name]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -117,6 +118,7 @@ def check(world, name, mutate, expected_exit, onset=ONSET):
             assert "error:" in err
         else:
             assert outputs(out) == world["expected"][reader]
+    return err
 
 
 def _set_field(line, k, value):
@@ -235,6 +237,26 @@ def test_duplicated_station_block_is_an_error(world, where, moved, before):
     check(world, "stations", duplicate, MALFORMED_EXIT["stations"])
 
 
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(["indices", "ne"]), where=st.floats(0, 1, exclude_max=True),
+       changed=st.booleans(), before=st.booleans())
+def test_duplicated_index_month_is_an_error(world, name, where, changed, before):
+    """Add a second row for one index and month, just before the first or
+    at the end, as it is or with another value: neither reader may keep
+    one of the two rows silently, and the error names the line."""
+    value = {"indices": 3, "ne": 2}[name]
+
+    def duplicate(lines):
+        k = 1 + int(where * (len(lines) - 1))
+        row = lines[k]
+        if changed:
+            row = _set_field(row, value, repr(float(row.split(",")[value]) + 0.5))
+        return lines[:k] + [row] + lines[k:] if before else lines + [row]
+
+    err = check(world, name, duplicate, MALFORMED_EXIT[name])
+    assert "second row for" in err and " line " in err
+
+
 BAD_VALUES = [
     ("evaluate", "onset-clusters", "x"),
     ("evaluate", "min-ocean", "1.5"),
@@ -284,3 +306,49 @@ def test_out_of_range_flag_or_config_value_is_config_error(world, name, flag, te
         code, err = run(argv)
     assert code == 2, err
     assert "error:" in err
+
+
+WRONG_TYPES = [
+    ("forecast", "out", 5),
+    ("forecast", "small_grid", "false"),
+    ("forecast", "with_ne", "no"),
+    ("forecast", "folds", FOLD),
+    ("forecast", "folds", [1982]),
+    ("evaluate", "sst", 5),
+]
+SWITCHES = {"small_grid", "with_ne"}
+
+
+def _config_run(world, name, config, tmp):
+    """(exit code, stderr) of `name` with the flags for the keys of `config`
+    taken off the command line and given by a --config file instead."""
+    argv = command(name, world["paths"], tmp)
+    for key in config:
+        k = argv.index("--fold" if key == "folds" else "--" + key.replace("_", "-"))
+        del argv[k:k + (1 if key in SWITCHES else 2)]
+    (tmp / "cfg.json").write_text(json.dumps(config))
+    return run(argv + ["--config", tmp / "cfg.json"])
+
+
+@pytest.mark.parametrize("name, key, value", WRONG_TYPES,
+                         ids=[f"{n}-{k}={json.dumps(v)}" for n, k, v in WRONG_TYPES])
+def test_config_value_of_wrong_json_type_is_config_error(world, name, key, value):
+    """A config value must have its flag's JSON type (a boolean for a
+    switch, a list of strings for `folds`, else a string): a string
+    "false" must not turn a switch on, and a string of folds must not be
+    read one character at a time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _config_run(world, name, {key: value}, Path(tmp))
+    assert code == 2, err
+    assert "error:" in err and repr(key) in err
+
+
+def test_config_values_of_right_json_type_match_flags(world):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "out").mkdir()
+        config = {"small_grid": True, "with_ne": True, "folds": [FOLD],
+                  "out": str(tmp / "out" / "report.csv")}
+        code, err = _config_run(world, "forecast", config, tmp)
+        assert code == 0, err
+        assert outputs(tmp / "out") == world["expected"]["forecast"]

@@ -15,7 +15,7 @@ from nemonsoon.dqn import (
     exhaustive_search,
     _placements,
     _shift_area,
-    flat_buffer,
+    lane_buffer,
     td_targets,
     train,
     train_step,
@@ -84,22 +84,23 @@ class TestQNetwork:
 class TestFlatBuffer:
     def test_params_are_views_of_flat(self, rng):
         net = QNetwork(4, 3, rng)
-        lstm = LSTMForecaster(2, ForecasterConfig(hidden=3, layers=2), rng)
+        lstm = LSTMForecaster([2], ForecasterConfig(hidden=3, layers=2), [rng])
         for model in (net, lstm):
             assert model.flat.size == sum(p.size for p in model.params)
             model.flat[:] = np.arange(model.flat.size)
             np.testing.assert_array_equal(
-                np.concatenate([p.ravel() for p in model.params]), model.flat)
+                np.concatenate([p.ravel() for p in model.params]), model.flat.ravel())
         for k, (w, b) in enumerate(zip(net.weights, net.biases)):
             assert w is net.params[2 * k] and b is net.params[2 * k + 1]
 
-    def test_keeps_order_shapes_and_dtype(self, rng):
-        arrays = [rng.normal(size=(2, 3)).astype(np.float32), np.zeros(4, dtype=np.float32)]
-        flat, views = flat_buffer(arrays)
-        assert flat.dtype == np.float32 and flat.flags.c_contiguous
-        for a, v in zip(arrays, views):
-            assert v.shape == a.shape and not np.shares_memory(a, v)
-            np.testing.assert_array_equal(a, v)
+    def test_keeps_order_shapes_and_dtype(self):
+        flat, views = lane_buffer(2, [(2, 3), (4,)], np.float32)
+        assert flat.shape == (2, 10) and flat.dtype == np.float32 and flat.flags.c_contiguous
+        assert [v.shape for v in views] == [(2, 2, 3), (2, 4)]
+        flat[:] = np.arange(20).reshape(2, 10)
+        for lane in range(2):  # each lane's parameters are one row, in order
+            np.testing.assert_array_equal(
+                np.concatenate([v[lane].ravel() for v in views]), flat[lane])
 
 
 def per_array_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -136,7 +137,10 @@ class TestAdam:
         grad_steps = [[rng.normal(size=s).astype(dtype) for s in shapes] for _ in range(steps)]
         reference = [a.copy() for a in arrays]
         per_array_adam(reference, grad_steps, lr)
-        flat, params = flat_buffer(arrays)
+        flat, params = lane_buffer(1, shapes, dtype)
+        flat, params = flat[0], [p[0] for p in params]
+        for p, a in zip(params, arrays):
+            p[:] = a
         opt = Adam(flat, lr=lr)
         for grads in grad_steps:
             opt.step(flat, np.concatenate([g.ravel() for g in grads]))
