@@ -62,6 +62,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
         description="Discover and evaluate a two-area SST monsoon index.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    known: set[str] = set()
 
     def flag(p, name, default=None, required=False, key=None, **kwargs):
         """Add `--name`, whose default is the config's value under `key` (the name with
@@ -69,6 +70,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
         Any other config value must have the flag's JSON type: a boolean for a switch,
         a list of strings for a repeatable flag, else a string."""
         key = key or name.replace("-", "_")
+        known.add(key)
         if key in config:
             default, required = config[key], False
             want = {"store_true": bool, _AppendOverDefault: list}.get(kwargs.get("action"), str)
@@ -139,6 +141,10 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     flag(p, "step", 0.5, type=float)
     p.set_defaults(handler=_cmd_oracle)
 
+    # one config may serve several subcommands, but a key no flag reads is a typo
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ConfigError(f"config keys {unknown} match no flag of any subcommand")
     return parser
 
 

@@ -413,6 +413,124 @@ def _placements(template: AreaSet, domain: Rect, step: float) -> list[tuple[floa
     ]
 
 
+# months per summed-area table: the oracle's float64 tables cover this many
+# months at a time, so no float64 copy of the whole field is ever held
+_TABLE_MONTHS = 12
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53  # unit roundoffs of float32 and float64
+# a q must beat the best by more than this to replace it, so exact ties go
+# to the earlier placement
+_TIE = 1e-15
+
+
+def _table(cells: np.ndarray) -> np.ndarray:
+    """Summed-area table (Crow 1984) of (n, nlat, nlon) cells, laid out
+    (nlat + 1, nlon + 1, n): entry [i, j] sums cells [:i, :j] of each of the
+    n layers, so a box's n sums are four lookups of contiguous rows."""
+    n, nlat, nlon = cells.shape
+    out = np.zeros((nlat + 1, nlon + 1, n), dtype=cells.dtype)
+    out[1:, 1:] = np.moveaxis(cells.cumsum(axis=1).cumsum(axis=2), 0, -1)
+    return out
+
+
+class _Lattice:
+    """A template at every shift-lattice offset in a domain, each placement's
+    cells as index boxes from `geogrid._rect_index_bounds`. A multi-rect
+    template's cells are the union of its rects' boxes by inclusion-exclusion
+    (every nonempty subset of rects, the intersection of their boxes signed
+    by the subset's size), so a cell in two rects counts once, as in
+    `geogrid.area_indices`.
+
+    `fits` indexes the offsets whose placement meets `index.ocean_series`'s
+    area constraint; `ocean` counts each such placement's ocean cells and
+    `series` (filled by `_fill_series`) holds its ocean-mean series.
+    """
+
+    def __init__(self, template: AreaSet, domain: Rect, step: float, spec: geogrid.GridSpec,
+                 ocean: np.ndarray, min_ocean: float, dtype=np.float32):
+        self.template = template
+        self.offsets = _placements(template, domain, step)
+        m = len(template.rects)
+        subsets = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
+        self._signs = np.array([(-1) ** (len(c) + 1) for c in subsets])
+        # (P, m, 4) inclusive bounds i0, i1, j0, j1 of each rect's cells
+        bounds = np.array([[geogrid._rect_index_bounds(r, spec)
+                            for r in _shift_area(template, *offset).rects]
+                           for offset in self.offsets], dtype=np.intp)
+        bounds = bounds.reshape(len(self.offsets), m, 4)
+        lo, hi = bounds[..., 0::2], bounds[..., 1::2] + 1
+        boxes = []
+        for c in subsets:
+            start, stop = lo[:, c].max(axis=1), hi[:, c].min(axis=1)
+            box = np.stack([start[:, 0], stop[:, 0], start[:, 1], stop[:, 1]], axis=1)
+            box[(start >= stop).any(axis=1)] = 0  # empty: four lookups of one entry
+            boxes.append(box)
+        self._boxes = np.stack(boxes, axis=1)  # (P, T, 4): i0, i1, j0, j1, half-open
+        i0, i1, j0, j1 = np.moveaxis(self._boxes, -1, 0)
+        cells = (i1 - i0) * (j1 - j0) @ self._signs
+        n_ocean = self.box_sums(ocean)[:, 0]
+        # `index.ocean_series`'s checks, in its order, on the same ratio
+        fits = cells > 0
+        frac = np.divide(n_ocean, cells, out=np.zeros(len(cells)), where=fits)
+        fits &= ~(frac < min_ocean) & (frac != 0.0)
+        self.fits = np.flatnonzero(fits)
+        self._boxes, self.ocean = self._boxes[self.fits], n_ocean[self.fits]
+        self.series = np.empty((len(self.fits), spec.nt), dtype=dtype)
+        # each table sum adds at most nlat + nlon roundings of sums of up
+        # to nlat nlon values, and a placement combines 4 T of them
+        self._table_err = 4 * len(subsets) * (spec.nlat + spec.nlon + 4 * len(subsets)) \
+            * spec.nlat * spec.nlon * _U64
+        self._centre_err = 4 * (spec.nt + 4) * _U64
+
+    def box_sums(self, table: np.ndarray) -> np.ndarray:
+        """(P, n): each placement's sum of the table's n layers."""
+        i0, i1, j0, j1 = np.moveaxis(self._boxes, -1, 0)
+        box = table[i1, j1] - table[i0, j1] - table[i1, j0] + table[i0, j0]
+        return np.einsum("t,ktn->kn", self._signs, box)
+
+    def error(self, peak: float) -> np.ndarray:
+        """Per fitting placement, a bound on |series - index.ocean_series|
+        in any finite month, given the largest |value| summed:
+        - the float32 mean of n values, added in any order, is within
+          (n + 1) u32 of it, and storing `series` as float32 adds u32;
+        - the float64 table sums (see `_table_err`) are divided by n;
+        - float64 centring, of this series and of `PairObjective`'s
+          difference, adds less than 4 (nt + 4) u64 of it."""
+        n = self.ocean
+        return peak * ((n + 3) * _U32 + self._table_err / n + self._centre_err)
+
+    def area(self, row: int) -> AreaSet:
+        """The placement of fitting row `row`."""
+        return _shift_area(self.template, *self.offsets[self.fits[row]])
+
+
+def _fill_series(field: SSTField, lattices) -> float:
+    """Fill each lattice's `series` with its placements' ocean means, from
+    summed-area tables of `_TABLE_MONTHS` months at a time: float64 sums of
+    the ocean values, non-ocean and non-finite ones taken as zero (ocean
+    from month 0, as in `SSTField.ocean_mask`), and, in a slab that has
+    any, counts of the non-finite ocean cells of each month. A month whose
+    count is not zero is NaN, so a cell that is NaN in some months spoils
+    those months of the placements that hold it, and nothing else. Returns
+    the largest |value| summed."""
+    ocean = field.ocean_mask()
+    peak = 0.0
+    for t0 in range(0, field.spec.nt, _TABLE_MONTHS):
+        slab = field.values[t0:t0 + _TABLE_MONTHS]
+        good = np.isfinite(slab) & ocean
+        values = np.zeros(slab.shape)
+        np.copyto(values, slab, where=good)
+        peak = max(peak, float(np.abs(values).max()))
+        sums = _table(values)
+        bad = ocean & ~good
+        bad = _table(bad.astype(np.int64)) if bad.any() else None
+        for lattice in lattices:
+            means = lattice.box_sums(sums) / lattice.ocean[:, None]
+            if bad is not None:
+                means[lattice.box_sums(bad) > 0] = np.nan
+            lattice.series[:, t0:t0 + len(slab)] = means
+    return peak
+
+
 def exhaustive_search(
     field: SSTField,
     y_onset: np.ndarray,
@@ -428,44 +546,73 @@ def exhaustive_search(
     to the earlier placement). Placements that break the area constraint
     or have a non-finite series are skipped; degenerate pairs never win.
 
-    B's series are stacked once in `index.PairScorer`; A's are scored in
-    blocks as they are generated, all pairs of a block at once. The
-    winner's q is scored again by `index.evaluate_pair` on its direct
-    difference.
+    Every placement's series comes from summed-area tables of the field
+    (`_fill_series`), built here and freed on return. `index.PairScorer`
+    stacks B's series once and scores A's in blocks, all pairs of a block
+    at once, each q with a bound on its distance from the q of the
+    placements' `geogrid.area_mean_series` series. Every pair whose q is
+    within its bound of the best lower bound is scored again on those
+    series by `index.PairObjective`, and the best of these exact q wins;
+    the q returned is the winner's exact q, as `index.evaluate_pair` gives
+    it.
     """
     months = field.spec.months()
+    ocean = _table(field.ocean_mask()[None].astype(np.int64))
 
-    def placed_series(template):
-        for offset in _placements(template, domain, step):
-            s, _ = index.ocean_series(field, _shift_area(template, *offset), min_ocean)
-            if s is not None:
-                yield offset, s
+    def lattice(template, dtype):
+        return _Lattice(template, domain, step, field.spec, ocean, min_ocean, dtype)
 
-    placed_b = list(placed_series(template_b))
-    if not placed_b:
+    # B's float64 series become the scorer's stack; A's are read in blocks
+    lattice_b = lattice(template_b, np.float64)
+    if not len(lattice_b.fits):
         raise NemonsoonError(f"no placement of B in {domain} meets the area constraint")
+    lattice_a = lattice(template_a, np.float32)
+    peak = _fill_series(field, (lattice_a, lattice_b))
     # a non-finite series makes every pair it is in invalid
-    placed_b = [(offset, s) for offset, s in placed_b if np.isfinite(s).all()]
-    best_q = -np.inf
-    best = None
-    if placed_b:
-        offsets_b = [offset for offset, _ in placed_b]
+    rows_a, rows_b = (np.flatnonzero(np.isfinite(lat.series).all(axis=1))
+                      for lat in (lattice_a, lattice_b))
+    err_a, err_b = lattice_a.error(peak), lattice_b.error(peak)
+    found = []  # (A row, B row, upper bound of exact q) of each candidate pair
+    floor = -np.inf  # the best lower bound of an exact q so far
+    if len(rows_b):
+        series_b = lattice_b.series
+        if len(rows_b) < len(series_b):
+            series_b = series_b[rows_b]
+        lattice_b.series = None  # the scorer centres B's series in place
         scorer = index.PairScorer(months, index.season_target(y_onset, y_retreat, months),
-                                  [s for _, s in placed_b])
-        del placed_b
-        placed_a = ((offset, s) for offset, s in placed_series(template_a)
-                    if np.isfinite(s).all())
-        while block := list(itertools.islice(placed_a, scorer.BLOCK_ROWS)):
-            q = np.nan_to_num(scorer.scores([s for _, s in block]), copy=False, nan=-np.inf)
-            for (offset_a, _), q_a, ib in zip(block, q, q.argmax(axis=1)):
-                if q_a[ib] > best_q + 1e-15:
-                    best_q = float(q_a[ib])
-                    best = (offset_a, offsets_b[ib])
+                                  series_b, err_b[rows_b])
+        del series_b
+        for lo in range(0, len(rows_a), scorer.BLOCK_ROWS):
+            rows = rows_a[lo:lo + scorer.BLOCK_ROWS]
+            # the exact q lies in [low, high]; both are made in the scorer's
+            # buffers, high to within a rounding that _TIE covers
+            low, high = scorer.scores(lattice_a.series[rows], err_a[rows])
+            low -= high
+            high *= 2.0
+            high += low
+            floor = np.fmax.reduce(low, axis=None, initial=floor)
+            ia, ib = np.nonzero(high >= floor - _TIE)
+            found.append((rows[ia], rows_b[ib], high[ia, ib]))
+    best_q, best = -np.inf, None
+    if found:
+        ia, ib, upper = (np.concatenate(parts) for parts in zip(*found))
+        keep = upper >= floor - _TIE
+        objective = index.PairObjective(field, y_onset, y_retreat, min_ocean)
+        # candidates are in (A, B) order: the first best of each A row, and
+        # a later row only if it beats the best by more than _TIE
+        for row_a, pairs in itertools.groupby(zip(ia[keep].tolist(), ib[keep].tolist()),
+                                              key=lambda pair: pair[0]):
+            area_a = lattice_a.area(row_a)
+            row_q, row_best = -np.inf, None
+            for _, row_b in pairs:
+                area_b = lattice_b.area(row_b)
+                report = objective(area_a, area_b)
+                if report.valid and report.q > row_q:
+                    row_q, row_best = report.q, (area_a, area_b)
+            if row_q > best_q + _TIE:
+                best_q, best = row_q, row_best
     if best is None:
         raise NemonsoonError(
             f"no valid (A, B) pair in {domain}: no placement of A meets the area "
             "constraint, or every pair is degenerate (constant or non-finite)")
-    area_a = _shift_area(template_a, *best[0])
-    area_b = _shift_area(template_b, *best[1])
-    report = index.evaluate_pair(field, area_a, area_b, y_onset, y_retreat, min_ocean)
-    return (area_a, area_b), report.q
+    return best, best_q

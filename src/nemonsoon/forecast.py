@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import csv
 import os
+import signal
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -444,9 +446,28 @@ def grid_search(train_x, train_y, val_x, val_y,
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_die_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
             best = _best_per_lane(jobs, pool.map(train, jobs), len(train_x))
     return [b[1] for b in best], [b[2] for b in best]
+
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker when the process that forked it
+    ends. A forked worker holds the pool's pipe ends too, so it never sees
+    them close and would otherwise wait forever once the parent is killed.
+    On Linux the kernel sends the worker SIGTERM when its parent dies
+    (prctl PR_SET_PDEATHSIG); a parent that died before that was set is
+    caught by the check after it."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+        ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _blas_threads(cpus: int) -> int:

@@ -158,84 +158,130 @@ def _scores(diffs, products):
 # A pair whose Gram-form |B - A|^2 is below this share of |A|^2 + |B|^2 is
 # within rounding of identical series: the direct difference would be 0.
 _GRAM_DEGENERATE = 1e-10
+_U64 = 2.0 ** -53  # unit roundoff of float64
 
 
 class PairScorer:
     """Objective q of every (A, B) pair of area series, from one Gram
-    matmul per season instead of one difference per pair.
+    matmul per season instead of one difference per pair, with a bound on
+    how far each q may be from the q of the series the given ones
+    approximate.
 
     On season-centred series a, b and target y, the pair's index b - a has,
     per season s, (b - a).y = b.y - a.y and |b - a|^2 = |a|^2 + |b|^2 -
     2 a.b, so r_s = (b.y - a.y) / sqrt(|b - a|^2 |y|^2) needs only each
     series' dot with y, its squared norm and the A x B Gram matrix. Rows
     are stored with each season's months in one run of columns, so a season
-    is a column slice. The B series are stacked once; A series come in
-    blocks of at most `BLOCK_ROWS` through reused buffers, which keeps the
-    float64 temporaries small.
+    is a column slice. The B series are stacked once, centred a block at a
+    time; A series come in blocks of at most `BLOCK_ROWS` through reused buffers,
+    which keeps the float64 temporaries small. Each block is centred by one
+    `_centre` call, byte-equal to centring its rows one by one.
+
+    Each series comes with `err`, a bound on the absolute error of each of
+    its months against the series it stands for. The bound returned with q
+    then covers |q - q'|, q' being `PairObjective`'s q of the pair of
+    series stood for, whenever both are finite:
+    - per season, |r - r'| is at most twice the angle between the two
+      differences, so at most 2.5 sqrt(months) (err_a + err_b) / |b - a|
+      (2.5, not 2, absorbs the rounding of |b - a|);
+    - rounding in the Gram form and in `PairObjective` adds at most
+      8 (nt + 2) u (|a|^2 + |b|^2) / |b - a|^2 per season, u being the
+      float64 unit roundoff;
+    - |q - q'| is at most the sum of the two seasons' |r - r'|.
+    A pair that `PairObjective` finds constant within a season has
+    |b - a| <= sqrt(months) (err_a + err_b), so its bound is at least 2.5,
+    more than any two q differ by.
 
     Series must be finite. A pair that is degenerate (identical series up to
     rounding) or a target that is constant within a season scores NaN, as
     in `seasonal_scores`.
     """
 
-    BLOCK_ROWS = 32
+    # four (BLOCK_ROWS, n_b) float64 buffers, q, its bound and two work
+    # arrays, take what three took at 32 rows
+    BLOCK_ROWS = 24
 
-    def __init__(self, months: np.ndarray, target: np.ndarray, series_b):
-        self._masks = sel_on, sel_re = season_masks(months)
+    def __init__(self, months: np.ndarray, target: np.ndarray, series_b: np.ndarray,
+                 err_b=0.0):
+        """`series_b` is the (n_b, nt) float64 array of B series, which
+        becomes the stack: it is centred in place, a block at a time, so
+        the caller's copy is overwritten. `err_b` bounds each row's error
+        (a scalar or one per row)."""
+        sel_on, sel_re = season_masks(months)
         self._order = np.concatenate([np.flatnonzero(sel_on), np.flatnonzero(sel_re)])
         cut = int(sel_on.sum())
         self._seasons = (slice(0, cut), slice(cut, len(self._order)))
         y = np.asarray(target, dtype=float)[self._order]
         self._y = [y[s] for s in self._seasons]
         self._yy = [float(ys @ ys) for ys in self._y]
-        stack_b = np.empty((len(series_b), len(self._order)))
-        for row, s in zip(stack_b, series_b):
-            self._fill(s, row)
-        self._b = [stack_b[:, s] for s in self._seasons]
-        self._b_y = [b @ ys for b, ys in zip(self._b, self._y)]
-        self._b_sq = [np.einsum("ij,ij->i", b, b) for b in self._b]
-        self._a = np.empty((self.BLOCK_ROWS, len(self._order)))
-        shape = (self.BLOCK_ROWS, len(stack_b))
-        self._q, self._den, self._r = np.empty(shape), np.empty(shape), np.empty(shape)
+        # series error to r error, per unit of err_a + err_b, and rounding
+        self._err_scale = [2.5 * math.sqrt(s.stop - s.start) for s in self._seasons]
+        self._rounding = 8.0 * (len(self._order) + 2) * _U64
+        stack_b = series_b
+        if stack_b.dtype != np.float64 or stack_b.ndim != 2:
+            raise ValueError("series_b must be a 2-D float64 array")
+        n_b = len(stack_b)
+        for lo in range(0, n_b, self.BLOCK_ROWS):
+            block = stack_b[lo:lo + self.BLOCK_ROWS]
+            block[...] = self._centred(block)
+        err_b = np.broadcast_to(np.asarray(err_b, dtype=float), (n_b,))
+        b = [stack_b[:, s] for s in self._seasons]
+        with np.errstate(divide="ignore", invalid="ignore"):  # y is 0 in a season
+            self._b_y = [b_s @ ys / math.sqrt(yy) for b_s, ys, yy in zip(b, self._y, self._yy)]
+        self._b_sq = [np.einsum("ij,ij->i", b_s, b_s) for b_s in b]
+        self._err_b = [scale * err_b for scale in self._err_scale]
+        stack_b *= -2.0  # exact: the matmul then gives -2 a.b
+        self._b_m2 = b
+        shape = (self.BLOCK_ROWS, n_b)
+        self._q, self._bound = np.empty(shape), np.empty(shape)
+        self._den, self._r = np.empty(shape), np.empty(shape)
         self._bad = np.empty(shape, dtype=bool)
 
-    def _fill(self, series, row) -> None:
-        np.take(_centre(series, self._masks), self._order, out=row)
+    def _centred(self, series) -> np.ndarray:
+        """The rows of a 2-D block, season-centred, in season order."""
+        return _centre(np.take(series, self._order, axis=1), self._seasons)
 
-    def scores(self, series_a) -> np.ndarray:
-        """(len(series_a), n_b) q of each A series against every B series;
-        NaN marks an invalid pair. The result is a view of a buffer that
+    def scores(self, series_a, err_a=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(q, bound), each (len(series_a), n_b): q of each row of the 2-D
+        block `series_a` against every B series, NaN marking an invalid
+        pair, and the bound on its error. Both are views of buffers that
         the next call overwrites."""
-        k = len(series_a)
-        a = self._a[:k]
-        for row, s in zip(a, series_a):
-            self._fill(s, row)
-        q, den, r, bad = self._q[:k], self._den[:k], self._r[:k], self._bad[:k]
+        a = self._centred(series_a)
+        k = len(a)
+        err_a = np.broadcast_to(np.asarray(err_a, dtype=float), (k,))[:, None]
+        q, bound, den, r, bad = (buf[:k] for buf in (
+            self._q, self._bound, self._den, self._r, self._bad))
         q.fill(0.0)
-        for s, b, ys, yy, b_y, b_sq in zip(self._seasons, self._b, self._y, self._yy,
-                                           self._b_y, self._b_sq):
-            a_s = a[:, s]
-            a_sq = np.einsum("ij,ij->i", a_s, a_s)[:, None]
-            np.matmul(a_s, b.T, out=den)
-            den *= -2.0
-            den += a_sq
-            den += b_sq
-            np.add(a_sq, b_sq, out=r)
-            r *= _GRAM_DEGENERATE
-            np.less_equal(den, r, out=bad)
-            # a kept pair has den > 0, so r is finite unless y is 0 in
-            # this season, and then it is 0 / 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                den *= yy
-                np.sqrt(den, out=den)
-                np.subtract(b_y, (a_s @ ys)[:, None], out=r)
+        bound.fill(0.0)
+        bad.fill(False)
+        # a kept pair has |b - a|^2 > 0, so every ratio below is finite; a
+        # dropped one may divide by 0 or take the root of a negative. r is
+        # finite unless y is 0 in the season, and then it is 0 / 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, ys, yy, b_m2, b_y, b_sq, err_b, scale in zip(
+                    self._seasons, self._y, self._yy, self._b_m2, self._b_y, self._b_sq,
+                    self._err_b, self._err_scale):
+                a_s = a[:, s]
+                a_sq = np.einsum("ij,ij->i", a_s, a_s)[:, None]
+                np.matmul(a_s, b_m2.T, out=den)
+                np.add(a_sq, b_sq, out=r)
+                den += r  # |b - a|^2
                 r /= den
-            np.copyto(r, np.nan, where=bad)
-            np.clip(r, -1.0, 1.0, out=r)
-            r *= r
-            q += r
+                bad |= r >= 1.0 / _GRAM_DEGENERATE
+                r *= self._rounding
+                bound += r
+                np.sqrt(den, out=den)
+                np.add(scale * err_a, err_b, out=r)
+                r /= den
+                bound += r
+                np.subtract(b_y, (a_s @ ys)[:, None] / math.sqrt(yy), out=r)
+                r /= den
+                r *= r
+                q += r
         q *= 0.5
-        return q
+        np.copyto(q, np.nan, where=bad)
+        np.minimum(q, 1.0, out=q)
+        return q, bound
 
 
 def objective_q(r_onset, r_retreat):

@@ -269,8 +269,19 @@ def write_clusters_csv(clusters: list[Cluster], path: str | os.PathLike) -> None
 
 
 def read_clusters_csv(path: str | os.PathLike) -> dict[int, set[str]]:
+    """Read `cluster_id,station_id` rows into each cluster's member ids. A
+    station listed under a second cluster is a FormatError naming its line
+    and both clusters."""
+    cluster_of: dict[str, int] = {}
+
+    def row(cid, sid):
+        cid = int(cid)
+        if cluster_of.setdefault(sid, cid) != cid:
+            raise ValueError(f"station {sid} is listed under clusters "
+                             f"{cluster_of[sid]} and {cid}")
+        return cid, sid
+
     out: dict[int, set[str]] = {}
-    for cid, sid in read_csv_rows(path, ["cluster_id", "station_id"],
-                                  lambda cid, sid: (int(cid), sid)):
+    for cid, sid in read_csv_rows(path, ["cluster_id", "station_id"], row):
         out.setdefault(cid, set()).add(sid)
     return out

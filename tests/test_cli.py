@@ -332,6 +332,22 @@ class TestConfigFile:
         assert dispatch(["cluster", "--config", str(cfg), "--out", str(flag_out)]) == 0
         assert flag_out.exists()
 
+    def test_misspelt_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"timestep": 5}))
+        assert dispatch(["optimize", "--config", str(cfg)]) == 2
+        assert "'timestep'" in capsys.readouterr().err
+
+    def test_other_subcommands_keys_are_accepted(self, world, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "stations": str(world / "stations.csv"),
+            "out": str(tmp_path / "from_config.csv"),
+            "timesteps": 5, "step": 1.0, "folds": ["1982-1990:1991:1992"],
+        }))
+        assert dispatch(["cluster", "--config", str(cfg)]) == 0
+        assert (tmp_path / "from_config.csv").exists()
+
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
                              ids=["missing", "bad-json", "not-object"])
     @pytest.mark.parametrize("spelling", ["space", "equals"])

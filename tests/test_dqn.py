@@ -13,8 +13,11 @@ from nemonsoon.dqn import (
     act,
     epsilon_at,
     exhaustive_search,
+    _Lattice,
+    _fill_series,
     _placements,
     _shift_area,
+    _table,
     lane_buffer,
     td_targets,
     train,
@@ -465,6 +468,166 @@ class TestGramOracle:
         assert abs(report.q - q) <= 1e-12
         assert not np.array_equal(area_mean_series(field, best_a),
                                   area_mean_series(field, best_b))
+
+
+# templates for the summed-area path on a 0.5 degree grid: single rects of
+# one cell to 3x2 cells, two overlapping rects, two disjoint rects and three
+# rects that overlap pairwise
+_TABLE_TEMPLATES = [
+    AreaSet.of(Rect(0.0, 0.25, 100.0, 100.25)),
+    AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5)),
+    AreaSet.of(Rect(0.0, 1.0, 100.0, 100.5)),
+    AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5), Rect(0.25, 1.0, 100.25, 100.75)),
+    AreaSet.of(Rect(0.0, 0.5, 100.0, 100.25), Rect(0.5, 1.0, 100.0, 100.5)),
+    AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5), Rect(0.5, 1.0, 100.0, 100.25),
+               Rect(0.0, 1.0, 100.25, 100.5)),
+]
+
+
+def _table_world(seed, land, nan_cells, inf_cell, nt=36, nlat=6, nlon=7):
+    """A field with land, cells that are NaN in some months only, and
+    optionally a cell that is infinite in one month."""
+    rng = np.random.default_rng(seed)
+    signal = rng.normal(size=nt)
+    vals = (20.0 + rng.normal(0, 0.5, size=(nt, nlat, nlon))
+            + signal[:, None, None] * rng.normal(size=(nlat, nlon)))
+    vals[:, rng.random((nlat, nlon)) < land] = np.nan
+    for _ in range(nan_cells):
+        months = rng.random(nt) < 0.2
+        vals[months, rng.integers(nlat), rng.integers(nlon)] = np.nan
+    if inf_cell:
+        vals[rng.integers(nt), rng.integers(nlat), rng.integers(nlon)] = np.inf
+    field = make_field(vals.astype(np.float32))
+    y_on = rng.uniform(0, 2) * signal + rng.normal(size=nt)
+    y_re = rng.uniform(0, 2) * signal + rng.normal(size=nt)
+    return field, y_on, y_re
+
+
+def _lattices(field, templates, domain, step, min_ocean):
+    ocean = _table(field.ocean_mask()[None].astype(np.int64))
+    lattices = [_Lattice(t, domain, step, field.spec, ocean, min_ocean) for t in templates]
+    return lattices, _fill_series(field, lattices)
+
+
+def _padded(domain, pad):
+    return Rect(domain.lat_min - pad, domain.lat_max + pad,
+                domain.lon_min - pad, domain.lon_max + pad)
+
+
+_STEPS = [0.25, 0.5, 0.75, 1.0]
+
+
+class TestTablePath:
+    @given(st.integers(0, 10_000), st.floats(0.0, 0.5), st.integers(0, 2), st.booleans(),
+           st.sampled_from(range(len(_TABLE_TEMPLATES))), st.sampled_from(_STEPS),
+           st.sampled_from([0.0, 0.5]), st.sampled_from([0.5, 0.8]))
+    @settings(max_examples=80, deadline=None)
+    def test_series_match_ocean_series(self, seed, land, nan_cells, inf_cell, template,
+                                       step, pad, min_ocean):
+        """The tables decide the area constraint as `ocean_series` does, put
+        the non-finite months in the same places, and keep every finite
+        month within the stated bound. A padded domain puts placements
+        across the grid's edge."""
+        field, _, _ = _table_world(seed, land, nan_cells, inf_cell)
+        (lattice,), peak = _lattices(field, [_TABLE_TEMPLATES[template]],
+                                     _padded(field.spec.domain(), pad), step, min_ocean)
+        err = lattice.error(peak)
+        fits = list(lattice.fits)
+        for k, offset in enumerate(lattice.offsets):
+            want, _ = index.ocean_series(field, _shift_area(lattice.template, *offset),
+                                         min_ocean)
+            assert (k in fits) == (want is not None)
+            if want is None:
+                continue
+            row = fits.index(k)
+            got = lattice.series[row].astype(float)
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(np.isfinite(got), finite)
+            assert (np.abs(got - want)[finite] <= err[row]).all()
+
+    @given(st.integers(0, 10_000), st.floats(0.0, 0.4), st.integers(0, 1), st.booleans(),
+           st.sampled_from(range(len(_TABLE_TEMPLATES))),
+           st.sampled_from(range(len(_TABLE_TEMPLATES))), st.sampled_from(_STEPS))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_covers_exact_q(self, seed, land, nan_cells, inf_cell, ta, tb, step):
+        """Every pair's table q lies within its bound of `PairObjective`'s q
+        on the `area_mean_series` series; a pair that only the exact path
+        finds invalid has a bound of at least 1, so it is always scored
+        again when near the best."""
+        field, y_on, y_re = _table_world(seed, land, nan_cells, inf_cell)
+        months = field.spec.months()
+        (lat_a, lat_b), peak = _lattices(field, [_TABLE_TEMPLATES[ta], _TABLE_TEMPLATES[tb]],
+                                         field.spec.domain(), step, 0.5)
+        rows_a, rows_b = (np.flatnonzero(np.isfinite(lat.series).all(axis=1))
+                          for lat in (lat_a, lat_b))
+        if not len(rows_a) or not len(rows_b):
+            return
+        scorer = index.PairScorer(months, index.season_target(y_on, y_re, months),
+                                  lat_b.series[rows_b].astype(float), lat_b.error(peak)[rows_b])
+        objective = index.PairObjective(field, y_on, y_re, 0.5)
+        # every B placement against a sample of A placements
+        rows_a = np.random.default_rng(seed).permutation(rows_a)[:8]
+        q, bound = scorer.scores(lat_a.series[rows_a], lat_a.error(peak)[rows_a])
+        for i, ra in enumerate(rows_a):
+            for j, rb in enumerate(rows_b):
+                exact = objective(lat_a.area(ra), lat_b.area(rb)).q
+                if np.isnan(exact):
+                    assert np.isnan(q[i, j]) or bound[i, j] >= 1.0
+                elif not np.isnan(q[i, j]):
+                    assert abs(q[i, j] - exact) <= bound[i, j]
+
+    @given(st.integers(0, 10_000), st.integers(12, 120), st.integers(1, 12),
+           st.integers(1, index.PairScorer.BLOCK_ROWS), st.floats(1e-3, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_block_centring_is_byte_equal_to_rows(self, seed, nt, m0, rows, scale):
+        rng = np.random.default_rng(seed)
+        months = (m0 - 1 + np.arange(nt)) % 12 + 1
+        block = 20.0 + scale * rng.normal(size=(rows, nt))
+        scorer = index.PairScorer(months, rng.normal(size=nt), block.copy())
+        order = np.concatenate([np.flatnonzero(sel) for sel in index.season_masks(months)])
+        want = np.array([np.take(index.season_centre(row, months), order) for row in block])
+        assert scorer._centred(block).tobytes() == want.tobytes()
+
+    def test_near_tie_goes_to_the_exact_best(self):
+        """B's 2x2 blocks in rows 0-1 and rows 2-3 hold the same four cell
+        series in reverse order, but for one value one float32 step lower:
+        their float64 table means differ by that step, while
+        `area_mean_series` also adds the float32 values in another order.
+        The table q prefers rows 0-1 by 2.3e-8 and the exact q rows 2-3 by
+        2.4e-8; the oracle returns the exact best. Column 2 holds A's best
+        cell and noise."""
+        nt = 48
+        rng = np.random.default_rng(0)
+        signal = rng.normal(size=nt)
+        vals = 20.0 + rng.normal(0, 0.5, size=(nt, 4, 3))
+        vals[:, 0, :2] += 1.5 * signal[:, None]
+        vals[:, 1, :2] += 0.5 * signal[:, None]
+        vals[:, 2:, :2] = vals[:, 1::-1, 1::-1]
+        vals[:, :, 2] = 20.0 + rng.normal(0, 3.0, size=(nt, 4))
+        vals[:, 0, 2] = 20.0 - signal + rng.normal(0, 0.3, size=nt)
+        vals = vals.astype(np.float32)
+        vals[4, 3, 1] = np.nextafter(vals[4, 3, 1], np.float32(-np.inf))
+        field = make_field(vals)
+        y_on = signal + rng.normal(size=nt)
+        y_re = signal + rng.normal(size=nt)
+        a = AreaSet.of(Rect(0.0, 0.25, 101.0, 101.25))
+        b = AreaSet.of(Rect(0.0, 0.5, 100.0, 100.5))
+        domain = field.spec.domain()
+        args = (field, y_on, y_re, a, b, domain)
+        (want_a, want_b), want_q = reference_exhaustive_search(*args)
+        (got_a, got_b), got_q = exhaustive_search(*args)
+        assert (got_a, got_b) == (want_a, want_b)
+        assert abs(got_q - want_q) <= 1e-12
+        # the table alone would pick the other block
+        months = field.spec.months()
+        (lat_a, lat_b), _ = _lattices(field, [a, b], domain, 0.5, 0.8)
+        scorer = index.PairScorer(months, index.season_target(y_on, y_re, months),
+                                  lat_b.series.astype(float))
+        q, _ = scorer.scores(lat_a.series)
+        ia, ib = np.unravel_index(np.nanargmax(q), q.shape)
+        assert want_b == AreaSet.of(Rect(1.0, 1.5, 100.0, 100.5))
+        assert (lat_a.area(ia), lat_b.area(ib)) == (want_a, b)
+        assert index.PairObjective(field, y_on, y_re)(want_a, b).q < want_q - 1e-8
 
 
 @pytest.mark.parametrize("value", [7.1, 0.3])

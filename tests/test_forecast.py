@@ -1,5 +1,10 @@
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -488,6 +493,15 @@ class TestTraining:
             np.testing.assert_array_equal(predict_one(models[k], x), predict_one(solo, x))
 
 
+def _alive(pid: int) -> bool:
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestGridPool:
     """grid_search trains its configs in forked worker processes."""
 
@@ -581,6 +595,55 @@ class TestGridPool:
         with pytest.raises(NonFiniteLossError, match="forecast loss became"):
             grid_search(train_x, train_y, val_x, val_y, grid, seed=0)
         assert len(forks) == 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    def test_workers_die_with_their_parent(self, tmp_path):
+        """SIGTERM to a process inside a slow grid search leaves none of its
+        workers running: forked, they hold the pool's pipes themselves."""
+        script = tmp_path / "slow_grid.py"
+        script.write_text(textwrap.dedent(f"""
+            import os
+            import numpy as np
+            from nemonsoon import forecast
+
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            train = forecast._train_config
+
+            def announce(*args, **kwargs):
+                open(os.path.join({str(tmp_path)!r}, f"worker-{{os.getpid()}}"), "w").close()
+                return train(*args, **kwargs)
+
+            forecast._train_config = announce
+            data = np.random.default_rng(0)
+            x, y = data.normal(size=(8, 3, 2)), data.normal(size=(8, {HORIZON}))
+            grid = [forecast.ForecasterConfig(hidden=h, max_epochs=10**6, patience=10**6)
+                    for h in (3, 4)]
+            forecast.grid_search([x[:6]], [y[:6]], [x[6:]], [y[6:]], grid, seed=0)
+        """))
+        src = os.path.dirname(os.path.dirname(forecast.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, str(script)], env=env)
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = [int(f.name.split("-")[1]) for f in tmp_path.glob("worker-*")]
+            assert len(pids) == 2, "the workers did not start"
+            proc.terminate()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in filter(_alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_model_pickles_with_params_as_views_of_flat(self):
         model = LSTMForecaster([2, 3], ForecasterConfig(hidden=3, layers=2),

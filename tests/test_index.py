@@ -202,21 +202,21 @@ class TestPairScorer:
         sa, sb = series[:n_a], series[n_a:]
         sa[0] = sb[-1]  # an identical pair: degenerate, never a q
         target = season_target(y_on, y_re, months)
-        scorer = PairScorer(months, target, list(sb))
+        scorer = PairScorer(months, target, sb.astype(float))
         for lo in range(0, n_a, block_rows):
-            got = scorer.scores(list(sa[lo:lo + block_rows]))
+            got, _ = scorer.scores(sa[lo:lo + block_rows])
             for k, s in enumerate(sa[lo:lo + block_rows]):
                 want = seasonal_scores(season_centre(sb, months) - season_centre(s, months),
                                        target, months)[2]
                 np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)  # NaN == NaN
-        assert np.isnan(scorer.scores([sa[0]])[0, -1])
+        assert np.isnan(scorer.scores(sa[:1])[0][0, -1])
 
     def test_target_constant_in_a_season_scores_nan(self):
         _, raw, y_on, _ = _series(5, 36)
         months = month_axis("1982-01", 36)
         target = season_target(y_on, np.full(36, 7.0), months)
-        scorer = PairScorer(months, target, [raw, raw * 2.0 + 1.0])
-        assert np.isnan(scorer.scores([raw[::-1].copy()])).all()
+        scorer = PairScorer(months, target, np.array([raw, raw * 2.0 + 1.0]))
+        assert np.isnan(scorer.scores(raw[None, ::-1])[0]).all()
 
 
 class TestBatchedScorer:
@@ -345,8 +345,8 @@ class TestExactlyConstant:
         months = month_axis("2000-01", self.NT)
         target = season_target(y_on, np.full(self.NT, value), months)
         assert not target[~np.isin(months, list(ONSET_MONTHS))].any()
-        scorer = PairScorer(months, target, [raw, raw * 2.0 + 1.0])
-        assert np.isnan(scorer.scores([raw[::-1].copy(), rng.normal(size=self.NT)])).all()
+        scorer = PairScorer(months, target, np.array([raw, raw * 2.0 + 1.0]))
+        assert np.isnan(scorer.scores(np.array([raw[::-1], rng.normal(size=self.NT)]))[0]).all()
 
     def test_index_row_invalid(self):
         field, _, _, y = self._world()

@@ -272,3 +272,10 @@ class TestCSV:
         write_clusters_csv(clusters, path)
         back = read_clusters_csv(path)
         assert back == {1: {"A", "B"}, 2: {"C"}}
+
+    def test_station_in_two_clusters_rejected(self, tmp_path):
+        # a mis-merged file would put S001's rain into both targets
+        path = tmp_path / "clusters.csv"
+        path.write_text("cluster_id,station_id\n1,S001\n2,S001\n2,S002\n")
+        with pytest.raises(FormatError, match="line 3 .*station S001 is listed under clusters 1 and 2"):
+            read_clusters_csv(path)
