@@ -209,7 +209,12 @@ def _cmd_synth(args) -> None:
 
 def _cmd_cluster(args) -> None:
     params = _checked(stations.ClusterParams, d=args.d, n=args.n)
-    clusters = stations.run_clustering(stations.read_stations_csv(args.stations), params)
+    sts = stations.read_stations_csv(args.stations)
+    usable = len(stations.qc_filter(sts))
+    if usable < 2:
+        raise ConfigError(f"{args.stations} has {usable} usable station(s) after QC; "
+                          f"clustering needs at least 2")
+    clusters = stations.run_clustering(sts, params)
     stations.write_clusters_csv(clusters, args.out)
     print(f"{len(clusters)} clusters written to {args.out}")
 

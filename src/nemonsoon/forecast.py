@@ -22,7 +22,7 @@ from .errors import (
     SkippedCluster,
     ZeroVarianceError,
 )
-from .geogrid import atomic_write, month_axis, month_slots, read_csv_rows, year_axis
+from .geogrid import MonthColumns, atomic_write, month_axis, read_csv_rows, year_axis
 from .index import pearson
 
 WINDOW = 24
@@ -637,20 +637,16 @@ def write_indices_csv(indices: dict[str, np.ndarray], t0: str, path) -> None:
 def read_indices_csv(path) -> tuple[dict[str, np.ndarray], str]:
     """Read aligned monthly indices; returns ({name: series}, t0). A second
     row for an index and month is a FormatError naming its line."""
-    seen: set[tuple[str, int, int]] = set()
+    code_of: dict[str, int] = {}
+    cols = MonthColumns("index")
 
     def row(name, y, m, v):
-        key = (name, int(y), int(m))
-        if key in seen:
-            raise ValueError(f"index {name}: second row for {key[1]}-{key[2]:02d}")
-        seen.add(key)
-        return (*key, float(v))
+        cols.claim(code_of.setdefault(name, len(code_of)), cols.month(y, m), name)
+        cols.values.append(float(v))
 
-    rows = read_csv_rows(path, ["index_name", "year", "month", "value"], row)
-    t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
-    out: dict[str, np.ndarray] = {}
-    for (name, _, _, v), k in zip(rows, slots.tolist()):
-        out.setdefault(name, np.full(nt, np.nan))[k] = v
+    read_csv_rows(path, ["index_name", "year", "month", "value"], row)
+    t0, grid = cols.grid(len(code_of))
+    out = {name: grid[code] for name, code in code_of.items()}
     for name, series in out.items():
         if not np.isfinite(series).all():
             raise FormatError(f"index {name!r} has gaps or non-finite values on the common axis")

@@ -1,5 +1,6 @@
 """Gridded SST data model (grid geometry, rectangles, area reductions, the grid.json + sst.f32
-format) and the helpers every file format shares: monthly axis, CSV row reader, atomic write."""
+format) and the helpers every file format shares: monthly axis, CSV row reader, monthly CSV
+columns, atomic write."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -63,6 +65,46 @@ def month_slots(years, months, t0: str | None = None,
     y0, m0 = parse_ym(t0)
     slots = count - (y0 * 12 + (m0 - 1))
     return t0, int(slots.max(initial=-1)) + 1, slots
+
+
+class MonthColumns:
+    """Monthly CSV rows of numbered series, kept as compact typed columns
+    while a file is read row by row. Each distinct (year, month) text is
+    parsed once; `grid` places the rows on one monthly axis."""
+
+    def __init__(self, kind: str):
+        self._kind = kind  # what a series is, for messages: "station", "index"
+        self._text: dict[tuple[str, str], int] = {}
+        self._months: dict[tuple[int, int], int] = {}  # parsed -> code
+        self._seen: set[tuple[int, int]] = set()
+        self._codes, self._yms, self.values = array("q"), array("q"), array("d")
+
+    def month(self, year: str, month: str) -> int:
+        """The code of the parsed (year, month) this text stands for."""
+        ym = self._text.get((year, month))
+        if ym is None:
+            ym = self._text[year, month] = self._months.setdefault(
+                (int(year), int(month)), len(self._months))
+        return ym
+
+    def claim(self, code: int, ym: int, name: str) -> None:
+        """Append a row of series `code` (called `name`) for month code
+        `ym`; the caller appends its value. A second row for that series
+        and month is a ValueError."""
+        if (code, ym) in self._seen:
+            year, month = list(self._months)[ym]
+            raise ValueError(f"{self._kind} {name}: second row for {year}-{month:02d}")
+        self._seen.add((code, ym))
+        self._codes.append(code)
+        self._yms.append(ym)
+
+    def grid(self, count: int) -> tuple[str, np.ndarray]:
+        """The axis start and a (count, nt) grid of the values, NaN where a
+        series has no row, on the axis `month_slots` spans."""
+        t0, nt, slots = month_slots(*zip(*self._months))
+        out = np.full((count, nt), np.nan)
+        out[np.asarray(self._codes), slots[np.asarray(self._yms)]] = np.asarray(self.values)
+        return t0, out
 
 
 @dataclass(frozen=True)

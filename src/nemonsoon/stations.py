@@ -4,6 +4,7 @@ imputation, feature building, PCA, and greedy centroid-linkage clustering."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -11,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateColumnError, NoObservationsError
-from .geogrid import atomic_write, month_axis, month_slots, read_csv_rows, year_axis
+from .geogrid import MonthColumns, atomic_write, month_axis, read_csv_rows, year_axis
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "year", "month", "rain_mm"]
 FEATURE_NAMES = ["lat", "lon"] + [f"clim_{m:02d}" for m in range(1, 13)]
@@ -154,28 +155,38 @@ def cluster_stations(
     """Greedy centroid-linkage agglomeration: repeatedly merge the closest
     pair of clusters while their centroid distance is below d.
 
-    Ties pick the lexicographically smallest pair of working ids (a working
-    id is the smallest member row index). Final ids run 1..K by descending
-    size, then by smallest member id.
+    Pairs of working ids (a working id is the smallest member row index)
+    are taken in lexicographic order, and a later pair is closer only when
+    its distance is more than 1e-12 below the closest so far, so near-ties
+    pick the earlier pair. Final ids run 1..K by descending size, then by
+    smallest member id.
+
+    The centroid distances are kept in an upper-triangle matrix (+inf
+    below the diagonal and for merged-away ids), whose row-major order is
+    the pairs' lexicographic order; a merge recomputes one row and column.
     """
     if features.shape[0] != len(stations):
         raise ValueError("features rows must match stations")
-    groups: dict[int, list[int]] = {i: [i] for i in range(len(stations))}
-    centroids: dict[int, np.ndarray] = {i: features[i].copy() for i in range(len(stations))}
+    n = len(stations)
+    groups: dict[int, list[int]] = {i: [i] for i in range(n)}
+    centroids = [features[i].copy() for i in range(n)]
+    dist = np.full((n, n), np.inf)
+    for a in range(n):
+        for b in range(a + 1, n):
+            dist[a, b] = float(np.linalg.norm(centroids[a] - centroids[b]))
     while len(groups) > 1:
-        best = None
-        ids = sorted(groups)
-        for a_pos, a in enumerate(ids):
-            for b in ids[a_pos + 1:]:
-                dist = float(np.linalg.norm(centroids[a] - centroids[b]))
-                if best is None or dist < best[0] - 1e-12:
-                    best = (dist, a, b)
-        if best is None or best[0] >= params.d:
+        # groups keeps its keys ascending (they are only ever removed)
+        first, second = itertools.islice(groups, 2)
+        a, b = divmod(_scan_closest(dist.ravel(), first * n + second), n)
+        if dist[a, b] >= params.d:
             break
-        _, a, b = best
-        groups[a].extend(groups[b])
-        del groups[b], centroids[b]
+        groups[a].extend(groups.pop(b))
+        dist[b, :] = dist[:, b] = np.inf
         centroids[a] = features[groups[a]].mean(axis=0)
+        for c in groups:
+            if c != a:
+                lo, hi = min(a, c), max(a, c)
+                dist[lo, hi] = float(np.linalg.norm(centroids[lo] - centroids[hi]))
     ordered = sorted(
         groups.values(), key=lambda members: (-len(members), min(members))
     )
@@ -187,6 +198,18 @@ def cluster_stations(
         )
         for k, members in enumerate(ordered)
     ]
+
+
+def _scan_closest(flat: np.ndarray, pos: int) -> int:
+    """The flat index at which a scan of `flat` from `pos` onward ends
+    when a later entry replaces the closest so far only if it is more than
+    1e-12 below it: hop to the first such entry until there is none."""
+    while True:
+        later = flat[pos + 1:] < flat[pos] - 1e-12
+        k = int(later.argmax())
+        if not later[k]:
+            return pos
+        pos += 1 + k
 
 
 def cluster_mean_series(member_ids, stations: list[Station]) -> np.ndarray:
@@ -212,36 +235,36 @@ def read_stations_csv(path: str | os.PathLike) -> list[Station]:
     """Read `station_id,lat,lon,year,month,rain_mm` rows onto a common
     monthly axis (missing rain = empty field or absent row). A second row
     for a station and month, or a row whose lat/lon differ from the
-    station's first row, is a FormatError naming its line."""
+    station's first row, is a FormatError naming its line. A row's lat/lon
+    are parsed only when their text differs from its station's first row."""
+    raw_sites: dict[str, tuple[str, str]] = {}
     sites: dict[str, tuple[float, float]] = {}
-    seen: set[tuple[str, int, int]] = set()
+    code_of: dict[str, int] = {}
+    cols = MonthColumns("station")
+    month_code, claim, add_value = cols.month, cols.claim, cols.values.append
 
-    def row(*fields):
-        sid, lat, lon, year, month, rain = _station_row(*fields)
-        if sites.setdefault(sid, (lat, lon)) != (lat, lon):
-            raise ValueError(f"station {sid}: site ({lat}, {lon}) differs from "
+    def row(sid, lat, lon, year, month, rain):
+        first = raw_sites.get(sid)
+        moved = first != (lat, lon)
+        if moved:
+            site = float(lat), float(lon)
+            _check_site(sid, *site)
+        value = float(rain) if rain else math.nan
+        if value < 0 or value == math.inf:
+            raise ValueError(f"station {sid}: rain_mm {value} is negative or infinite")
+        ym = month_code(year, month)
+        if first is None:
+            raw_sites[sid], sites[sid], code_of[sid] = (lat, lon), site, len(code_of)
+        elif moved and sites[sid] != site:
+            raise ValueError(f"station {sid}: site ({site[0]}, {site[1]}) differs from "
                              f"its first row's {sites[sid]}")
-        if (sid, year, month) in seen:
-            raise ValueError(f"station {sid}: second row for {year}-{month:02d}")
-        seen.add((sid, year, month))
-        return sid, year, month, rain
+        claim(code_of[sid], ym, sid)
+        add_value(value)
 
-    rows = read_csv_rows(path, STATIONS_HEADER, row)
-    t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
-    rain = {sid: np.full(nt, np.nan) for sid in sites}
-    for (sid, _, _, value), k in zip(rows, slots.tolist()):
-        rain[sid][k] = value
-    return [Station(id=sid, lat=lat, lon=lon, t0=t0, rain=rain[sid])
+    read_csv_rows(path, STATIONS_HEADER, row)
+    t0, rain = cols.grid(len(code_of))
+    return [Station(id=sid, lat=lat, lon=lon, t0=t0, rain=rain[code_of[sid]])
             for sid, (lat, lon) in sorted(sites.items())]
-
-
-def _station_row(sid, lat, lon, year, month, rain):
-    lat, lon = float(lat), float(lon)
-    _check_site(sid, lat, lon)
-    rain = float(rain) if rain else math.nan
-    if rain < 0 or rain == math.inf:
-        raise ValueError(f"station {sid}: rain_mm {rain} is negative or infinite")
-    return sid, lat, lon, int(year), int(month), rain
 
 
 def write_stations_csv(stations: list[Station], path: str | os.PathLike) -> None:

@@ -70,6 +70,26 @@ class TestCluster:
             by_cluster.setdefault(int(r["cluster_id"]), set()).add(r["station_id"][0])
         assert all(len(initials) == 1 for initials in by_cluster.values())
 
+    @pytest.mark.parametrize("sites, gappy, usable", [
+        ([(1.0, 100.0)], False, 1),
+        ([(1.0, 100.0), (5.0, 104.0)], True, 0),
+    ], ids=["one-station", "qc-drops-both"])
+    def test_fewer_than_two_usable_stations_is_config_error(self, tmp_path, capsys,
+                                                            sites, gappy, usable):
+        rain = np.full(36, 80.0)
+        if gappy:
+            rain[::12] = np.nan  # every January missing: QC drops the station
+        path = tmp_path / "stations.csv"
+        write_stations_csv([Station(f"S{k}", lat, lon, "2000-01", rain)
+                            for k, (lat, lon) in enumerate(sites)], path)
+        rc = dispatch(["cluster", "--stations", str(path),
+                       "--out", str(tmp_path / "clusters.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} has {usable} usable station(s) after QC; "
+                       f"clustering needs at least 2\n")
+        assert not (tmp_path / "clusters.csv").exists()
+
 
 class TestEvaluate:
     def test_planted_areas_score(self, world, clustered, tmp_path, capsys):

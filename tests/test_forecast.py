@@ -20,6 +20,7 @@ from nemonsoon.errors import (
     SkippedCluster,
     ZeroVarianceError,
 )
+from nemonsoon.geogrid import month_slots, read_csv_rows
 from nemonsoon.forecast import (
     FOLD1,
     FOLD2,
@@ -735,6 +736,40 @@ class TestAblation:
                                 include_target_history=False)
 
 
+
+# one fault written into one row's fields (a list of four strings)
+INDEX_FAULTS = {
+    "bad year": lambda f: f[:1] + ["19x0"] + f[2:],
+    "bad month": lambda f: f[:2] + ["0"] + f[3:],
+    "bad value": lambda f: f[:3] + ["1e"],
+    "nan value": lambda f: f[:3] + ["nan"],
+    "duplicate month": None,  # the row is written twice
+    "too few fields": lambda f: f[:3],
+}
+
+
+def reference_read_indices_csv(path):
+    """The reader `read_indices_csv` replaced: one tuple per row."""
+    seen = set()
+
+    def row(name, y, m, v):
+        key = (name, int(y), int(m))
+        if key in seen:
+            raise ValueError(f"index {name}: second row for {key[1]}-{key[2]:02d}")
+        seen.add(key)
+        return (*key, float(v))
+
+    rows = read_csv_rows(path, ["index_name", "year", "month", "value"], row)
+    t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
+    out = {}
+    for (name, _, _, v), k in zip(rows, slots.tolist()):
+        out.setdefault(name, np.full(nt, np.nan))[k] = v
+    for name, series in out.items():
+        if not np.isfinite(series).all():
+            raise FormatError(f"index {name!r} has gaps or non-finite values on the common axis")
+    return out, t0
+
+
 class TestReportCSV:
     def test_report_round_trip_text(self, tmp_path):
         rows = [
@@ -756,6 +791,38 @@ class TestReportCSV:
         assert t0 == "1990-01"
         for name in indices:
             np.testing.assert_array_equal(back[name], indices[name])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3), nt=st.integers(1, 30),
+           faults=st.lists(st.sampled_from(sorted(INDEX_FAULTS)), max_size=2))
+    # a second row for a month whose value is also bad: the duplicate comes first
+    @example(seed=0, count=2, nt=6, faults=["duplicate month", "bad value"])
+    def test_indices_match_row_tuple_reader(self, tmp_path_factory, seed, count, nt, faults):
+        rng = np.random.default_rng(seed)
+        lines = [f"I{k},{0 if rng.random() < 0.3 else ''}{1990 + t // 12},{t % 12 + 1},"
+                 f"{rng.normal()!r}" for k in range(count) for t in range(nt)]
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        hit = []
+        for fault in faults:  # the second fault hits the first one's row half the time
+            k = hit[0] if hit and rng.random() < 0.5 else int(rng.integers(len(lines)))
+            if fault == "duplicate month":  # a later fault may hit the copy
+                copy = int(rng.integers(len(lines) + 1))
+                lines.insert(copy, lines[k])
+                k = copy
+            else:
+                lines[k] = ",".join(INDEX_FAULTS[fault](lines[k].split(",")))
+            hit.append(k)
+        path = tmp_path_factory.mktemp("indices") / "indices.csv"
+        path.write_text("\n".join(["index_name,year,month,value"] + lines) + "\n")
+
+        def outcome(read):
+            try:
+                out, t0 = read(path)
+                return t0, [(name, series.tobytes()) for name, series in out.items()]
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(read_indices_csv) == outcome(reference_read_indices_csv)
 
     def test_indices_gap_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

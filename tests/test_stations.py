@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from nemonsoon.errors import DegenerateColumnError, FormatError, NoObservationsError
 from nemonsoon.stations import (
+    STATIONS_HEADER,
     Cluster,
     ClusterParams,
     Station,
@@ -20,8 +23,9 @@ from nemonsoon.stations import (
     run_clustering,
     write_clusters_csv,
     write_stations_csv,
+    _check_site,
 )
-from nemonsoon.geogrid import month_axis
+from nemonsoon.geogrid import month_axis, month_slots, read_csv_rows
 
 
 def make_station(sid="S0", lat=10.0, lon=100.0, years=5, base=100.0, seed=0):
@@ -197,6 +201,37 @@ class TestClustering:
         assert sizes == sorted(sizes, reverse=True)
         assert [c.id for c in clusters] == list(range(1, len(clusters) + 1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=hst.integers(2, 30), dim=hst.integers(1, 4),
+           kind=hst.sampled_from(["lattice", "near-tie", "gaussian"]),
+           d=hst.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 1e9]), seed=hst.integers(0, 2**16))
+    def test_matches_rescanning_loop(self, n, dim, kind, d, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            feats = rng.normal(size=(n, dim))
+        else:  # small integer lattices hold many exact distance ties
+            feats = rng.integers(-2, 3, size=(n, dim)).astype(float)
+            if kind == "near-tie":
+                feats += rng.choice([-1e-13, 0.0, 1e-13], size=(n, dim))
+        stations = [make_station(f"S{i:02d}", years=1) for i in range(n)]
+        params = ClusterParams(d=d, n=2)
+        got = cluster_stations(stations, feats, params)
+        want = reference_cluster_stations(stations, feats, params)
+        assert [(c.id, c.member_ids, c.centroid.tobytes()) for c in got] == \
+            [(c.id, c.member_ids, c.centroid.tobytes()) for c in want]
+
+    def test_distance_count_grows_with_merges_not_rescans(self, monkeypatch):
+        n = 60
+        feats = np.random.default_rng(7).normal(size=(n, 2))
+        stations = [make_station(f"S{i:02d}", years=1) for i in range(n)]
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x: calls.append(1) or norm(x))
+        clusters = cluster_stations(stations, feats, ClusterParams(d=1.0, n=2))
+        merges = n - len(clusters)
+        assert merges > n // 2
+        assert len(calls) <= n * (n - 1) // 2 + merges * (n - 1)
+
     def test_mean_series(self):
         s1 = Station("A", 0, 0, "2000-01", np.full(12, 10.0))
         s2 = Station("B", 0, 0, "2000-01", np.full(12, 30.0))
@@ -218,6 +253,107 @@ class TestClustering:
         assert len(clusters) == 2
         groups = sorted(sorted(c.member_ids) for c in clusters)
         assert groups == [["S0", "S1", "S2", "S3"], ["S4", "S5", "S6", "S7"]]
+
+
+def reference_cluster_stations(stations, features, params):
+    """The loop `cluster_stations` replaced: after each merge it measures
+    every pair of clusters again."""
+    groups = {i: [i] for i in range(len(stations))}
+    centroids = {i: features[i].copy() for i in range(len(stations))}
+    while len(groups) > 1:
+        best = None
+        ids = sorted(groups)
+        for a_pos, a in enumerate(ids):
+            for b in ids[a_pos + 1:]:
+                dist = float(np.linalg.norm(centroids[a] - centroids[b]))
+                if best is None or dist < best[0] - 1e-12:
+                    best = (dist, a, b)
+        if best is None or best[0] >= params.d:
+            break
+        _, a, b = best
+        groups[a].extend(groups[b])
+        del groups[b], centroids[b]
+        centroids[a] = features[groups[a]].mean(axis=0)
+    ordered = sorted(groups.values(), key=lambda members: (-len(members), min(members)))
+    return [Cluster(id=k + 1, member_ids=frozenset(stations[i].id for i in members),
+                    centroid=features[members].mean(axis=0))
+            for k, members in enumerate(ordered)]
+
+
+# one fault written into one row's fields (a list of six strings)
+FAULTS = {
+    "bad float": lambda f: f[:1] + ["1.2.3"] + f[2:],
+    "bad rain": lambda f: f[:5] + ["oops"],
+    "lat out of range": lambda f: f[:1] + ["95.0"] + f[2:],
+    "lon out of range": lambda f: f[:2] + ["-181"] + f[3:],
+    "negative rain": lambda f: f[:5] + ["-0.5"],
+    "infinite rain": lambda f: f[:5] + ["inf"],
+    "bad year": lambda f: f[:3] + ["20x1"] + f[4:],
+    "bad month": lambda f: f[:4] + ["13"] + f[5:],
+    "site conflict": lambda f: f[:1] + [f[1] + "1"] + f[2:],  # 4.0 -> 4.01
+    "duplicate month": None,  # the row is written twice
+    "too few fields": lambda f: f[:5],
+    "too many fields": lambda f: f + ["1"],
+}
+
+
+def _valid_station_lines(rng, nst, nt):
+    """Shuffled rows of `nst` stations over `nt` months from a random start,
+    with absent months, empty rain fields, and a site or year written in
+    two ways that parse the same ('4.0' and '4.00', '2000' and '02000')."""
+    lines = []
+    y0, m0 = 1999 + int(rng.integers(3)), 1 + int(rng.integers(12))
+    for k in range(nst):
+        lat, lon = float(rng.integers(-80, 80)), float(rng.integers(-170, 170))
+        for t in range(nt):
+            if rng.random() < 0.2:
+                continue
+            year, month = y0 + (m0 - 1 + t) // 12, (m0 - 1 + t) % 12 + 1
+            alt = rng.random() < 0.3
+            rain = "" if rng.random() < 0.2 else repr(round(float(rng.uniform(0, 300)), 2))
+            lines.append(",".join([
+                f"S{k}", f"{lat:.2f}" if alt else repr(lat), repr(lon),
+                f"0{year}" if alt else str(year), str(month), rain]))
+    if not lines:
+        lines.append(f"S0,1.0,2.0,{y0},{m0},5.0")
+    return [lines[i] for i in rng.permutation(len(lines))]
+
+
+def _outcome(read, path):
+    """The stations `read` returns, or the class and text of what it raises."""
+    try:
+        return [(s.id, s.lat, s.lon, s.t0, s.rain.tobytes()) for s in read(path)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_read_stations_csv(path):
+    """The reader `read_stations_csv` replaced: one tuple per row, each
+    field parsed on every row."""
+    sites, seen = {}, set()
+
+    def row(sid, lat, lon, year, month, rain):
+        lat, lon = float(lat), float(lon)
+        _check_site(sid, lat, lon)
+        rain = float(rain) if rain else math.nan
+        if rain < 0 or rain == math.inf:
+            raise ValueError(f"station {sid}: rain_mm {rain} is negative or infinite")
+        year, month = int(year), int(month)
+        if sites.setdefault(sid, (lat, lon)) != (lat, lon):
+            raise ValueError(f"station {sid}: site ({lat}, {lon}) differs from "
+                             f"its first row's {sites[sid]}")
+        if (sid, year, month) in seen:
+            raise ValueError(f"station {sid}: second row for {year}-{month:02d}")
+        seen.add((sid, year, month))
+        return sid, year, month, rain
+
+    rows = read_csv_rows(path, STATIONS_HEADER, row)
+    t0, nt, slots = month_slots([r[1] for r in rows], [r[2] for r in rows])
+    rain = {sid: np.full(nt, np.nan) for sid in sites}
+    for (sid, _, _, value), k in zip(rows, slots.tolist()):
+        rain[sid][k] = value
+    return [Station(id=sid, lat=lat, lon=lon, t0=t0, rain=rain[sid])
+            for sid, (lat, lon) in sorted(sites.items())]
 
 
 class TestCSV:
@@ -279,3 +415,28 @@ class TestCSV:
         path.write_text("cluster_id,station_id\n1,S001\n2,S001\n2,S002\n")
         with pytest.raises(FormatError, match="line 3 .*station S001 is listed under clusters 1 and 2"):
             read_clusters_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), nst=hst.integers(1, 4), nt=hst.integers(1, 30),
+           faults=hst.lists(hst.sampled_from(sorted(FAULTS)), max_size=2))
+    # a second row for a month whose rain is also bad: the rain check comes first
+    @example(seed=2, nst=2, nt=6, faults=["duplicate month", "bad rain"])
+    def test_matches_row_tuple_reader(self, tmp_path_factory, seed, nst, nt, faults):
+        rng = np.random.default_rng(seed)
+        lines = _valid_station_lines(rng, nst, nt)
+        hit = []
+        for fault in faults:  # the second fault hits the first one's row half the time
+            k = hit[0] if hit and rng.random() < 0.5 else int(rng.integers(len(lines)))
+            fields = lines[k].split(",")
+            if fault == "duplicate month":  # a later fault may hit the copy
+                copy = int(rng.integers(len(lines) + 1))
+                lines.insert(copy, lines[k])
+                k = copy
+            else:
+                lines[k] = ",".join(FAULTS[fault](fields))
+            hit.append(k)
+        for _ in range(int(rng.integers(3))):
+            lines.insert(int(rng.integers(len(lines) + 1)), "")
+        path = tmp_path_factory.mktemp("stations") / "stations.csv"
+        path.write_text("\n".join([",".join(STATIONS_HEADER)] + lines) + "\n")
+        assert _outcome(read_stations_csv, path) == _outcome(reference_read_stations_csv, path)
