@@ -16,7 +16,6 @@ import numpy as np
 
 from . import dqn, forecast, geogrid, index, rl_env, stations, synthdata
 from .errors import ConfigError, NemonsoonError, SkippedCluster
-from .geogrid import Rect
 
 
 def main() -> None:
@@ -201,9 +200,8 @@ def _cmd_synth(args) -> None:
     area_a, area_b = spec.planted_areas()
     rl_env.save_areas(area_a, area_b, os.path.join(args.out, "planted_areas.json"))
     # the initial areas sit 2 degrees off the planted ones, A to the north-west
-    init = [geogrid.AreaSet.of(Rect(r.lat_min + s, r.lat_max + s, r.lon_min - s, r.lon_max - s))
-            for r, s in ((spec.rect_a, 2.0), (spec.rect_b, -2.0))]
-    rl_env.save_areas(*init, os.path.join(args.out, "initial_areas.json"))
+    rl_env.save_areas(area_a.shifted(2.0, -2.0), area_b.shifted(-2.0, 2.0),
+                      os.path.join(args.out, "initial_areas.json"))
     print(f"world written to {args.out}")
 
 
@@ -306,7 +304,7 @@ def _cmd_forecast(args) -> None:
     indices, t0 = forecast.read_indices_csv(args.indices)
     nt = len(next(iter(indices.values())))
     (target,) = _cluster_targets(args, t0, nt, {args.cluster})
-    ne = _read_index_series(args.ne_index, t0, nt)
+    ne = index.read_index_csv(args.ne_index, t0, nt)
     folds = [_parse_fold(f) for f in args.fold or []] or [forecast.FOLD1, forecast.FOLD2]
     grid = ([forecast.ForecasterConfig(hidden=16, layers=1, dropout=0.0)]
             if args.small_grid else forecast.default_grid())
@@ -324,28 +322,3 @@ def _cmd_forecast(args) -> None:
         print(f"cluster {r['cluster_id']} fold {r['fold']} {r['arm']}: "
               f"RMSE {r['rmse_mm_month']:.2f} mm/month")
 
-
-def _read_index_series(path: str, t0: str, nt: int) -> np.ndarray:
-    """An index CSV's z on the axis (t0, nt); every month needs a finite z,
-    and a second row for a month is an error naming its line."""
-    seen: set[tuple[int, int]] = set()
-
-    def row(y, m, z):
-        key = (int(y), int(m))
-        if key in seen:
-            raise ValueError(f"second row for {key[0]}-{key[1]:02d}")
-        seen.add(key)
-        return (*key, float(z))
-
-    rows = geogrid.read_csv_rows(path, ["year", "month", "z"], row, error=ConfigError)
-    out = np.full(nt, np.nan)
-    _, _, slots = geogrid.month_slots([r[0] for r in rows], [r[1] for r in rows], t0,
-                                      error=ConfigError)
-    for (_, _, z), k in zip(rows, slots.tolist()):
-        if 0 <= k < nt:
-            out[k] = z
-    gaps = np.flatnonzero(~np.isfinite(out))
-    if gaps.size:
-        y, m = geogrid.year_axis(t0, nt)[gaps[0]], geogrid.month_axis(t0, nt)[gaps[0]]
-        raise ConfigError(f"index CSV has no finite z for {y}-{m:02d}")
-    return out

@@ -374,26 +374,14 @@ def _maybe_better(env, best_areas, best_q):
 
 def write_history_csv(history: list[HistoryRow], path) -> None:
     """Emit `step,episode,reward,best_q,epsilon`."""
-    import csv
-
-    with geogrid.atomic_write(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "episode", "reward", "best_q", "epsilon"])
-        for row in history:
-            w.writerow([row.step, row.episode, repr(row.reward),
-                        repr(row.best_q), repr(row.epsilon)])
+    geogrid.write_csv_rows(path, ["step", "episode", "reward", "best_q", "epsilon"], (
+        (row.step, row.episode, repr(row.reward), repr(row.best_q), repr(row.epsilon))
+        for row in history))
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive-search oracle
 # ---------------------------------------------------------------------------
-
-def _shift_area(area: AreaSet, dlat: float, dlon: float) -> AreaSet:
-    return AreaSet(tuple(
-        Rect(r.lat_min + dlat, r.lat_max + dlat, r.lon_min + dlon, r.lon_max + dlon)
-        for r in area.rects
-    ))
-
 
 def _placements(template: AreaSet, domain: Rect, step: float) -> list[tuple[float, float]]:
     """Rigid-shift offsets (multiples of step) keeping every rect inside
@@ -454,7 +442,7 @@ class _Lattice:
         self._signs = np.array([(-1) ** (len(c) + 1) for c in subsets])
         # (P, m, 4) inclusive bounds i0, i1, j0, j1 of each rect's cells
         bounds = np.array([[geogrid._rect_index_bounds(r, spec)
-                            for r in _shift_area(template, *offset).rects]
+                            for r in template.shifted(*offset).rects]
                            for offset in self.offsets], dtype=np.intp)
         bounds = bounds.reshape(len(self.offsets), m, 4)
         lo, hi = bounds[..., 0::2], bounds[..., 1::2] + 1
@@ -500,7 +488,7 @@ class _Lattice:
 
     def area(self, row: int) -> AreaSet:
         """The placement of fitting row `row`."""
-        return _shift_area(self.template, *self.offsets[self.fits[row]])
+        return self.template.shifted(*self.offsets[self.fits[row]])
 
 
 def _fill_series(field: SSTField, lattices) -> float:

@@ -4,7 +4,6 @@ stopping, and the with/without-index ablation."""
 
 from __future__ import annotations
 
-import csv
 import os
 import signal
 import sys
@@ -22,7 +21,7 @@ from .errors import (
     SkippedCluster,
     ZeroVarianceError,
 )
-from .geogrid import MonthColumns, atomic_write, month_axis, read_csv_rows, year_axis
+from .geogrid import MonthColumns, monthly_rows, read_csv_rows, write_csv_rows
 from .index import pearson
 
 WINDOW = 24
@@ -614,31 +613,22 @@ def _assign_windows(years, fold: FoldSpec, n_samples: int):
 
 def write_report_csv(rows: list[dict], path) -> None:
     """Emit `cluster_id,fold,arm,rmse_mm_month`."""
-    with atomic_write(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster_id", "fold", "arm", "rmse_mm_month"])
-        for row in rows:
-            w.writerow([row["cluster_id"], row["fold"], row["arm"],
-                        repr(float(row["rmse_mm_month"]))])
+    write_csv_rows(path, ["cluster_id", "fold", "arm", "rmse_mm_month"], (
+        (row["cluster_id"], row["fold"], row["arm"], repr(float(row["rmse_mm_month"])))
+        for row in rows))
 
 
 def write_indices_csv(indices: dict[str, np.ndarray], t0: str, path) -> None:
     """Emit `index_name,year,month,value` for aligned monthly indices."""
-    with atomic_write(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index_name", "year", "month", "value"])
-        for name, series in indices.items():
-            years = year_axis(t0, len(series))
-            months = month_axis(t0, len(series))
-            for y, m, v in zip(years, months, series):
-                w.writerow([name, int(y), int(m), repr(float(v))])
+    write_csv_rows(path, ["index_name", "year", "month", "value"], (
+        (name, *ymv) for name, series in indices.items() for ymv in monthly_rows(t0, series)))
 
 
 def read_indices_csv(path) -> tuple[dict[str, np.ndarray], str]:
     """Read aligned monthly indices; returns ({name: series}, t0). A second
     row for an index and month is a FormatError naming its line."""
     code_of: dict[str, int] = {}
-    cols = MonthColumns("index")
+    cols = MonthColumns("index {}: ")
 
     def row(name, y, m, v):
         cols.claim(code_of.setdefault(name, len(code_of)), cols.month(y, m), name)

@@ -1,6 +1,6 @@
 """Gridded SST data model (grid geometry, rectangles, area reductions, the grid.json + sst.f32
-format) and the helpers every file format shares: monthly axis, CSV row reader, monthly CSV
-columns, atomic write."""
+format) and the helpers every file format shares: monthly axis, CSV row reader and writer,
+monthly CSV columns and rows, atomic write."""
 
 from __future__ import annotations
 
@@ -46,18 +46,13 @@ def year_axis(t0: str, nt: int) -> np.ndarray:
     return y0 + (m0 - 1 + np.arange(nt)) // 12
 
 
-def month_slots(years, months, t0: str | None = None,
-                error: type[Exception] = FormatError) -> tuple[str, int, np.ndarray]:
-    """Place (year, month) rows on one monthly axis. Returns the axis start
-    'YYYY-MM' (t0 when given, else the earliest row), the axis length that
-    reaches the latest row, and each row's slot (negative before t0). A
-    month or year out of range raises `error`."""
+def month_slots(years, months, t0: str | None = None) -> tuple[str, int, np.ndarray]:
+    """Place (year, month) rows, each in range (see `MonthColumns.month`),
+    on one monthly axis. Returns the axis start 'YYYY-MM' (t0 when given,
+    else the earliest row), the axis length that reaches the latest row,
+    and each row's slot (negative before t0)."""
     months = np.asarray(months, dtype=np.int64)
     years = np.asarray(years, dtype=np.int64)
-    if ((months < 1) | (months > 12)).any():
-        raise error("month out of range 1..12")
-    if ((years < 0) | (years > 9999)).any():  # a YYYY-MM stamp's range
-        raise error("year out of range 0..9999")
     count = years * 12 + (months - 1)
     if t0 is None:
         first = int(count.min())
@@ -70,10 +65,11 @@ def month_slots(years, months, t0: str | None = None,
 class MonthColumns:
     """Monthly CSV rows of numbered series, kept as compact typed columns
     while a file is read row by row. Each distinct (year, month) text is
-    parsed once; `grid` places the rows on one monthly axis."""
+    parsed and range-checked once; `grid` places the rows on one monthly
+    axis."""
 
-    def __init__(self, kind: str):
-        self._kind = kind  # what a series is, for messages: "station", "index"
+    def __init__(self, label: str):
+        self._label = label  # names a series in messages: "station {}: ", or ""
         self._text: dict[tuple[str, str], int] = {}
         self._months: dict[tuple[int, int], int] = {}  # parsed -> code
         self._seen: set[tuple[int, int]] = set()
@@ -83,8 +79,12 @@ class MonthColumns:
         """The code of the parsed (year, month) this text stands for."""
         ym = self._text.get((year, month))
         if ym is None:
-            ym = self._text[year, month] = self._months.setdefault(
-                (int(year), int(month)), len(self._months))
+            parsed = int(year), int(month)
+            if not 1 <= parsed[1] <= 12:
+                raise ValueError("month out of range 1..12")
+            if not 0 <= parsed[0] <= 9999:  # a YYYY-MM stamp's range
+                raise ValueError("year out of range 0..9999")
+            ym = self._text[year, month] = self._months.setdefault(parsed, len(self._months))
         return ym
 
     def claim(self, code: int, ym: int, name: str) -> None:
@@ -93,7 +93,7 @@ class MonthColumns:
         and month is a ValueError."""
         if (code, ym) in self._seen:
             year, month = list(self._months)[ym]
-            raise ValueError(f"{self._kind} {name}: second row for {year}-{month:02d}")
+            raise ValueError(f"{self._label.format(name)}second row for {year}-{month:02d}")
         self._seen.add((code, ym))
         self._codes.append(code)
         self._yms.append(ym)
@@ -166,6 +166,11 @@ class Rect:
     def as_list(self) -> list[float]:
         return [self.lat_min, self.lat_max, self.lon_min, self.lon_max]
 
+    def shifted(self, dlat: float, dlon: float) -> "Rect":
+        """This rect moved by dlat degrees north and dlon degrees east."""
+        return Rect(self.lat_min + dlat, self.lat_max + dlat,
+                    self.lon_min + dlon, self.lon_max + dlon)
+
     def contains(self, other: "Rect") -> bool:
         return (
             self.lat_min <= other.lat_min
@@ -191,6 +196,10 @@ class AreaSet:
 
     def as_lists(self) -> list[list[float]]:
         return [r.as_list() for r in self.rects]
+
+    def shifted(self, dlat: float, dlon: float) -> "AreaSet":
+        """Every rect moved by the same (dlat, dlon)."""
+        return AreaSet(tuple(r.shifted(dlat, dlon) for r in self.rects))
 
 
 def area_key(area: AreaSet) -> tuple[int, ...]:
@@ -328,7 +337,8 @@ def load_sst(path: str | os.PathLike) -> SSTField:
         raise FormatError(f"bad grid.json field: {exc}") from exc
     expected_bytes = 4 * spec.nt * spec.nlat * spec.nlon
     try:
-        payload = open(data_path, "rb").read()
+        with open(data_path, "rb") as fh:
+            payload = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {data_path}: {exc}") from exc
     if len(payload) != expected_bytes:
@@ -368,6 +378,23 @@ def read_csv_rows(path: str | os.PathLike, header: list[str], convert,
     if not rows:
         raise error(f"{path} has no data rows")
     return rows
+
+
+def write_csv_rows(path: str | os.PathLike, header: list[str], rows) -> None:
+    """Write `header`, then each of `rows` (an iterable of field sequences, taken one
+    at a time), as the CSV at `path`, atomically: the twin of `read_csv_rows`."""
+    with atomic_write(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def monthly_rows(t0: str, series):
+    """(year, month, value) for each month of `series`, which starts at
+    t0, as Python ints and floats: the monthly part of a CSV row."""
+    nt = len(series)
+    return zip(year_axis(t0, nt).tolist(), month_axis(t0, nt).tolist(),
+               np.asarray(series, dtype=float).tolist())
 
 
 @contextmanager

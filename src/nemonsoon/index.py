@@ -3,7 +3,6 @@ objective used to score an (A, B) area pair."""
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -11,11 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geogrid
-from .errors import EmptyAreaError, InsufficientSeasonSamplesError, ZeroVarianceError
+from .errors import ConfigError, EmptyAreaError, InsufficientSeasonSamplesError, ZeroVarianceError
 from .geogrid import AreaSet, SSTField
 
 ONSET_MONTHS = frozenset({10, 11, 12, 1, 2, 3})
 RETREAT_MONTHS = frozenset({4, 5, 6, 7, 8, 9})
+INDEX_HEADER = ["year", "month", "z"]
 
 
 @dataclass
@@ -391,25 +391,39 @@ def evaluate_pair(
 
 def write_objective_csv(report: ObjectiveReport, path: str | os.PathLike) -> None:
     """Emit `r_onset,r_retreat,q,valid,violation`."""
-    with geogrid.atomic_write(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r_onset", "r_retreat", "q", "valid", "violation"])
-        w.writerow([
-            _fmt(report.r_onset), _fmt(report.r_retreat), _fmt(report.q),
-            str(report.valid).lower(), report.violation or "",
-        ])
+    geogrid.write_csv_rows(path, ["r_onset", "r_retreat", "q", "valid", "violation"], [(
+        _fmt(report.r_onset), _fmt(report.r_retreat), _fmt(report.q),
+        str(report.valid).lower(), report.violation or "",
+    )])
 
 
 def write_index_csv(z: np.ndarray, t0: str, path: str | os.PathLike) -> None:
     """Emit `year,month,z` for a monthly index series starting at t0."""
-    nt = len(z)
-    years = geogrid.year_axis(t0, nt)
-    months = geogrid.month_axis(t0, nt)
-    with geogrid.atomic_write(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "month", "z"])
-        for y, m, v in zip(years, months, z):
-            w.writerow([int(y), int(m), repr(float(v))])
+    geogrid.write_csv_rows(path, INDEX_HEADER, geogrid.monthly_rows(t0, z))
+
+
+def read_index_csv(path: str | os.PathLike, t0: str, nt: int) -> np.ndarray:
+    """A `year,month,z` CSV's z on the axis (t0, nt); rows off the axis are
+    ignored, and every month of the axis needs a finite z. A bad row, or a
+    second row for a month, is a ConfigError naming its line."""
+    cols = geogrid.MonthColumns("")
+
+    def row(year, month, z):
+        cols.claim(0, cols.month(year, month), "")
+        cols.values.append(float(z))
+
+    geogrid.read_csv_rows(path, INDEX_HEADER, row, error=ConfigError)
+    first, (series,) = cols.grid(1)
+    # the slot of the file's first month on the axis, and the file's part on it
+    _, _, (lo,) = geogrid.month_slots(*zip(geogrid.parse_ym(first)), t0)
+    part = series[max(0, -lo):max(0, nt - lo)]
+    out = np.full(nt, np.nan)
+    out[max(0, lo):max(0, lo) + len(part)] = part
+    gaps = np.flatnonzero(~np.isfinite(out))
+    if gaps.size:
+        y, m = geogrid.year_axis(t0, nt)[gaps[0]], geogrid.month_axis(t0, nt)[gaps[0]]
+        raise ConfigError(f"index CSV has no finite z for {y}-{m:02d}")
+    return out
 
 
 def _fmt(v: float) -> str:

@@ -73,26 +73,19 @@ class EnvState:
     last_q: float
 
 
+# steps each kind moves its axis's (min, max) edges by; a resize keeps the centre
+_EDGE_STEPS = {"shift+": (1.0, 1.0), "shift-": (-1.0, -1.0),
+               "expand": (-0.5, 0.5), "shrink": (0.5, -0.5)}
+
+
 def _move_rect(rect: Rect, action: Action, step: float) -> Rect | None:
     lat_min, lat_max = rect.lat_min, rect.lat_max
     lon_min, lon_max = rect.lon_min, rect.lon_max
-    sign = 1.0 if action.kind in ("shift+", "expand") else -1.0
-    if action.kind in ("shift+", "shift-"):
-        if action.axis == "lat":
-            lat_min += sign * step
-            lat_max += sign * step
-        else:
-            lon_min += sign * step
-            lon_max += sign * step
+    lo, hi = _EDGE_STEPS[action.kind]
+    if action.axis == "lat":
+        lat_min, lat_max = lat_min + lo * step, lat_max + hi * step
     else:
-        # resize 0.5 deg total, symmetric about the rect's own center
-        half = sign * step / 2.0
-        if action.axis == "lat":
-            lat_min -= half
-            lat_max += half
-        else:
-            lon_min -= half
-            lon_max += half
+        lon_min, lon_max = lon_min + lo * step, lon_max + hi * step
     if lat_min >= lat_max - 1e-9 or lon_min >= lon_max - 1e-9:
         return None
     return Rect(lat_min, lat_max, lon_min, lon_max)
@@ -203,13 +196,11 @@ class AreaEnv:
         j = self.config.jitter
         if j == 0:
             return area
-        rects = []
-        for r in area.rects:
-            dlat = int(rng.integers(-j, j + 1)) * self.config.step
-            dlon = int(rng.integers(-j, j + 1)) * self.config.step
-            rects.append(Rect(r.lat_min + dlat, r.lat_max + dlat,
-                              r.lon_min + dlon, r.lon_max + dlon))
-        return AreaSet(tuple(rects))
+        step = self.config.step
+        # one (dlat, dlon) per rect, drawn in that order
+        return AreaSet(tuple(r.shifted(int(rng.integers(-j, j + 1)) * step,
+                                       int(rng.integers(-j, j + 1)) * step)
+                             for r in area.rects))
 
     def step(self, action_idx: int) -> tuple[np.ndarray, float, bool]:
         if self._done or self.state is None:

@@ -3,7 +3,6 @@ imputation, feature building, PCA, and greedy centroid-linkage clustering."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
@@ -12,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateColumnError, NoObservationsError
-from .geogrid import MonthColumns, atomic_write, month_axis, read_csv_rows, year_axis
+from .geogrid import MonthColumns, month_axis, monthly_rows, read_csv_rows, write_csv_rows
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "year", "month", "rain_mm"]
 FEATURE_NAMES = ["lat", "lon"] + [f"clim_{m:02d}" for m in range(1, 13)]
@@ -240,7 +239,7 @@ def read_stations_csv(path: str | os.PathLike) -> list[Station]:
     raw_sites: dict[str, tuple[str, str]] = {}
     sites: dict[str, tuple[float, float]] = {}
     code_of: dict[str, int] = {}
-    cols = MonthColumns("station")
+    cols = MonthColumns("station {}: ")
     month_code, claim, add_value = cols.month, cols.claim, cols.values.append
 
     def row(sid, lat, lon, year, month, rain):
@@ -268,27 +267,16 @@ def read_stations_csv(path: str | os.PathLike) -> list[Station]:
 
 
 def write_stations_csv(stations: list[Station], path: str | os.PathLike) -> None:
-    with atomic_write(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(STATIONS_HEADER)
-        for st in stations:
-            years = year_axis(st.t0, len(st.rain))
-            months = month_axis(st.t0, len(st.rain))
-            for y, m, v in zip(years, months, st.rain):
-                w.writerow([
-                    st.id, repr(st.lat), repr(st.lon), int(y), int(m),
-                    "" if np.isnan(v) else repr(float(v)),
-                ])
+    """Emit `station_id,lat,lon,year,month,rain_mm`, missing rain empty."""
+    write_csv_rows(path, STATIONS_HEADER, (
+        (st.id, repr(st.lat), repr(st.lon), year, month, "" if math.isnan(v) else v)
+        for st in stations for year, month, v in monthly_rows(st.t0, st.rain)))
 
 
 def write_clusters_csv(clusters: list[Cluster], path: str | os.PathLike) -> None:
     """Emit `cluster_id,station_id`, members sorted within each cluster."""
-    with atomic_write(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster_id", "station_id"])
-        for cl in clusters:
-            for sid in sorted(cl.member_ids):
-                w.writerow([cl.id, sid])
+    write_csv_rows(path, ["cluster_id", "station_id"],
+                   ((cl.id, sid) for cl in clusters for sid in sorted(cl.member_ids)))
 
 
 def read_clusters_csv(path: str | os.PathLike) -> dict[int, set[str]]:

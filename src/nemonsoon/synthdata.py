@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geogrid import AreaSet, GridSpec, Rect, SSTField, area_indices, month_axis
-from .index import ONSET_MONTHS, RETREAT_MONTHS
+from .index import normalise_series, season_masks
 from .stations import Station
 
 DEFAULT_INDEX_CORR = {
@@ -121,9 +121,7 @@ def gen_stations(spec: SynthSpec, seed: int) -> tuple[list[Station], dict[str, s
     Returns (stations, regime-by-station-id)."""
     rng = _rng(seed, 3)
     s = latent_signal(spec, seed)
-    months = month_axis(spec.t0, spec.nt)
-    onset = np.isin(months, list(ONSET_MONTHS))
-    retreat = np.isin(months, list(RETREAT_MONTHS))
+    onset, retreat = season_masks(month_axis(spec.t0, spec.nt))
     stations: list[Station] = []
     labels: dict[str, str] = {}
     plans = [
@@ -158,20 +156,20 @@ def regime_targets(stations: list[Station], labels: dict[str, str]) -> tuple[np.
 def expected_onset_correlation(spec: SynthSpec, seed: int) -> float:
     """Approximate analytic correlation of Z with the south-regime mean over
     onset months, treating Z as the latent signal itself."""
-    return _expected_corr(spec, seed, ONSET_MONTHS, spec.beta_onset, spec.n_south)
+    return _expected_corr(spec, seed, 0, spec.beta_onset, spec.n_south)
 
 
 def expected_retreat_correlation(spec: SynthSpec, seed: int) -> float:
-    return _expected_corr(spec, seed, RETREAT_MONTHS, spec.beta_retreat, spec.n_upper)
+    return _expected_corr(spec, seed, 1, spec.beta_retreat, spec.n_upper)
 
 
 def _expected_corr(spec, seed, season, beta, n_stations) -> float:
     """Closed-form correlation of z = c*s + eta with y = beta*s + eps over
-    one season, where c = 2*alpha, eta is the area-averaged cell noise and
-    eps the station-averaged rainfall noise."""
+    one season (0 onset, 1 retreat, as `season_masks` orders them), where
+    c = 2*alpha, eta is the area-averaged cell noise and eps the
+    station-averaged rainfall noise."""
     s = latent_signal(spec, seed)
-    months = month_axis(spec.t0, spec.nt)
-    var_s = s[np.isin(months, list(season))].var()
+    var_s = s[season_masks(month_axis(spec.t0, spec.nt))[season]].var()
     c = 2.0 * spec.alpha
     grid = spec.grid()
 
@@ -192,12 +190,12 @@ def gen_global_indices(spec: SynthSpec, seed: int, target: np.ndarray,
     correlations = correlations or DEFAULT_INDEX_CORR
     rng = _rng(seed, 5)
     target = np.asarray(target, dtype=float)
-    z = _standardize(target)
+    z = normalise_series(target)
     out: dict[str, np.ndarray] = {}
     for name, rho in correlations.items():
         noise = rng.standard_normal(len(target))
         resid = noise - (noise @ z) / (z @ z) * z
-        e = _standardize(resid)
+        e = normalise_series(resid)
         out[name] = rho * z + np.sqrt(1.0 - rho * rho) * e
     return out
 
@@ -217,23 +215,18 @@ def gen_forecast_cluster(nt: int, seed: int, period: int = 36,
     t = np.arange(nt)
     phase = rng.uniform(0, 2 * np.pi)
     ne = np.cos(2 * np.pi * t / period + phase) + signal_noise * rng.standard_normal(nt)
-    ne = _standardize(ne)
+    ne = normalise_series(ne)
     seasonal = 20.0 * np.cos(2 * np.pi * (t % 12) / 12.0)
     target = 100.0 + seasonal + beta * ne + noise * rng.standard_normal(nt)
     # the surrogate's corruption is itself low-frequency, so a window model
     # cannot smooth it away; its correlation with the driver stays capped
-    lf_noise = _standardize(
+    lf_noise = normalise_series(
         np.cos(2 * np.pi * t / 28.0 + rng.uniform(0, 2 * np.pi))
         + signal_noise * rng.standard_normal(nt))
     surrogate = surrogate_mix * ne + np.sqrt(1 - surrogate_mix ** 2) * lf_noise
     candidates = {
-        "SURR": _standardize(surrogate),
-        "NOISE1": _standardize(rng.standard_normal(nt)),
-        "NOISE2": _standardize(rng.standard_normal(nt)),
+        "SURR": normalise_series(surrogate),
+        "NOISE1": normalise_series(rng.standard_normal(nt)),
+        "NOISE2": normalise_series(rng.standard_normal(nt)),
     }
     return target, ne, candidates
-
-
-def _standardize(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return (x - x.mean()) / x.std()

@@ -11,6 +11,32 @@ def make_field(values, lat0=0.0, lon0=100.0, dlat=0.5, dlon=0.5, t0="2000-01"):
     return SSTField(spec=spec, values=values)
 
 
+# values whose text form is easy to get wrong: signed zero, the smallest
+# subnormal, the largest float, and one that needs 17 digits
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+def monthly_values(rng, n, low=-1e3, high=1e3, gaps=0.0):
+    """n floats for a monthly CSV round trip: uniform in [low, high), one in
+    five scaled by a random power of ten, some replaced by SPECIAL_VALUES
+    (those not below `low`), and a share `gaps` replaced by NaN."""
+    values = rng.uniform(low, high, n)
+    scaled = rng.random(n) < 0.2
+    values[scaled] *= 10.0 ** rng.integers(-300, 300, int(scaled.sum()))
+    special = [v for v in SPECIAL_VALUES if v >= low]
+    picks = rng.random(n) < 0.1
+    values[picks] = rng.choice(special, int(picks.sum()))
+    values[rng.random(n) < gaps] = np.nan
+    return values
+
+
+def bits(values):
+    """The bytes of a float64 array with every NaN made the one quiet NaN:
+    bit-equal, NaN-aware comparison."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
 @pytest.fixture
 def small_field():
     """4x4 grid, 3 months, all ocean, value = 20 + t."""

@@ -237,6 +237,29 @@ class TestForecast:
         assert dispatch(args) == 2
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name, code", [
+        ("--stations", "stations.csv", 1),
+        ("--indices", "indices.csv", 1),
+        ("--ne-index", "ne.csv", 2),
+    ], ids=["stations", "indices", "ne-index"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("month", "13", "month out of range 1..12"),
+        ("year", "10000", "year out of range 0..9999"),
+    ], ids=["month-13", "year-10000"])
+    def test_date_out_of_range_names_file_and_line(self, forecast_world, tmp_path, capsys,
+                                                   flag, name, code, field, value, message):
+        lines = (forecast_world / name).read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\r\n").split(",")
+        fields = lines[3].rstrip("\r\n").split(",")
+        fields[header.index(field)] = value
+        lines[3] = ",".join(fields) + "\n"
+        bad = tmp_path / name
+        bad.write_text("".join(lines))
+        args = self._args(forecast_world, tmp_path / "x.csv")
+        args[args.index(flag) + 1] = str(bad)
+        assert dispatch(args) == code
+        assert f"error: bad row at line 4 of {bad}: {message}\n" == capsys.readouterr().err
+
     def test_fold_without_windows_is_config_error(self, forecast_world, tmp_path, capsys):
         """The world ends in 1993, so a 2050 test year gets no window."""
         args = self._args(forecast_world, tmp_path / "x.csv")

@@ -16,7 +16,6 @@ from nemonsoon.dqn import (
     _Lattice,
     _fill_series,
     _placements,
-    _shift_area,
     _table,
     lane_buffer,
     td_targets,
@@ -346,13 +345,11 @@ class TestOracle:
         assert report.valid
         assert report.q == pytest.approx(q, abs=1e-6)
         # spot-check a few random placements never beat the oracle
-        from nemonsoon.dqn import _placements, _shift_area
-
         offs_a = _placements(a, domain, 0.5)
         offs_b = _placements(b, domain, 0.5)
         for _ in range(20):
-            pa = _shift_area(a, *offs_a[rng.integers(len(offs_a))])
-            pb = _shift_area(b, *offs_b[rng.integers(len(offs_b))])
+            pa = a.shifted(*offs_a[rng.integers(len(offs_a))])
+            pb = b.shifted(*offs_b[rng.integers(len(offs_b))])
             rep = evaluate_pair(field, pa, pb, y, y)
             if rep.valid:
                 assert rep.q <= q + 1e-6
@@ -394,7 +391,7 @@ def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_
 
     def valid_placements(template):
         for offset in _placements(template, domain, step):
-            s, _ = index.ocean_series(field, _shift_area(template, *offset), min_ocean)
+            s, _ = index.ocean_series(field, template.shifted(*offset), min_ocean)
             if s is not None:
                 yield offset, index.season_centre(s, months)
 
@@ -413,7 +410,7 @@ def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_
         raise NemonsoonError(
             f"no valid (A, B) pair in {domain}: no placement of A meets the area "
             "constraint, or every pair is degenerate (constant or non-finite)")
-    return (_shift_area(template_a, *best[0]), _shift_area(template_b, *best[1])), best_q
+    return (template_a.shifted(*best[0]), template_b.shifted(*best[1])), best_q
 
 
 # templates on a 0.5 degree grid: one cell, a 2x2 block, a 3x2 block and a
@@ -534,7 +531,7 @@ class TestTablePath:
         err = lattice.error(peak)
         fits = list(lattice.fits)
         for k, offset in enumerate(lattice.offsets):
-            want, _ = index.ocean_series(field, _shift_area(lattice.template, *offset),
+            want, _ = index.ocean_series(field, lattice.template.shifted(*offset),
                                          min_ocean)
             assert (k in fits) == (want is not None)
             if want is None:

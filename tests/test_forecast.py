@@ -43,6 +43,8 @@ from nemonsoon.forecast import (
     write_report_csv,
 )
 
+from conftest import bits, monthly_values
+
 
 # ---------------------------------------------------------------------------
 # Slow references: one model at a time, as before the lane axis
@@ -741,6 +743,7 @@ class TestAblation:
 INDEX_FAULTS = {
     "bad year": lambda f: f[:1] + ["19x0"] + f[2:],
     "bad month": lambda f: f[:2] + ["0"] + f[3:],
+    "year out of range": lambda f: f[:1] + ["10000"] + f[2:],
     "bad value": lambda f: f[:3] + ["1e"],
     "nan value": lambda f: f[:3] + ["nan"],
     "duplicate month": None,  # the row is written twice
@@ -749,11 +752,16 @@ INDEX_FAULTS = {
 
 
 def reference_read_indices_csv(path):
-    """The reader `read_indices_csv` replaced: one tuple per row."""
+    """The reader `read_indices_csv` replaced: one tuple per row; a month
+    or year out of range is a bad row, as in `read_indices_csv`."""
     seen = set()
 
     def row(name, y, m, v):
         key = (name, int(y), int(m))
+        if not 1 <= key[2] <= 12:
+            raise ValueError("month out of range 1..12")
+        if not 0 <= key[1] <= 9999:
+            raise ValueError("year out of range 0..9999")
         if key in seen:
             raise ValueError(f"index {name}: second row for {key[1]}-{key[2]:02d}")
         seen.add(key)
@@ -771,6 +779,24 @@ def reference_read_indices_csv(path):
 
 
 class TestReportCSV:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), year=st.integers(0, 9969), month=st.integers(1, 12),
+           years=st.integers(1, 30), count=st.integers(1, 3))
+    def test_indices_round_trip_is_exact(self, tmp_path_factory, seed, year, month, years, count):
+        """Write then read gives the same indices and start bit for bit;
+        read then write gives the same bytes."""
+        rng = np.random.default_rng(seed)
+        t0 = f"{year:04d}-{month:02d}"
+        indices = {name: monthly_values(rng, 12 * years) for name in ["ONI", "DMI", "MEI"][:count]}
+        path = tmp_path_factory.mktemp("indices") / "indices.csv"
+        write_indices_csv(indices, t0, path)
+        back, t0_back = read_indices_csv(path)
+        assert t0_back == t0
+        assert [(k, bits(v)) for k, v in back.items()] == [(k, bits(v)) for k, v in indices.items()]
+        again = path.with_name("again.csv")
+        write_indices_csv(back, t0_back, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_report_round_trip_text(self, tmp_path):
         rows = [
             {"cluster_id": 1, "fold": 1, "arm": "base", "rmse_mm_month": 25.5},

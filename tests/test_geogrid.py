@@ -7,6 +7,7 @@ from nemonsoon.errors import EmptyAreaError, FormatError, NoOceanCellsError
 from nemonsoon.geogrid import (
     AreaSet,
     GridSpec,
+    MonthColumns,
     Rect,
     area_cells,
     area_indices,
@@ -14,8 +15,10 @@ from nemonsoon.geogrid import (
     load_sst,
     month_axis,
     month_slots,
+    monthly_rows,
     ocean_fraction,
     save_sst,
+    write_csv_rows,
 )
 
 from conftest import make_field
@@ -297,7 +300,53 @@ class TestMonthSlots:
         t0, nt, slots = month_slots([1999, 2000, 2000], [12, 1, 3], t0="2000-01")
         assert (t0, nt, slots.tolist()) == ("2000-01", 3, [-1, 0, 2])
 
-    @pytest.mark.parametrize("month", [0, 13])
-    def test_month_out_of_range(self, month):
-        with pytest.raises(FormatError):
-            month_slots([2000, 2000], [1, month])
+
+
+class TestMonthColumns:
+    @pytest.mark.parametrize("year, month, message", [
+        ("2000", "0", "month out of range 1..12"),
+        ("2000", "13", "month out of range 1..12"),
+        ("10000", "1", "year out of range 0..9999"),
+        ("-1", "1", "year out of range 0..9999"),
+        ("10000", "13", "month out of range 1..12"),
+    ])
+    def test_out_of_range(self, year, month, message):
+        cols = MonthColumns("index {}: ")
+        assert cols.month("2000", "01") == 0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cols.month(year, month)
+        assert cols.month("9999", "12") == 1  # the last month a YYYY-MM stamp holds
+
+    def test_second_row_names_the_series(self):
+        for label, want in (("station {}: ", "station S1: "), ("", "")):
+            cols = MonthColumns(label)
+            cols.claim(0, cols.month("2000", "1"), "S1")
+            with pytest.raises(ValueError, match=f"^{want}second row for 2000-01$"):
+                cols.claim(0, cols.month("2000", "01"), "S1")
+
+
+class TestWriteCSVRows:
+    def test_header_rows_and_no_temporary(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv_rows(path, ["a", "b"], ((k, repr(k / 3)) for k in range(3)))
+        assert path.read_bytes() == (b"a,b\r\n0,0.0\r\n1,0.3333333333333333\r\n"
+                                     b"2,0.6666666666666666\r\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def rows():
+            yield (1, 2)
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            write_csv_rows(path, ["a", "b"], rows())
+        assert path.read_text() == "old\n"
+
+    def test_monthly_rows(self):
+        rows = list(monthly_rows("1999-11", np.array([0.5, np.nan, 2.0], dtype=np.float32)))
+        assert rows == [(1999, 11, 0.5), (1999, 12, pytest.approx(np.nan, nan_ok=True)),
+                        (2000, 1, 2.0)]
+        assert all(type(v) is t for row in rows for v, t in zip(row, (int, int, float)))

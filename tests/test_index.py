@@ -4,10 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nemonsoon.errors import (
+    ConfigError,
     InsufficientSeasonSamplesError,
     ZeroVarianceError,
 )
-from nemonsoon.geogrid import AreaSet, Rect, area_key, month_axis
+from nemonsoon.geogrid import (
+    AreaSet,
+    Rect,
+    area_key,
+    month_axis,
+    month_slots,
+    read_csv_rows,
+    year_axis,
+)
 from nemonsoon.index import (
     ONSET_MONTHS,
     RETREAT_MONTHS,
@@ -20,11 +29,13 @@ from nemonsoon.index import (
     season_centre,
     season_masks,
     PairScorer,
+    read_index_csv,
     season_target,
     seasonal_scores,
+    write_index_csv,
 )
 
-from conftest import make_field
+from conftest import bits, make_field, monthly_values
 
 
 def reference_scores(raw, y_onset, y_retreat, months):
@@ -424,3 +435,118 @@ class TestPairObjective:
             # repr tells every float apart bit for bit, NaN included
             assert repr(got) == repr(want)
         assert len(objective.series) <= len({area_key(area) for area in pool})
+
+
+def reference_read_index_series(path, t0, nt):
+    """The `--ne-index` reader that `read_index_csv` replaced, which lived in
+    the CLI: one tuple per row and its own set of months seen. A month or
+    year out of range is a bad row, as in `read_index_csv` (this reader
+    used to find it only after the last row, in `month_slots`)."""
+    seen = set()
+
+    def row(y, m, z):
+        key = (int(y), int(m))
+        if not 1 <= key[1] <= 12:
+            raise ValueError("month out of range 1..12")
+        if not 0 <= key[0] <= 9999:
+            raise ValueError("year out of range 0..9999")
+        if key in seen:
+            raise ValueError(f"second row for {key[0]}-{key[1]:02d}")
+        seen.add(key)
+        return (*key, float(z))
+
+    rows = read_csv_rows(path, ["year", "month", "z"], row, error=ConfigError)
+    out = np.full(nt, np.nan)
+    _, _, slots = month_slots([r[0] for r in rows], [r[1] for r in rows], t0)
+    for (_, _, z), k in zip(rows, slots.tolist()):
+        if 0 <= k < nt:
+            out[k] = z
+    gaps = np.flatnonzero(~np.isfinite(out))
+    if gaps.size:
+        y, m = year_axis(t0, nt)[gaps[0]], month_axis(t0, nt)[gaps[0]]
+        raise ConfigError(f"index CSV has no finite z for {y}-{m:02d}")
+    return out
+
+
+# one fault written into one row's fields (a list of three strings)
+NE_FAULTS = {
+    "bad year": lambda f: ["19x0"] + f[1:],
+    "month 13": lambda f: f[:1] + ["13"] + f[2:],
+    "month 0": lambda f: f[:1] + ["0"] + f[2:],
+    "year 10000": lambda f: ["10000"] + f[1:],
+    "bad z": lambda f: f[:2] + ["1e"],
+    "nan z": lambda f: f[:2] + ["nan"],
+    "infinite z": lambda f: f[:2] + ["-inf"],
+    "duplicate month": None,  # the row is written twice
+    "gap": None,  # the row is dropped
+    "too many fields": lambda f: f + ["1"],
+}
+
+
+class TestIndexCSV:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), year=st.integers(0, 9969), month=st.integers(1, 12),
+           years=st.integers(1, 30))
+    def test_round_trip_is_exact(self, tmp_path_factory, seed, year, month, years):
+        """Write then read gives z bit for bit; read then write gives the
+        same bytes."""
+        rng = np.random.default_rng(seed)
+        t0, nt = f"{year:04d}-{month:02d}", 12 * years
+        z = monthly_values(rng, nt)
+        path = tmp_path_factory.mktemp("index") / "index.csv"
+        write_index_csv(z, t0, path)
+        back = read_index_csv(path, t0, nt)
+        assert bits(back) == bits(z)
+        again = path.with_name("again.csv")
+        write_index_csv(back, t0, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nt=st.integers(1, 40), start=st.integers(-15, 15),
+           length=st.integers(1, 60), faults=st.lists(st.sampled_from(sorted(NE_FAULTS)),
+                                                      max_size=2))
+    def test_matches_reference_reader(self, tmp_path_factory, seed, nt, start, length, faults):
+        """On files that start before or after the axis, end short of it or
+        past it, with faults in one or two rows: the same array, or the same
+        exception class and text."""
+        rng = np.random.default_rng(seed)
+        y0, m0 = 1990 + int(rng.integers(3)), 1 + int(rng.integers(12))
+        t0 = f"{y0}-{m0:02d}"
+        first = y0 * 12 + m0 - 1 + start
+        lines = [f"{(first + k) // 12},{(first + k) % 12 + 1},{rng.normal()!r}"
+                 for k in range(length)]
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        for fault in faults:
+            k = int(rng.integers(len(lines)))
+            if fault == "duplicate month":
+                lines.insert(int(rng.integers(len(lines) + 1)), lines[k])
+            elif fault == "gap":
+                if len(lines) > 1:
+                    del lines[k]
+            else:
+                lines[k] = ",".join(NE_FAULTS[fault](lines[k].split(",")))
+        path = tmp_path_factory.mktemp("ne") / "ne.csv"
+        path.write_text("\n".join(["year,month,z"] + lines) + "\n")
+
+        def outcome(read):
+            try:
+                return bits(read(path, t0, nt))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(read_index_csv) == outcome(reference_read_index_series)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1999,12,0.5\n2000,1,0.25\n2000,2,1.0\n2000,3,2.0\n", None),
+        ("2000,1,0.25\n2000,2,1.0\n", "no finite z for 2000-03"),
+        ("2000,1,0.25\n2000,02,1.0\n2000,2,1.0\n", "line 4 .*: second row for 2000-02$"),
+        ("2000,1,0.25\n2000,13,1.0\n", "line 3 .*: month out of range 1..12$"),
+    ], ids=["ignores-outside", "gap", "duplicate", "month-13"])
+    def test_contract(self, tmp_path, rows, message):
+        path = tmp_path / "ne.csv"
+        path.write_text("year,month,z\n" + rows)
+        if message is None:
+            np.testing.assert_array_equal(read_index_csv(path, "2000-01", 3), [0.25, 1.0, 2.0])
+        else:
+            with pytest.raises(ConfigError, match=message):
+                read_index_csv(path, "2000-01", 3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemonsoon import index
 from nemonsoon.errors import EpisodeOverError, InvalidInitialAreasError
@@ -43,6 +45,41 @@ def make_env(nt=36, jitter=0, mode=SHIFT_ONLY, episode_len=8):
     return AreaEnv(field, y_on, y_re, cfg)
 
 
+def reference_move_rect(rect, action, step):
+    """The rule `_move_rect` replaced: one branch per kind and axis."""
+    lat_min, lat_max = rect.lat_min, rect.lat_max
+    lon_min, lon_max = rect.lon_min, rect.lon_max
+    sign = 1.0 if action.kind in ("shift+", "expand") else -1.0
+    if action.kind in ("shift+", "shift-"):
+        if action.axis == "lat":
+            lat_min += sign * step
+            lat_max += sign * step
+        else:
+            lon_min += sign * step
+            lon_max += sign * step
+    else:
+        half = sign * step / 2.0
+        if action.axis == "lat":
+            lat_min -= half
+            lat_max += half
+        else:
+            lon_min -= half
+            lon_max += half
+    if lat_min >= lat_max - 1e-9 or lon_min >= lon_max - 1e-9:
+        return None
+    return Rect(lat_min, lat_max, lon_min, lon_max)
+
+
+def reference_jitter_area(area, rng, jitter, step):
+    """The jitter `AreaEnv` drew before `Rect.shifted`: per rect, dlat then dlon."""
+    rects = []
+    for r in area.rects:
+        dlat = int(rng.integers(-jitter, jitter + 1)) * step
+        dlon = int(rng.integers(-jitter, jitter + 1)) * step
+        rects.append(Rect(r.lat_min + dlat, r.lat_max + dlat, r.lon_min + dlon, r.lon_max + dlon))
+    return AreaSet(tuple(rects))
+
+
 class TestActions:
     def test_counts(self):
         assert len(enumerate_actions(SHIFT_ONLY)) == 8
@@ -65,6 +102,21 @@ class TestActions:
         assert grown == Rect(2.0, 4.0, 101.75, 104.25)
         shrunk = _move_rect(grown, Action("A", "lon", "shrink"), 0.5)
         assert shrunk == r
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=st.lists(st.sampled_from([-0.0, 0.0, -0.5, 0.1, 0.25, 1.0 / 3.0, 2.0, 7.3]),
+                           min_size=4, max_size=4),
+           extent=st.sampled_from([0.3, 0.5, 1.0, 2.0 / 3.0, 5.0]),
+           step=st.sampled_from([0.25, 0.5, 0.1, 1.0 / 3.0]),
+           action=st.sampled_from(enumerate_actions(SHIFT_AND_RESIZE)))
+    def test_matches_four_branch_rule(self, bounds, extent, step, action):
+        """Bit for bit, signed zeros included: an untouched edge keeps -0.0."""
+        lat_min, lat_max, lon_min, lon_max = bounds
+        r = Rect(lat_min, max(lat_max, lat_min + extent), lon_min, max(lon_max, lon_min + extent))
+        got, want = _move_rect(r, action, step), reference_move_rect(r, action, step)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array(got.as_list()).tobytes() == np.array(want.as_list()).tobytes()
 
     def test_shrink_to_nothing_invalid(self):
         r = Rect(2.0, 2.4, 102.0, 104.0)
@@ -180,6 +232,20 @@ class TestEpisode:
             assert all(env.config.domain.contains(r)
                        for area in (env.state.area_a, env.state.area_b) for r in area.rects)
             assert env._q_of(env.state.area_a, env.state.area_b) is not None
+
+    @pytest.mark.parametrize("jitter, step", [(1, 0.5), (2, 0.5), (3, 1.0 / 3.0)])
+    def test_jitter_matches_reference_draws(self, jitter, step):
+        """Same areas and the same rng stream after, on a two-rect area."""
+        env = make_env(jitter=jitter)
+        env.config = EnvConfig(SHIFT_ONLY, DOMAIN, env.config.init_a, env.config.init_b,
+                               step=step, jitter=jitter)
+        area = AreaSet.of(Rect(-0.0, 2.0, 102.0, 104.0), Rect(3.0, 4.5, 101.0, 103.0))
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(20):
+            got = env._jitter_area(area, got_rng)
+            want = reference_jitter_area(area, want_rng, jitter, step)
+            assert np.array(got.as_lists()).tobytes() == np.array(want.as_lists()).tobytes()
+        assert got_rng.random() == want_rng.random()
 
     def test_invalid_initial_areas_raise(self):
         env = make_env()

@@ -27,6 +27,8 @@ from nemonsoon.stations import (
 )
 from nemonsoon.geogrid import month_axis, month_slots, read_csv_rows
 
+from conftest import bits, monthly_values
+
 
 def make_station(sid="S0", lat=10.0, lon=100.0, years=5, base=100.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -290,6 +292,7 @@ FAULTS = {
     "infinite rain": lambda f: f[:5] + ["inf"],
     "bad year": lambda f: f[:3] + ["20x1"] + f[4:],
     "bad month": lambda f: f[:4] + ["13"] + f[5:],
+    "year out of range": lambda f: f[:3] + ["10000"] + f[4:],
     "site conflict": lambda f: f[:1] + [f[1] + "1"] + f[2:],  # 4.0 -> 4.01
     "duplicate month": None,  # the row is written twice
     "too few fields": lambda f: f[:5],
@@ -329,7 +332,9 @@ def _outcome(read, path):
 
 def reference_read_stations_csv(path):
     """The reader `read_stations_csv` replaced: one tuple per row, each
-    field parsed on every row."""
+    field parsed on every row. A month or year out of range is a bad row,
+    as in `read_stations_csv` (this reader used to find it only after the
+    last row, in `month_slots`)."""
     sites, seen = {}, set()
 
     def row(sid, lat, lon, year, month, rain):
@@ -339,6 +344,10 @@ def reference_read_stations_csv(path):
         if rain < 0 or rain == math.inf:
             raise ValueError(f"station {sid}: rain_mm {rain} is negative or infinite")
         year, month = int(year), int(month)
+        if not 1 <= month <= 12:
+            raise ValueError("month out of range 1..12")
+        if not 0 <= year <= 9999:
+            raise ValueError("year out of range 0..9999")
         if sites.setdefault(sid, (lat, lon)) != (lat, lon):
             raise ValueError(f"station {sid}: site ({lat}, {lon}) differs from "
                              f"its first row's {sites[sid]}")
@@ -357,6 +366,26 @@ def reference_read_stations_csv(path):
 
 
 class TestCSV:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), year=hst.integers(0, 9969), month=hst.integers(1, 12),
+           years=hst.integers(1, 30), nst=hst.integers(1, 3))
+    def test_round_trip_is_exact(self, tmp_path_factory, seed, year, month, years, nst):
+        """Write then read gives the same stations bit for bit, NaN gaps
+        included; read then write gives the same bytes."""
+        rng = np.random.default_rng(seed)
+        t0 = f"{year:04d}-{month:02d}"
+        sts = [Station(f"S{k}", float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)), t0,
+                       monthly_values(rng, 12 * years, low=0.0, high=500.0, gaps=0.2))
+               for k in range(nst)]
+        path = tmp_path_factory.mktemp("stations") / "stations.csv"
+        write_stations_csv(sts, path)
+        back = read_stations_csv(path)
+        assert [(s.id, s.lat, s.lon, s.t0, bits(s.rain)) for s in back] == \
+            [(s.id, s.lat, s.lon, s.t0, bits(s.rain)) for s in sts]
+        again = path.with_name("again.csv")
+        write_stations_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_station_round_trip(self, tmp_path):
         st1 = make_station("S0", seed=1)
         rain2 = make_station("S1", seed=2).rain.copy()

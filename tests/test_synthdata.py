@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nemonsoon.geogrid import area_cells, ocean_fraction
-from nemonsoon.index import evaluate_pair, normalise_series, pearson, raw_index
+from nemonsoon.geogrid import area_cells, month_axis, ocean_fraction
+from nemonsoon.index import (
+    ONSET_MONTHS,
+    RETREAT_MONTHS,
+    evaluate_pair,
+    normalise_series,
+    pearson,
+    raw_index,
+    season_masks,
+)
 from nemonsoon.stations import ClusterParams, run_clustering
 from nemonsoon.synthdata import (
     DEFAULT_INDEX_CORR,
@@ -19,6 +29,31 @@ from nemonsoon.synthdata import (
 
 SPEC = SynthSpec()
 SEED = 0
+
+
+def reference_standardize(x):
+    """The z-score the generators used before `index.normalise_series`."""
+    x = np.asarray(x, dtype=float)
+    return (x - x.mean()) / x.std()
+
+
+class TestSharedRules:
+    """The generators take their season rule and z-score from `index`; both
+    are bit-equal to the copies they replaced."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 1000),
+           scale=st.sampled_from([1e-3, 1.0, 45.0]))
+    def test_normalise_series_is_the_old_standardize(self, seed, n, scale):
+        x = np.random.default_rng(seed).normal(3.0, scale, n)
+        assert normalise_series(x).tobytes() == reference_standardize(x).tobytes()
+
+    @pytest.mark.parametrize("t0", ["1982-01", "1982-07", "1983-11"])
+    def test_season_masks_are_the_old_month_sets(self, t0):
+        months = month_axis(t0, 36)
+        onset, retreat = season_masks(months)
+        np.testing.assert_array_equal(onset, np.isin(months, list(ONSET_MONTHS)))
+        np.testing.assert_array_equal(retreat, np.isin(months, list(RETREAT_MONTHS)))
 
 
 class TestLatentSignal:
