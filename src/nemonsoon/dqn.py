@@ -375,7 +375,7 @@ def _maybe_better(env, best_areas, best_q):
 def write_history_csv(history: list[HistoryRow], path) -> None:
     """Emit `step,episode,reward,best_q,epsilon`."""
     geogrid.write_csv_rows(path, ["step", "episode", "reward", "best_q", "epsilon"], (
-        (row.step, row.episode, repr(row.reward), repr(row.best_q), repr(row.epsilon))
+        (row.step, row.episode, *(repr(float(v)) for v in (row.reward, row.best_q, row.epsilon)))
         for row in history))
 
 

@@ -12,6 +12,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -201,11 +202,11 @@ class AreaSet:
         """Every rect moved by the same (dlat, dlon)."""
         return AreaSet(tuple(r.shifted(dlat, dlon) for r in self.rects))
 
-
-def area_key(area: AreaSet) -> tuple[int, ...]:
-    """Hashable key of an area's geometry: every rect bound rounded to
-    1e-6 degrees, so bounds that drift by float steps share one key."""
-    return tuple(round(v * 1e6) for r in area.rects for v in r.as_list())
+    @cached_property
+    def key(self) -> tuple[int, ...]:
+        """Hashable key of the geometry, built once per object: every rect bound
+        rounded to 1e-6 degrees, so bounds that drift by float steps share one key."""
+        return tuple(round(v * 1e6) for r in self.rects for v in r.as_list())
 
 
 @dataclass
@@ -399,9 +400,13 @@ def monthly_rows(t0: str, series):
 
 @contextmanager
 def atomic_write(path: str | os.PathLike, mode: str = "w", **open_kwargs):
-    """Open `path + '.tmp'` for writing and rename it over `path` once the
-    block completes, so readers never see a partial file."""
+    """Open `path + '.tmp'` for writing and rename it over `path` once the block
+    completes, so readers never see a partial file; if it raises, the temporary goes."""
     tmp = str(path) + ".tmp"
     with open(tmp, mode, **open_kwargs) as fh:
-        yield fh
+        try:
+            yield fh
+        except BaseException:
+            os.remove(tmp)
+            raise
     os.replace(tmp, path)

@@ -122,37 +122,12 @@ def _target(y_onset, y_retreat, masks) -> np.ndarray:
     return _centre(np.where(masks[0], y_onset, y_retreat), masks)
 
 
-def seasonal_scores(diffs: np.ndarray, target: np.ndarray, months: np.ndarray):
-    """(r_onset, r_retreat, q) for each row of season-centred index
-    differences against the season-centred target, one Pearson r per season.
-
-    Pearson r is affine-invariant, so raw differences score the same as the
-    normalised index. A row, or a target, that is constant within a season
-    or not finite scores NaN: an invalid pair, never a fabricated q.
-    """
-    r, q = _scores(np.atleast_2d(diffs), _season_products(target, season_masks(months)))
-    return r[:, 0], r[:, 1], q
-
-
-def _season_products(target, masks):
-    """The target's side of `_scores`, built once per target: the (nt, 2)
-    season matrix, the target times it, and its squared norm per season."""
-    seasons = np.stack(masks, axis=1).astype(float)
-    return seasons, target[:, None] * seasons, (target * target) @ seasons
-
-
-def _scores(diffs, products):
-    """(n, 2) season correlations and (n,) q of the rows of `diffs`:
-    non-finite r is NaN, the rest is clipped to [-1, 1], and q is
-    `objective_q`'s mean of the two squares."""
-    seasons, target_seasons, target_sq = products
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (diffs @ target_seasons) / np.sqrt(((diffs * diffs) @ seasons) * target_sq)
-    r = np.where(np.isfinite(r), r, np.nan)
-    np.maximum(r, -1.0, out=r)
-    np.minimum(r, 1.0, out=r)
-    r_on, r_re = r[:, 0], r[:, 1]
-    return r, 0.5 * (r_on * r_on + r_re * r_re)
+def _season_order(masks) -> tuple[np.ndarray, tuple[slice, slice]]:
+    """The onset months, then the retreat months, each in time order, as
+    indices into the time axis, and each season's slice of that order."""
+    order = np.concatenate([np.flatnonzero(sel) for sel in masks])
+    cut = int(masks[0].sum())
+    return order, (slice(0, cut), slice(cut, len(order)))
 
 
 # A pair whose Gram-form |B - A|^2 is below this share of |A|^2 + |B|^2 is
@@ -194,7 +169,7 @@ class PairScorer:
 
     Series must be finite. A pair that is degenerate (identical series up to
     rounding) or a target that is constant within a season scores NaN, as
-    in `seasonal_scores`.
+    in `PairObjective`.
     """
 
     # four (BLOCK_ROWS, n_b) float64 buffers, q, its bound and two work
@@ -207,10 +182,7 @@ class PairScorer:
         becomes the stack: it is centred in place, a block at a time, so
         the caller's copy is overwritten. `err_b` bounds each row's error
         (a scalar or one per row)."""
-        sel_on, sel_re = season_masks(months)
-        self._order = np.concatenate([np.flatnonzero(sel_on), np.flatnonzero(sel_re)])
-        cut = int(sel_on.sum())
-        self._seasons = (slice(0, cut), slice(cut, len(self._order)))
+        self._order, self._seasons = _season_order(season_masks(months))
         y = np.asarray(target, dtype=float)[self._order]
         self._y = [y[s] for s in self._seasons]
         self._yy = [float(ys @ ys) for ys in self._y]
@@ -318,9 +290,12 @@ class PairObjective:
     """`evaluate_pair` for one field, one pair of targets and one
     `min_ocean`, prepared once. The season masks, the centred target and its
     season products are built here, and each distinct area's `ocean_series`
-    outcome (its float32 series, or its violation) is kept in `series`,
-    keyed by `geogrid.area_key`. A call on two areas seen before costs one
-    subtraction, one centring and one small matmul, with no area reduction.
+    outcome (its float32 series in season order, or its violation) is kept
+    in `series`, keyed by `AreaSet.key`. A call on two areas seen before
+    costs one subtraction, `_centre`'s rule on each season's run of months
+    (the same sums as on its gathered copy), one scatter back to time order
+    and two small matmuls, whose BLAS sums then run in time order: the
+    bits of centring and scoring in time order.
 
     Calls make `evaluate_pair`'s checks in its order: A, then B, then the
     seasons, then the targets' length. The field must not change while the
@@ -332,6 +307,7 @@ class PairObjective:
         self.field = field
         self.min_ocean = min_ocean
         self.series: dict[tuple, tuple[np.ndarray | None, str | None]] = {}
+        self._order = slice(None)
         # too few months in a season is reported, targets off the time axis
         # raised, but only once both areas have passed
         self._error: Exception | None = None
@@ -341,16 +317,21 @@ class PairObjective:
         except (InsufficientSeasonSamplesError, ValueError) as exc:
             self._error = exc
             return
-        self._seasons = [np.flatnonzero(sel) for sel in masks]
+        self._order, self._seasons = _season_order(masks)
         self._target_finite = bool(np.isfinite(target).all())
-        self._products = _season_products(target, masks)
+        # the (nt, 2) season matrix, the target times it, its norm per season
+        self._season_matrix = np.stack(masks, axis=1).astype(float)
+        self._target_seasons = target[:, None] * self._season_matrix
+        self._target_sq = ((target * target) @ self._season_matrix).tolist()
+        self._diff, (self._row, self._sq) = np.empty(len(target)), np.empty((2, 1, len(target)))
+        self._step = np.empty(len(target) - 1, dtype=bool)
 
     def _area_series(self, area: AreaSet) -> tuple[np.ndarray | None, str | None]:
         """`ocean_series` of the area, reduced on its first call only."""
-        key = geogrid.area_key(area)
-        found = self.series.get(key)
+        found = self.series.get(area.key)
         if found is None:
-            found = self.series[key] = ocean_series(self.field, area, self.min_ocean)
+            s, violation = ocean_series(self.field, area, self.min_ocean)
+            found = self.series[area.key] = (None if s is None else s[self._order], violation)
         return found
 
     def __call__(self, area_a: AreaSet, area_b: AreaSet) -> ObjectiveReport:
@@ -364,15 +345,31 @@ class PairObjective:
             return _invalid(str(self._error))
         if self._error is not None:
             raise self._error
-        diff = _centre(np.subtract(series[1], series[0], dtype=float), self._seasons)
-        r, q = _scores(diff[None], self._products)
-        q = float(q[0])
+        diff = np.subtract(series[1], series[0], out=self._diff, dtype=float)
+        step = np.not_equal(diff[1:], diff[:-1], out=self._step)  # in season order
+        for season in self._seasons:
+            part = diff[season]
+            # `_centre`'s rule: a finite run of equal values centres to exact zeros
+            if math.isfinite(part[0]) and not np.count_nonzero(step[season.start:season.stop - 1]):
+                part.fill(0.0)
+            elif math.isfinite(mean := np.add.reduce(part) / len(part)):
+                part -= mean
+            else:  # a NaN or infinite month, which makes r NaN
+                return _invalid("index or target has non-finite values")
+        row = self._row
+        row[0, self._order] = diff
+        np.multiply(row, row, out=self._sq)
+        r = []
+        for nu, de, tsq in zip((row @ self._target_seasons)[0].tolist(),
+                               (self._sq @ self._season_matrix)[0].tolist(), self._target_sq):
+            root = math.sqrt(de * tsq)
+            r_s = nu / root if root else math.nan
+            r.append(min(max(r_s, -1.0), 1.0) if math.isfinite(r_s) else math.nan)
+        q = 0.5 * (r[0] * r[0] + r[1] * r[1])
         if math.isnan(q):
-            finite = np.isfinite(diff).all() and self._target_finite
-            return _invalid("index or target constant within a season" if finite
+            return _invalid("index or target constant within a season" if self._target_finite
                             else "index or target has non-finite values")
-        r_onset, r_retreat = r[0].tolist()
-        return ObjectiveReport(r_onset, r_retreat, q, True)
+        return ObjectiveReport(*r, q, True)
 
 
 def evaluate_pair(

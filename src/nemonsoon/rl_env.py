@@ -134,10 +134,6 @@ def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
     return np.array(out)
 
 
-def _geometry_key(area_a: AreaSet, area_b: AreaSet) -> tuple:
-    return geogrid.area_key(area_a), geogrid.area_key(area_b)
-
-
 class AreaEnv:
     """Stateful episode environment over one read-only SST field and fixed
     rainfall targets. Objective values are cached per geometry, and scored
@@ -166,7 +162,7 @@ class AreaEnv:
     def _q_of(self, area_a: AreaSet, area_b: AreaSet) -> float | None:
         """Objective of a geometry, or None if the report is invalid (which
         covers a broken area constraint)."""
-        key = _geometry_key(area_a, area_b)
+        key = area_a.key, area_b.key
         if key not in self._q_cache:
             report = self.objective(area_a, area_b)
             self._q_cache[key] = report.q if report.valid else None

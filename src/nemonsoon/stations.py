@@ -99,15 +99,28 @@ def impute_monthly_median(station: Station) -> Station:
     return replace(station, rain=rain)
 
 
-def monthly_climatology(station: Station) -> np.ndarray:
-    """Mean rainfall per calendar month (12 values); station must be imputed."""
-    months = month_axis(station.t0, len(station.rain))
-    out = np.empty(12)
-    for m in range(1, 13):
-        vals = station.rain[months == m]
-        if vals.size == 0 or np.isnan(vals).any():
-            raise NoObservationsError(m)
-        out[m - 1] = vals.mean()
+def monthly_climatologies(stations: list[Station]) -> np.ndarray:
+    """(n, 12) mean rainfall per imputed station and calendar month, with
+    `ndarray.mean`'s bits: one stable sort per time axis puts each month's
+    values in one run, in time order. The first station with a month that
+    has no value, or a NaN, raises NoObservationsError for that month."""
+    out = np.empty((len(stations), 12))
+    axes: dict[tuple, list[int]] = {}
+    for k, st in enumerate(stations):
+        axes.setdefault((st.t0, len(st.rain), st.rain.dtype), []).append(k)
+    for (t0, nt, _), rows in axes.items():
+        months = month_axis(t0, nt)
+        order = np.argsort(months, kind="stable")
+        runs = list(itertools.pairwise(np.searchsorted(months[order], np.arange(1, 14)).tolist()))
+        for k in rows:
+            # 1-D sums (2-D ones add in another order); rain is never below 0,
+            # so a sum is NaN only where a value is
+            rain = stations[k].rain[order]
+            out[k] = [np.add.reduce(rain[lo:hi]) / (hi - lo) if hi > lo else np.nan
+                      for lo, hi in runs]
+    bad = np.isnan(out)
+    if bad.any():
+        raise NoObservationsError(int(np.argmax(bad[np.argmax(bad.any(axis=1))])) + 1)
     return out
 
 
@@ -116,9 +129,8 @@ def build_features(stations: list[Station]) -> np.ndarray:
     standardized to zero mean and unit population variance."""
     if len(stations) < 2:
         raise ValueError("need at least 2 stations to standardize features")
-    raw = np.array(
-        [[st.lat, st.lon, *monthly_climatology(st)] for st in stations]
-    )
+    raw = np.column_stack([[st.lat for st in stations], [st.lon for st in stations],
+                           monthly_climatologies(stations)])
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)  # population
     for k, s in enumerate(std):
@@ -269,7 +281,7 @@ def read_stations_csv(path: str | os.PathLike) -> list[Station]:
 def write_stations_csv(stations: list[Station], path: str | os.PathLike) -> None:
     """Emit `station_id,lat,lon,year,month,rain_mm`, missing rain empty."""
     write_csv_rows(path, STATIONS_HEADER, (
-        (st.id, repr(st.lat), repr(st.lon), year, month, "" if math.isnan(v) else v)
+        (st.id, repr(float(st.lat)), repr(float(st.lon)), year, month, "" if math.isnan(v) else v)
         for st in stations for year, month, v in monthly_rows(st.t0, st.rain)))
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nemonsoon import index
+from nemonsoon.errors import InsufficientSeasonSamplesError
 from nemonsoon.geogrid import GridSpec, SSTField
 
 
@@ -35,6 +37,59 @@ def bits(values):
     bit-equal, NaN-aware comparison."""
     values = np.asarray(values, dtype=np.float64)
     return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def seasonal_scores(diffs, target, months):
+    """(r_onset, r_retreat, q) for each row of season-centred index
+    differences against the season-centred target, one Pearson r per season,
+    from one matmul per term over a time-ordered (nt, 2) season matrix: the
+    scorer `PairObjective` replaced, kept as its reference. A row, or a
+    target, that is constant within a season or not finite scores NaN."""
+    r, q = _scores(np.atleast_2d(diffs), _season_products(target, index.season_masks(months)))
+    return r[:, 0], r[:, 1], q
+
+
+def _season_products(target, masks):
+    seasons = np.stack(masks, axis=1).astype(float)
+    return seasons, target[:, None] * seasons, (target * target) @ seasons
+
+
+def _scores(diffs, products):
+    seasons, target_seasons, target_sq = products
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (diffs @ target_seasons) / np.sqrt(((diffs * diffs) @ seasons) * target_sq)
+    r = np.where(np.isfinite(r), r, np.nan)
+    np.maximum(r, -1.0, out=r)
+    np.minimum(r, 1.0, out=r)
+    r_on, r_re = r[:, 0], r[:, 1]
+    return r, 0.5 * (r_on * r_on + r_re * r_re)
+
+
+def reference_pair_report(field, area_a, area_b, y_onset, y_retreat, min_ocean=0.8):
+    """`evaluate_pair` before `PairObjective`: the checks in its order (A,
+    B, seasons, the targets' length), then `_centre` of the time-ordered
+    difference and `_scores`."""
+    series = []
+    for label, area in (("A", area_a), ("B", area_b)):
+        s, violation = index.ocean_series(field, area, min_ocean)
+        if s is None:
+            return index.ObjectiveReport(np.nan, np.nan, np.nan, False, f"{label}: {violation}")
+        series.append(s)
+    try:
+        masks = index.season_masks(field.spec.months())
+    except InsufficientSeasonSamplesError as exc:
+        return index.ObjectiveReport(np.nan, np.nan, np.nan, False, str(exc))
+    target = index.season_target(y_onset, y_retreat, field.spec.months())
+    diff = index._centre(np.subtract(series[1], series[0], dtype=float),
+                         [np.flatnonzero(sel) for sel in masks])
+    r, q = _scores(diff[None], _season_products(target, masks))
+    if np.isnan(q[0]):
+        finite = np.isfinite(diff).all() and np.isfinite(target).all()
+        return index.ObjectiveReport(np.nan, np.nan, np.nan, False,
+                                     "index or target constant within a season" if finite
+                                     else "index or target has non-finite values")
+    r_onset, r_retreat = r[0].tolist()
+    return index.ObjectiveReport(r_onset, r_retreat, float(q[0]), True)
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from nemonsoon.index import evaluate_pair
 from nemonsoon.rl_env import SHIFT_ONLY, AreaEnv, EnvConfig
 from nemonsoon.synthdata import SynthSpec, gen_sst, gen_stations, regime_targets
 
-from conftest import ChainEnv, make_field
+from conftest import ChainEnv, make_field, seasonal_scores
 
 
 class TestQNetwork:
@@ -310,6 +310,12 @@ class TestTraining:
         assert lines[0] == "step,episode,reward,best_q,epsilon"
         assert lines[1].startswith("0,0,0.5,0.1,1.0")
 
+    def test_history_csv_writes_numpy_scalars_as_floats(self, tmp_path):
+        rows = [HistoryRow(0, 0, np.float64(-0.05), np.float32(0.5), np.float64(1.0))]
+        path = tmp_path / "history.csv"
+        write_history_csv(rows, path)
+        assert path.read_text().splitlines()[1] == "0,0,-0.05,0.5,1.0"
+
 
 class TestOracle:
     def _world(self):
@@ -401,7 +407,7 @@ def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_
     centred_b = np.array([c for _, c in placed_b])
     best_q, best = -np.inf, None
     for offset_a, c_a in valid_placements(template_a):
-        q = np.nan_to_num(index.seasonal_scores(centred_b - c_a, target, months)[2],
+        q = np.nan_to_num(seasonal_scores(centred_b - c_a, target, months)[2],
                           nan=-np.inf)
         ib = int(np.argmax(q))
         if q[ib] > best_q + 1e-15:

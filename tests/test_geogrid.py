@@ -345,6 +345,21 @@ class TestWriteCSVRows:
             write_csv_rows(path, ["a", "b"], rows())
         assert path.read_text() == "old\n"
 
+    @pytest.mark.parametrize("old", [None, "old\n"])
+    def test_failed_write_removes_its_temporary(self, tmp_path, old):
+        path = tmp_path / "out.csv"
+        if old is not None:
+            path.write_text(old)
+
+        def rows():
+            yield (1, 2)
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            write_csv_rows(path, ["a", "b"], rows())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out.csv"])
+        assert old is None or path.read_text() == old
+
     def test_monthly_rows(self):
         rows = list(monthly_rows("1999-11", np.array([0.5, np.nan, 2.0], dtype=np.float32)))
         assert rows == [(1999, 11, 0.5), (1999, 12, pytest.approx(np.nan, nan_ok=True)),

@@ -11,7 +11,6 @@ from nemonsoon.errors import (
 from nemonsoon.geogrid import (
     AreaSet,
     Rect,
-    area_key,
     month_axis,
     month_slots,
     read_csv_rows,
@@ -31,11 +30,10 @@ from nemonsoon.index import (
     PairScorer,
     read_index_csv,
     season_target,
-    seasonal_scores,
     write_index_csv,
 )
 
-from conftest import bits, make_field, monthly_values
+from conftest import bits, make_field, monthly_values, reference_pair_report, seasonal_scores
 
 
 def reference_scores(raw, y_onset, y_retreat, months):
@@ -405,7 +403,7 @@ _area = st.lists(_rect, min_size=1, max_size=2).map(lambda rs: AreaSet(tuple(rs)
 
 class TestPairObjective:
     @given(st.integers(0, 10_000), st.floats(0.0, 0.4), st.sampled_from([0.5, 0.8]),
-           st.lists(_area, min_size=2, max_size=8, unique_by=area_key),
+           st.lists(_area, min_size=2, max_size=8, unique_by=lambda area: area.key),
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=25),
            st.sampled_from(["random", "random", "flat onset", "short"]))
     @settings(max_examples=120, deadline=None)
@@ -426,15 +424,61 @@ class TestPairObjective:
         for i, j in picks:
             a, b = pool[i % len(pool)], pool[j % len(pool)]
             try:
-                want = evaluate_pair(field, a, b, y_on, y_re, min_ocean)
+                want = reference_pair_report(field, a, b, y_on, y_re, min_ocean)
             except ValueError as exc:
-                with pytest.raises(ValueError, match=str(exc)):
-                    objective(a, b)
+                for call in (objective, lambda a, b: evaluate_pair(field, a, b, y_on, y_re,
+                                                                   min_ocean)):
+                    with pytest.raises(ValueError, match=str(exc)):
+                        call(a, b)
                 continue
-            got = objective(a, b)
             # repr tells every float apart bit for bit, NaN included
-            assert repr(got) == repr(want)
-        assert len(objective.series) <= len({area_key(area) for area in pool})
+            assert repr(objective(a, b)) == repr(want)
+            assert repr(evaluate_pair(field, a, b, y_on, y_re, min_ocean)) == repr(want)
+        assert len(objective.series) <= len({area.key for area in pool})
+
+
+class TestPairObjectiveEdges:
+    """Two one-cell areas whose series are set month by month: the season-
+    ordered path against `reference_pair_report` where the centring rule
+    and the non-finite checks decide the report."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(6, 80),
+           st.sampled_from(["none", "flat difference", "almost flat", "nan month",
+                            "inf month", "flat target"]),
+           st.sampled_from([ONSET_MONTHS, RETREAT_MONTHS]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, seed, m0, nt, case, season):
+        rng = np.random.default_rng(seed)
+        months = month_axis(f"2000-{m0:02d}", nt)
+        sel = np.isin(months, list(season))
+        # multiples of 1/64 near 20: A + c is exact in float32
+        a_vals = (20.0 + rng.integers(-256, 256, nt) / 64).astype(np.float32)
+        b_vals = (20.0 + rng.normal(size=nt)).astype(np.float32)
+        y_on, y_re = 100.0 + 50.0 * rng.normal(size=(2, nt))
+        if case in ("flat difference", "almost flat"):  # B = A + c on that season's months
+            if rng.random() < 0.5:
+                b_vals[sel] = a_vals[sel] + np.float32(rng.integers(-64, 65) / 16)
+            else:  # a tiny A: B - A needs about 50 bits, and its mean leaves a residue
+                a_vals[sel] = np.float32(rng.uniform(1e-7, 2e-7))
+                b_vals[sel] = np.float32(rng.uniform(15, 25))
+            if case == "almost flat" and sel.any():  # one month a float32 step off
+                k = rng.choice(np.flatnonzero(sel))
+                b_vals[k] = np.nextafter(b_vals[k], np.float32(np.inf))
+        elif case == "nan month":
+            b_vals[rng.integers(1, nt)] = np.nan
+        elif case == "inf month":  # or a whole season of one infinity
+            months_hit = sel if rng.random() < 0.3 else rng.integers(1, nt)
+            (a_vals, b_vals)[int(rng.integers(2))][months_hit] = rng.choice([-np.inf, np.inf])
+        elif case == "flat target":
+            (y_on if season is ONSET_MONTHS else y_re)[sel] = 7.1
+        field = make_field(np.stack([a_vals, b_vals], axis=1)[:, None, :], t0=f"2000-{m0:02d}")
+        a = AreaSet.of(Rect(-0.25, 0.25, 99.75, 100.25))
+        b = AreaSet.of(Rect(-0.25, 0.25, 100.25, 100.75))
+        objective = PairObjective(field, y_on, y_re)
+        with np.errstate(invalid="ignore"):  # inf - inf in a season's mean
+            for pair in ((a, b), (b, a), (a, b)):
+                want = reference_pair_report(field, *pair, y_on, y_re)
+                assert repr(objective(*pair)) == repr(want)
 
 
 def reference_read_index_series(path, t0, nt):

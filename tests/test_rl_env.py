@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemonsoon import index
 from nemonsoon.errors import EpisodeOverError, InvalidInitialAreasError
-from nemonsoon.geogrid import AreaSet, Rect, area_key
+from nemonsoon.geogrid import AreaSet, Rect
 from nemonsoon.rl_env import (
     Action,
     AreaEnv,
@@ -22,7 +21,7 @@ from nemonsoon.rl_env import (
     save_areas,
 )
 
-from conftest import make_field
+from conftest import make_field, reference_pair_report
 
 
 DOMAIN = Rect(0.0, 10.0, 100.0, 110.0)
@@ -267,15 +266,15 @@ class TestEpisode:
 
 class ReferenceEnv(AreaEnv):
     """The environment as it scored before `index.PairObjective`: a fresh
-    `evaluate_pair` for every geometry, with no cache at all."""
+    reference report for every geometry, with no cache at all."""
 
     def __init__(self, field, y_onset, y_retreat, config):
         super().__init__(field, y_onset, y_retreat, config)
         self.targets = y_onset, y_retreat
 
     def _q_of(self, area_a, area_b):
-        report = index.evaluate_pair(self.field, area_a, area_b, *self.targets,
-                                     min_ocean=self.config.min_ocean)
+        report = reference_pair_report(self.field, area_a, area_b, *self.targets,
+                                       min_ocean=self.config.min_ocean)
         return report.q if report.valid else None
 
 
@@ -340,8 +339,8 @@ class TestPairObjectiveEnv:
         env.reset(rng)
         for _ in range(env.config.episode_len):
             env.step(int(rng.integers(env.n_actions)))
-        distinct_a = {area_key(a) for a, _ in env.visited}
-        distinct_b = {area_key(b) for _, b in env.visited}
+        distinct_a = {a.key for a, _ in env.visited}
+        distinct_b = {b.key for _, b in env.visited}
         assert 0 < len(env.objective.series) <= len(distinct_a) + len(distinct_b)
 
     @pytest.mark.parametrize("value", [7.1, 0.3])

@@ -15,7 +15,7 @@ from nemonsoon.stations import (
     cluster_mean_series,
     cluster_stations,
     impute_monthly_median,
-    monthly_climatology,
+    monthly_climatologies,
     pca_reduce,
     qc_filter,
     read_clusters_csv,
@@ -119,12 +119,61 @@ class TestImpute:
         assert impute_monthly_median(st) is st
 
 
+def monthly_climatology(station):
+    """One station's 12 monthly means from a boolean mask per month: the
+    loop `monthly_climatologies` replaced, kept as its reference."""
+    months = month_axis(station.t0, len(station.rain))
+    out = np.empty(12)
+    for m in range(1, 13):
+        vals = station.rain[months == m]
+        if vals.size == 0 or np.isnan(vals).any():
+            raise NoObservationsError(m)
+        out[m - 1] = vals.mean()
+    return out
+
+
+def reference_build_features(stations):
+    raw = np.array([[st.lat, st.lon, *monthly_climatology(st)] for st in stations])
+    return (raw - raw.mean(axis=0)) / raw.std(axis=0)
+
+
 class TestFeatures:
     def test_climatology_hand_case(self):
         rain = np.concatenate([np.arange(1.0, 13.0), np.arange(13.0, 25.0)])
         st = Station("S0", 0.0, 0.0, "2000-01", rain)
-        clim = monthly_climatology(st)
-        np.testing.assert_allclose(clim, np.arange(7.0, 19.0))
+        clim = monthly_climatologies([st])
+        np.testing.assert_allclose(clim, [np.arange(7.0, 19.0)])
+
+    @given(seed=hst.integers(0, 2**32 - 1), axes=hst.lists(
+               hst.tuples(hst.integers(1, 12), hst.integers(1, 300), hst.integers(1, 4)),
+               min_size=1, max_size=3),
+           gaps=hst.sampled_from([0.0, 0.0, 0.01, 0.05]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_station_loop(self, seed, axes, gaps):
+        """Stations on up to three axes (t0 in any month, nt not a multiple
+        of 12, so some months may be missing), values of mixed scale, NaN
+        gaps: the same bits, or the same error and month, as the loop."""
+        rng = np.random.default_rng(seed)
+        sts = []
+        for m0, nt, count in axes:
+            for _ in range(count):
+                rain = monthly_values(rng, nt, low=0.0, high=500.0, gaps=gaps)
+                sts.append(Station(f"S{len(sts)}", float(rng.uniform(-90, 90)),
+                                   float(rng.uniform(-180, 180)), f"2000-{m0:02d}", rain))
+        with np.errstate(over="ignore", invalid="ignore"):  # sums of values near 1e308
+            try:
+                want = np.array([monthly_climatology(st) for st in sts])
+            except NoObservationsError as exc:
+                with pytest.raises(NoObservationsError) as got:
+                    monthly_climatologies(sts)
+                assert got.value.month == exc.month
+                return
+            assert bits(monthly_climatologies(sts)) == bits(want)
+            if len(sts) >= 2:
+                with np.errstate(divide="ignore"):
+                    ref = reference_build_features(sts)
+                if np.isfinite(ref).all():
+                    assert bits(build_features(sts)) == bits(ref)
 
     def test_standardized_columns(self):
         stations = [make_station(f"S{i}", lat=float(i), lon=100.0 + i, seed=i) for i in range(6)]
@@ -385,6 +434,17 @@ class TestCSV:
         again = path.with_name("again.csv")
         write_stations_csv(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_numpy_scalar_site_round_trip(self, tmp_path):
+        sites = np.array([[5.0, 100.25], [-12.125, 179.5]])
+        sts = [Station(f"S{k}", lat, lon, "2000-01", np.full(12, 3.5))
+               for k, (lat, lon) in enumerate(sites)]  # numpy float64 scalars
+        path = tmp_path / "stations.csv"
+        write_stations_csv(sts, path)
+        assert "np." not in path.read_text()
+        back = read_stations_csv(path)
+        assert [[s.lat, s.lon] for s in back] == sites.tolist()
+        assert all(type(v) is float for s in back for v in (s.lat, s.lon))
 
     def test_station_round_trip(self, tmp_path):
         st1 = make_station("S0", seed=1)
