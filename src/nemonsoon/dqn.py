@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,22 +384,20 @@ def write_history_csv(history: list[HistoryRow], path) -> None:
 # Exhaustive-search oracle
 # ---------------------------------------------------------------------------
 
-def _placements(template: AreaSet, domain: Rect, step: float) -> list[tuple[float, float]]:
-    """Rigid-shift offsets (multiples of step) keeping every rect inside
-    the domain; lexicographic order."""
+def _placements(template: AreaSet, domain: Rect, step: float) -> list[AreaSet]:
+    """The template shifted by each multiple of step that keeps it inside
+    the domain (`geogrid.inside`), in lexicographic order of offset."""
     lat_lo = min(r.lat_min for r in template.rects)
     lat_hi = max(r.lat_max for r in template.rects)
     lon_lo = min(r.lon_min for r in template.rects)
     lon_hi = max(r.lon_max for r in template.rects)
-    k_lat_min = int(np.ceil((domain.lat_min - lat_lo) / step - 1e-9))
-    k_lat_max = int(np.floor((domain.lat_max - lat_hi) / step + 1e-9))
-    k_lon_min = int(np.ceil((domain.lon_min - lon_lo) / step - 1e-9))
-    k_lon_max = int(np.floor((domain.lon_max - lon_hi) / step + 1e-9))
-    return [
-        (k_lat * step, k_lon * step)
-        for k_lat in range(k_lat_min, k_lat_max + 1)
-        for k_lon in range(k_lon_min, k_lon_max + 1)
-    ]
+    # every multiple that may fit, and one more each side for `inside` to drop
+    k_lat = range(math.floor((domain.lat_min - lat_lo) / step),
+                  math.ceil((domain.lat_max - lat_hi) / step) + 1)
+    k_lon = range(math.floor((domain.lon_min - lon_lo) / step),
+                  math.ceil((domain.lon_max - lon_hi) / step) + 1)
+    placed = (template.shifted(i * step, j * step) for i in k_lat for j in k_lon)
+    return [area for area in placed if geogrid.inside(domain, area)]
 
 
 # months per summed-area table: the oracle's float64 tables cover this many
@@ -428,23 +427,21 @@ class _Lattice:
     by the subset's size), so a cell in two rects counts once, as in
     `geogrid.area_indices`.
 
-    `fits` indexes the offsets whose placement meets `index.ocean_series`'s
-    area constraint; `ocean` counts each such placement's ocean cells and
+    `fits` indexes the placements that meet `index.ocean_series`'s area
+    constraint; `ocean` counts each such placement's ocean cells and
     `series` (filled by `_fill_series`) holds its ocean-mean series.
     """
 
     def __init__(self, template: AreaSet, domain: Rect, step: float, spec: geogrid.GridSpec,
                  ocean: np.ndarray, min_ocean: float, dtype=np.float32):
-        self.template = template
-        self.offsets = _placements(template, domain, step)
+        self.areas = _placements(template, domain, step)
         m = len(template.rects)
         subsets = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
         self._signs = np.array([(-1) ** (len(c) + 1) for c in subsets])
         # (P, m, 4) inclusive bounds i0, i1, j0, j1 of each rect's cells
-        bounds = np.array([[geogrid._rect_index_bounds(r, spec)
-                            for r in template.shifted(*offset).rects]
-                           for offset in self.offsets], dtype=np.intp)
-        bounds = bounds.reshape(len(self.offsets), m, 4)
+        bounds = np.array([[geogrid._rect_index_bounds(r, spec) for r in area.rects]
+                           for area in self.areas], dtype=np.intp)
+        bounds = bounds.reshape(len(self.areas), m, 4)
         lo, hi = bounds[..., 0::2], bounds[..., 1::2] + 1
         boxes = []
         for c in subsets:
@@ -488,7 +485,7 @@ class _Lattice:
 
     def area(self, row: int) -> AreaSet:
         """The placement of fitting row `row`."""
-        return self.template.shifted(*self.offsets[self.fits[row]])
+        return self.areas[self.fits[row]]
 
 
 def _fill_series(field: SSTField, lattices) -> float:
@@ -535,16 +532,17 @@ def exhaustive_search(
     or have a non-finite series are skipped; degenerate pairs never win.
 
     Every placement's series comes from summed-area tables of the field
-    (`_fill_series`), built here and freed on return. `index.PairScorer`
-    stacks B's series once and scores A's in blocks, all pairs of a block
-    at once, each q with a bound on its distance from the q of the
-    placements' `geogrid.area_mean_series` series. Every pair whose q is
-    within its bound of the best lower bound is scored again on those
-    series by `index.PairObjective`, and the best of these exact q wins;
-    the q returned is the winner's exact q, as `index.evaluate_pair` gives
-    it.
+    (`_fill_series`), built here and freed on return. `index.PairScorer`,
+    on the season order and centred target of the `index.PairObjective`
+    built first, stacks B's series once and scores A's in blocks, all
+    pairs of a block at once, each q with a bound on its distance from the
+    q of the placements' `geogrid.area_mean_series` series. Every pair
+    whose q is within its bound of the best lower bound is scored again on
+    those series by the `index.PairObjective`, and the best of these exact
+    q wins; the q returned is the winner's exact q, as
+    `index.evaluate_pair` gives it.
     """
-    months = field.spec.months()
+    objective = index.PairObjective(field, y_onset, y_retreat, min_ocean)
     ocean = _table(field.ocean_mask()[None].astype(np.int64))
 
     def lattice(template, dtype):
@@ -567,8 +565,7 @@ def exhaustive_search(
         if len(rows_b) < len(series_b):
             series_b = series_b[rows_b]
         lattice_b.series = None  # the scorer centres B's series in place
-        scorer = index.PairScorer(months, index.season_target(y_onset, y_retreat, months),
-                                  series_b, err_b[rows_b])
+        scorer = index.PairScorer(objective, series_b, err_b[rows_b])
         del series_b
         for lo in range(0, len(rows_a), scorer.BLOCK_ROWS):
             rows = rows_a[lo:lo + scorer.BLOCK_ROWS]
@@ -585,7 +582,6 @@ def exhaustive_search(
     if found:
         ia, ib, upper = (np.concatenate(parts) for parts in zip(*found))
         keep = upper >= floor - _TIE
-        objective = index.PairObjective(field, y_onset, y_retreat, min_ocean)
         # candidates are in (A, B) order: the first best of each A row, and
         # a later row only if it beats the best by more than _TIE
         for row_a, pairs in itertools.groupby(zip(ia[keep].tolist(), ib[keep].tolist()),

@@ -80,16 +80,9 @@ def default_grid() -> list[ForecasterConfig]:
 def select_features(features: dict[str, np.ndarray], target: np.ndarray,
                     threshold: float = 0.6) -> list[str]:
     """Names of columns whose absolute Pearson correlation with the target
-    strictly exceeds the threshold. Call with training-fold rows only."""
-    kept = []
-    for name, col in features.items():
-        try:
-            r = pearson(col, target)
-        except ZeroVarianceError:
-            continue
-        if abs(r) > threshold:
-            kept.append(name)
-    return kept
+    strictly exceeds the threshold; a constant column has none. Call with
+    training-fold rows only."""
+    return [name for name, col in features.items() if _safe_abs_corr(col, target) > threshold]
 
 
 def make_windows(features: np.ndarray, target: np.ndarray,
@@ -148,8 +141,8 @@ class LSTMForecaster:
     read and never updated.
     """
 
-    def __init__(self, in_dims, config: ForecasterConfig, rngs, out_dim: int = HORIZON):
-        self._allocate(in_dims, config, out_dim)
+    def __init__(self, in_dims, config: ForecasterConfig, rngs):
+        self._allocate(in_dims, config)
         h = config.hidden
         k = 1.0 / np.sqrt(h)
         for lane, rng in enumerate(rngs):
@@ -162,30 +155,29 @@ class LSTMForecaster:
                 b[h:2 * h] = 1.0
                 arrays.extend([wx, wh, b])
                 d_in = h
-            arrays.extend([rng.uniform(-k, k, size=(h, out_dim)), np.zeros(out_dim)])
+            arrays.extend([rng.uniform(-k, k, size=(h, HORIZON)), np.zeros(HORIZON)])
             for view, a in zip(self.params, arrays):
                 view[lane, :len(a)] = a
 
-    def _allocate(self, in_dims, config: ForecasterConfig, out_dim: int) -> None:
+    def _allocate(self, in_dims, config: ForecasterConfig) -> None:
         """Zeroed parameters, one lane per input width."""
         self.in_dims = tuple(int(d) for d in in_dims)
         self.in_dim = max(self.in_dims)
         self.config = config
-        self.out_dim = out_dim
         h = config.hidden
         shapes = []
         d_in = self.in_dim
         for _ in range(config.layers):
             shapes += [(d_in, 4 * h), (h, 4 * h), (4 * h,)]
             d_in = h
-        shapes += [(h, out_dim), (out_dim,)]
+        shapes += [(h, HORIZON), (HORIZON,)]
         self.flat, self.params = lane_buffer(len(self.in_dims), shapes)
 
     def select(self, lanes: list[int]) -> "LSTMForecaster":
         """A copy of the listed lanes as a model of their own, padded only
         up to its own widest lane."""
         model = object.__new__(LSTMForecaster)
-        model._allocate([self.in_dims[k] for k in lanes], self.config, self.out_dim)
+        model._allocate([self.in_dims[k] for k in lanes], self.config)
         for dst, src in zip(model.params, self.params):
             dst[:] = src[lanes, :dst.shape[1]]
         return model
@@ -193,17 +185,17 @@ class LSTMForecaster:
     def __getstate__(self):
         """Pickle the parameters only: pickle would copy each view in
         `params` apart from `flat`, so unpickling rebuilds the views."""
-        return self.in_dims, self.config, self.out_dim, self.flat
+        return self.in_dims, self.config, self.flat
 
     def __setstate__(self, state):
-        in_dims, config, out_dim, flat = state
-        self._allocate(in_dims, config, out_dim)
+        in_dims, config, flat = state
+        self._allocate(in_dims, config)
         self.flat[:] = flat
 
     # -- forward -------------------------------------------------------------
 
     def forward(self, xs, training: bool = False, rngs=None):
-        """Predictions (K, N, out_dim) given one (N, T, F_k) input per lane;
+        """Predictions (K, N, HORIZON) given one (N, T, F_k) input per lane;
         keeps caches for backward. Training dropout draws from `rngs`, one
         generator per lane."""
         xs = [np.asarray(a, dtype=float) for a in xs]
@@ -519,20 +511,21 @@ def ablation_experiment(
 ) -> list[dict]:
     """Per-fold test RMSE for the base arm (selected features) and the
     base+ne arm (same features plus the candidate index), same seed both
-    arms. Raises SkippedCluster if the candidate index misses the
-    correlation bar on every fold's training rows."""
+    arms. Raises SkippedCluster, before any fold trains, if the candidate
+    index misses the correlation bar on any fold's training rows."""
     grid = grid or default_grid()
     target = np.asarray(target, dtype=float)
     years = np.asarray(years)
-    rows = []
-    for fold_no, fold in enumerate(foldspecs, start=1):
-        train_rows = (years >= fold.train[0]) & (years <= fold.train[1])
+    folds = [(fold, (years >= fold.train[0]) & (years <= fold.train[1])) for fold in foldspecs]
+    for fold_no, (_, train_rows) in enumerate(folds, start=1):
         ne_r = _safe_abs_corr(ne_index[train_rows], target[train_rows])
         if ne_r <= threshold:
             raise SkippedCluster(
                 cluster_id,
                 f"|corr(NE, target)| = {ne_r:.3f} <= {threshold} on fold {fold_no}",
             )
+    rows = []
+    for fold_no, (fold, train_rows) in enumerate(folds, start=1):
         selected = select_features(
             {k: v[train_rows] for k, v in candidate_indices.items()},
             target[train_rows], threshold,

@@ -126,6 +126,8 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lat0, self.lon0, self.dlat, self.dlon))):
+            raise ValueError("lat0, lon0, dlat and dlon must be finite")
         if self.dlat <= 0 or self.dlon <= 0:
             raise ValueError("dlat and dlon must be positive")
         if self.nlat < 1 or self.nlon < 1 or self.nt < 1:
@@ -153,7 +155,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Rect:
-    """Closed lat/lon rectangle with strictly positive extent."""
+    """Closed lat/lon rectangle with finite bounds and strictly positive extent."""
 
     lat_min: float
     lat_max: float
@@ -161,6 +163,8 @@ class Rect:
     lon_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_list())):
+            raise ValueError(f"rect bounds must be finite: {self}")
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError(f"rect must have positive extent: {self}")
 
@@ -171,14 +175,6 @@ class Rect:
         """This rect moved by dlat degrees north and dlon degrees east."""
         return Rect(self.lat_min + dlat, self.lat_max + dlat,
                     self.lon_min + dlon, self.lon_max + dlon)
-
-    def contains(self, other: "Rect") -> bool:
-        return (
-            self.lat_min <= other.lat_min
-            and other.lat_max <= self.lat_max
-            and self.lon_min <= other.lon_min
-            and other.lon_max <= self.lon_max
-        )
 
 
 @dataclass(frozen=True)
@@ -207,6 +203,15 @@ class AreaSet:
         """Hashable key of the geometry, built once per object: every rect bound
         rounded to 1e-6 degrees, so bounds that drift by float steps share one key."""
         return tuple(round(v * 1e6) for r in self.rects for v in r.as_list())
+
+
+def inside(domain: Rect, *areas: AreaSet) -> bool:
+    """Whether every rect of the areas lies in the closed domain, each bound to within
+    1e-9 degrees: the rule for where the search may place an area. A bound that float
+    steps carry past an edge by a rounding (0.05 + 0.1 * k) still lies on it."""
+    return all(domain.lat_min - _EPS <= r.lat_min and r.lat_max <= domain.lat_max + _EPS
+               and domain.lon_min - _EPS <= r.lon_min and r.lon_max <= domain.lon_max + _EPS
+               for area in areas for r in area.rects)
 
 
 @dataclass

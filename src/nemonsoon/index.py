@@ -89,15 +89,11 @@ def season_masks(months: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sel_on, sel_re
 
 
-def season_centre(series: np.ndarray, months: np.ndarray) -> np.ndarray:
-    """float64 copy of `series` (time on the last axis) with each season's
-    mean removed. Differences of centred series are centred differences."""
-    return _centre(series, season_masks(months))
-
-
 def _centre(series, seasons) -> np.ndarray:
-    """`season_centre` with each season given as a mask or as its month
-    indices; the mean is `ndarray.mean`'s sum / count."""
+    """float64 copy of `series` (time on the last axis) with each season's
+    mean removed, each season given as a mask or as its month indices; the
+    mean is `ndarray.mean`'s sum / count. Differences of centred series are
+    centred differences."""
     out = np.array(series, dtype=float)
     for sel in seasons:
         part = out[..., sel]
@@ -108,18 +104,6 @@ def _centre(series, seasons) -> np.ndarray:
         mean = np.add.reduce(part, axis=-1, keepdims=True) / part.shape[-1]
         out[..., sel] = np.where(flat, 0.0, part - mean)
     return out
-
-
-def season_target(y_onset: np.ndarray, y_retreat: np.ndarray, months: np.ndarray) -> np.ndarray:
-    """One season-centred target: y_onset in onset months, y_retreat in
-    retreat months."""
-    return _target(y_onset, y_retreat, season_masks(months))
-
-
-def _target(y_onset, y_retreat, masks) -> np.ndarray:
-    if not (len(y_onset) == len(y_retreat) == len(masks[0])):
-        raise ValueError("series must share one time axis")
-    return _centre(np.where(masks[0], y_onset, y_retreat), masks)
 
 
 def _season_order(masks) -> tuple[np.ndarray, tuple[slice, slice]]:
@@ -176,14 +160,17 @@ class PairScorer:
     # arrays, take what three took at 32 rows
     BLOCK_ROWS = 24
 
-    def __init__(self, months: np.ndarray, target: np.ndarray, series_b: np.ndarray,
-                 err_b=0.0):
-        """`series_b` is the (n_b, nt) float64 array of B series, which
-        becomes the stack: it is centred in place, a block at a time, so
-        the caller's copy is overwritten. `err_b` bounds each row's error
+    def __init__(self, objective: "PairObjective", series_b: np.ndarray, err_b=0.0):
+        """The season order and centred target are `objective`'s, and its
+        error (too few months in a season, targets off the time axis) is
+        raised here. `series_b` is the (n_b, nt) float64 array of B series,
+        which becomes the stack: it is centred in place, a block at a time,
+        so the caller's copy is overwritten. `err_b` bounds each row's error
         (a scalar or one per row)."""
-        self._order, self._seasons = _season_order(season_masks(months))
-        y = np.asarray(target, dtype=float)[self._order]
+        if objective._error is not None:
+            raise objective._error
+        self._order, self._seasons = objective._order, objective._seasons
+        y = objective._target[self._order]
         self._y = [y[s] for s in self._seasons]
         self._yy = [float(ys @ ys) for ys in self._y]
         # series error to r error, per unit of err_a + err_b, and rounding
@@ -313,10 +300,13 @@ class PairObjective:
         self._error: Exception | None = None
         try:
             masks = season_masks(field.spec.months())
-            target = _target(y_onset, y_retreat, masks)
+            if not (len(y_onset) == len(y_retreat) == len(masks[0])):
+                raise ValueError("series must share one time axis")
         except (InsufficientSeasonSamplesError, ValueError) as exc:
             self._error = exc
             return
+        # y_onset in onset months and y_retreat in retreat months, centred
+        self._target = target = _centre(np.where(masks[0], y_onset, y_retreat), masks)
         self._order, self._seasons = _season_order(masks)
         self._target_finite = bool(np.isfinite(target).all())
         # the (nt, 2) season matrix, the target times it, its norm per season

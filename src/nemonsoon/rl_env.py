@@ -4,6 +4,7 @@ shift/resize actions, constraint checking, delta-objective reward."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ from .geogrid import AreaSet, Rect, SSTField
 
 SHIFT_ONLY = "shift-only"
 SHIFT_AND_RESIZE = "shift-resize"
+INVALID_PENALTY = 0.05  # the reward for a refused move or an invalid geometry
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,13 @@ class EnvConfig:
     step: float = 0.5
     episode_len: int = 64
     min_ocean: float = 0.8
-    invalid_penalty: float = 0.05
     jitter: int = 0
 
     def __post_init__(self):
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be finite and positive")
         if not 0 <= self.min_ocean <= 1:
             raise ValueError("min_ocean must be in [0, 1]")
         if self.jitter < 0:
@@ -108,13 +109,9 @@ def apply_action(
             return None
         moved.append(new)
     new_area = AreaSet(tuple(moved))
-    if not _inside(config.domain, new_area):
+    if not geogrid.inside(config.domain, new_area):
         return None
     return (new_area, area_b) if action.target == "A" else (area_a, new_area)
-
-
-def _inside(domain: Rect, *areas: AreaSet) -> bool:
-    return all(domain.contains(r) for area in areas for r in area.rects)
 
 
 def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
@@ -172,12 +169,13 @@ class AreaEnv:
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         cfg = self.config
-        if not _inside(cfg.domain, cfg.init_a, cfg.init_b) or self._q_of(cfg.init_a, cfg.init_b) is None:
+        if not geogrid.inside(cfg.domain, cfg.init_a, cfg.init_b) \
+                or self._q_of(cfg.init_a, cfg.init_b) is None:
             raise InvalidInitialAreasError("configured initial areas violate constraints")
         for _ in range(1000):
             area_a = self._jitter_area(cfg.init_a, rng)
             area_b = self._jitter_area(cfg.init_b, rng)
-            if _inside(cfg.domain, area_a, area_b):
+            if geogrid.inside(cfg.domain, area_a, area_b):
                 q = self._q_of(area_a, area_b)
                 if q is not None:
                     break
@@ -207,7 +205,7 @@ class AreaEnv:
         result = apply_action(st.area_a, st.area_b, action, cfg)
         new_q = self._q_of(*result) if result is not None else None
         if result is None or new_q is None:
-            reward = -cfg.invalid_penalty
+            reward = -INVALID_PENALTY
             next_state = EnvState(st.area_a, st.area_b, st.t_step + 1, st.last_q)
         else:
             reward = new_q - st.last_q

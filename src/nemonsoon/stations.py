@@ -19,8 +19,8 @@ FEATURE_NAMES = ["lat", "lon"] + [f"clim_{m:02d}" for m in range(1, 13)]
 
 @dataclass(frozen=True)
 class Station:
-    """One gauge station with a monthly rainfall series (NaN = missing),
-    aligned to a common axis starting at t0."""
+    """One gauge station with a monthly rainfall series (NaN = missing,
+    else finite and >= 0), aligned to a common axis starting at t0."""
 
     id: str
     lat: float
@@ -33,6 +33,8 @@ class Station:
         present = self.rain[~np.isnan(self.rain)]
         if present.size and present.min() < 0:
             raise ValueError(f"station {self.id}: negative rainfall")
+        if present.size and present.max() == np.inf:
+            raise ValueError(f"station {self.id}: infinite rainfall")
 
 
 def _check_site(sid: str, lat: float, lon: float) -> None:

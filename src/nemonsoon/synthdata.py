@@ -153,36 +153,6 @@ def regime_targets(stations: list[Station], labels: dict[str, str]) -> tuple[np.
     return np.mean(south, axis=0), np.mean(upper, axis=0)
 
 
-def expected_onset_correlation(spec: SynthSpec, seed: int) -> float:
-    """Approximate analytic correlation of Z with the south-regime mean over
-    onset months, treating Z as the latent signal itself."""
-    return _expected_corr(spec, seed, 0, spec.beta_onset, spec.n_south)
-
-
-def expected_retreat_correlation(spec: SynthSpec, seed: int) -> float:
-    return _expected_corr(spec, seed, 1, spec.beta_retreat, spec.n_upper)
-
-
-def _expected_corr(spec, seed, season, beta, n_stations) -> float:
-    """Closed-form correlation of z = c*s + eta with y = beta*s + eps over
-    one season (0 onset, 1 retreat, as `season_masks` orders them), where
-    c = 2*alpha, eta is the area-averaged cell noise and eps the
-    station-averaged rainfall noise."""
-    s = latent_signal(spec, seed)
-    var_s = s[season_masks(month_axis(spec.t0, spec.nt))[season]].var()
-    c = 2.0 * spec.alpha
-    grid = spec.grid()
-
-    def ncells(rect):
-        return area_indices(AreaSet.of(rect), grid)[0].size
-
-    var_eta = spec.sst_noise ** 2 * (1.0 / ncells(spec.rect_a) + 1.0 / ncells(spec.rect_b))
-    var_eps = spec.rain_noise ** 2 / n_stations
-    num = c * beta * var_s
-    den = np.sqrt((c * c * var_s + var_eta) * (beta * beta * var_s + var_eps))
-    return float(num / den)
-
-
 def gen_global_indices(spec: SynthSpec, seed: int, target: np.ndarray,
                        correlations: dict[str, float] | None = None) -> dict[str, np.ndarray]:
     """Surrogate climate-index columns with exact in-sample correlation to

@@ -39,6 +39,29 @@ def bits(values):
     return np.where(np.isnan(values), np.nan, values).tobytes()
 
 
+def season_centre(series, months):
+    """float64 copy of `series` (time on the last axis) with each season's
+    mean removed, by `index._centre`'s rule."""
+    return index._centre(series, index.season_masks(months))
+
+
+def season_target(y_onset, y_retreat, months):
+    """One season-centred target, y_onset in onset months and y_retreat in
+    retreat months: the reference for `PairObjective`'s target."""
+    masks = index.season_masks(months)
+    if not (len(y_onset) == len(y_retreat) == len(masks[0])):
+        raise ValueError("series must share one time axis")
+    return index._centre(np.where(masks[0], y_onset, y_retreat), masks)
+
+
+def objective_on(t0, y_onset, y_retreat):
+    """A `PairObjective` on a one-cell field whose axis starts at t0 and
+    has the targets' length: the season order and centred target a
+    `PairScorer` takes."""
+    return index.PairObjective(make_field(np.full((len(y_onset), 1, 1), 20.0), t0=t0),
+                               y_onset, y_retreat)
+
+
 def seasonal_scores(diffs, target, months):
     """(r_onset, r_retreat, q) for each row of season-centred index
     differences against the season-centred target, one Pearson r per season,
@@ -79,7 +102,7 @@ def reference_pair_report(field, area_a, area_b, y_onset, y_retreat, min_ocean=0
         masks = index.season_masks(field.spec.months())
     except InsufficientSeasonSamplesError as exc:
         return index.ObjectiveReport(np.nan, np.nan, np.nan, False, str(exc))
-    target = index.season_target(y_onset, y_retreat, field.spec.months())
+    target = season_target(y_onset, y_retreat, field.spec.months())
     diff = index._centre(np.subtract(series[1], series[0], dtype=float),
                          [np.flatnonzero(sel) for sel in masks])
     r, q = _scores(diff[None], _season_products(target, masks))

@@ -16,7 +16,7 @@ from nemonsoon import dqn, forecast, index, rl_env, stations, synthdata
 from nemonsoon.cli import dispatch
 from nemonsoon.dqn import DQNConfig, QNetwork, exhaustive_search, train_with_net
 from nemonsoon.errors import SkippedCluster
-from nemonsoon.forecast import FOLD1, FOLD2, ForecasterConfig, LSTMForecaster
+from nemonsoon.forecast import FOLD1, FOLD2, HORIZON, ForecasterConfig, LSTMForecaster
 from nemonsoon.geogrid import ocean_fraction
 from nemonsoon.index import normalise_series, objective_q, pearson
 from nemonsoon.rl_env import AreaEnv, EnvConfig, SHIFT_AND_RESIZE, SHIFT_ONLY
@@ -207,9 +207,9 @@ def test_criterion_06_gradient_checks():
     _, q_grads = q_loss()
     q_err = _max_rel_grad_err(q_loss, qnet.params, q_grads, rng)
 
-    lstm = LSTMForecaster([3], ForecasterConfig(hidden=6, layers=2), [rng], out_dim=4)
+    lstm = LSTMForecaster([3], ForecasterConfig(hidden=6, layers=2), [rng])
     lx = rng.normal(size=(4, 9, 3))
-    ly = rng.normal(size=(4, 4))
+    ly = rng.normal(size=(4, HORIZON))
 
     def l_loss():
         loss, grads = lstm.loss_and_grads([lx], [ly])

@@ -17,6 +17,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import random
 import shutil
 import tempfile
@@ -262,6 +263,7 @@ BAD_VALUES = [
     ("evaluate", "min-ocean", "1.5"),
     ("evaluate", "min-ocean", "nan"),
     ("oracle", "step", "0"),
+    ("oracle", "step", "inf"),
     ("optimize", "episode-len", "0"),
     ("optimize", "jitter", "-1"),
     ("optimize", "timesteps", "-1"),
@@ -306,6 +308,23 @@ def test_out_of_range_flag_or_config_value_is_config_error(world, name, flag, te
         code, err = run(argv)
     assert code == 2, err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name", ["evaluate", "oracle", "optimize"])
+@pytest.mark.parametrize("k, value", [(0, -math.inf), (3, math.inf)])
+def test_non_finite_rect_bound_is_config_error(world, name, k, value):
+    """An areas JSON may spell a bound -Infinity or Infinity; the rect
+    refuses it before any command uses it."""
+    paths = dict(world["paths"])
+    areas = json.loads(paths["areas"].read_text())
+    areas["A"][0][k] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths["areas"] = tmp / "areas.json"
+        paths["areas"].write_text(json.dumps(areas))
+        code, err = run([name, *command("evaluate", paths, tmp)[1:]])
+    assert code == 2, err
+    assert "error:" in err and "finite" in err
 
 
 WRONG_TYPES = [

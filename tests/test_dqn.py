@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nemonsoon import index
+from nemonsoon import geogrid, index
 from nemonsoon.dqn import (
     Adam,
     DQNConfig,
@@ -23,14 +23,26 @@ from nemonsoon.dqn import (
     train_step,
     write_history_csv,
 )
-from nemonsoon.errors import InvalidInitialAreasError, NemonsoonError, NonFiniteLossError
+from nemonsoon.errors import (
+    InsufficientSeasonSamplesError,
+    InvalidInitialAreasError,
+    NemonsoonError,
+    NonFiniteLossError,
+)
 from nemonsoon.forecast import ForecasterConfig, LSTMForecaster
 from nemonsoon.geogrid import AreaSet, Rect, area_cells, area_mean_series
 from nemonsoon.index import evaluate_pair
 from nemonsoon.rl_env import SHIFT_ONLY, AreaEnv, EnvConfig
 from nemonsoon.synthdata import SynthSpec, gen_sst, gen_stations, regime_targets
 
-from conftest import ChainEnv, make_field, seasonal_scores
+from conftest import (
+    ChainEnv,
+    make_field,
+    objective_on,
+    season_centre,
+    season_target,
+    seasonal_scores,
+)
 
 
 class TestQNetwork:
@@ -351,11 +363,11 @@ class TestOracle:
         assert report.valid
         assert report.q == pytest.approx(q, abs=1e-6)
         # spot-check a few random placements never beat the oracle
-        offs_a = _placements(a, domain, 0.5)
-        offs_b = _placements(b, domain, 0.5)
+        placed_a = _placements(a, domain, 0.5)
+        placed_b = _placements(b, domain, 0.5)
         for _ in range(20):
-            pa = a.shifted(*offs_a[rng.integers(len(offs_a))])
-            pb = b.shifted(*offs_b[rng.integers(len(offs_b))])
+            pa = placed_a[rng.integers(len(placed_a))]
+            pb = placed_b[rng.integers(len(placed_b))]
             rep = evaluate_pair(field, pa, pb, y, y)
             if rep.valid:
                 assert rep.q <= q + 1e-6
@@ -386,6 +398,60 @@ class TestOracle:
         with pytest.raises(NemonsoonError, match="no placement of A"):
             exhaustive_search(field, s, s, between_centres, a, domain)
 
+    def test_too_few_months_in_a_season_is_typed_error(self):
+        field, s, a, b, domain = self._world()
+        short = make_field(field.values[:4], t0="2000-10")  # onset months only
+        with pytest.raises(InsufficientSeasonSamplesError):
+            exhaustive_search(short, s[:4], s[:4], a, b, domain)
+
+
+def _reference_offsets(template, domain, step):
+    """The shift lattice as the oracle found it before it shared
+    `geogrid.inside` with the environment: the bounding box's first and last
+    fitting multiples of step, 1e-9 step of slack on each."""
+    lat_lo = min(r.lat_min for r in template.rects)
+    lat_hi = max(r.lat_max for r in template.rects)
+    lon_lo = min(r.lon_min for r in template.rects)
+    lon_hi = max(r.lon_max for r in template.rects)
+    k_lat = range(int(np.ceil((domain.lat_min - lat_lo) / step - 1e-9)),
+                  int(np.floor((domain.lat_max - lat_hi) / step + 1e-9)) + 1)
+    k_lon = range(int(np.ceil((domain.lon_min - lon_lo) / step - 1e-9)),
+                  int(np.floor((domain.lon_max - lon_hi) / step + 1e-9)) + 1)
+    return [(i * step, j * step) for i in k_lat for j in k_lon]
+
+
+class TestPlacementDomain:
+    def test_every_placement_passes_the_environment_rule_at_a_tenth_degree(self):
+        """On a 40 x 40 grid of 0.1 degree cells the lattice bounds 0.05 +
+        0.1 k miss the domain's edges by a rounding. Every h x w cell
+        template (1 <= h <= w <= 18) still reaches all (41 - h)(41 - w)
+        positions, and each passes the environment's rule, `geogrid.inside`
+        (exact comparisons with the domain's bounds reject 2,935 of them)."""
+        domain = make_field(np.zeros((12, 40, 40)), lat0=0.1, lon0=100.1,
+                            dlat=0.1, dlon=0.1).spec.domain()
+        count = 0
+        for h in range(1, 19):
+            for w in range(h, 19):
+                template = AreaSet.of(Rect(domain.lat_min, domain.lat_min + 0.1 * h,
+                                           domain.lon_min, domain.lon_min + 0.1 * w))
+                placed = _placements(template, domain, 0.1)
+                assert len(placed) == (41 - h) * (41 - w)
+                assert all(geogrid.inside(domain, area) for area in placed)
+                count += len(placed)
+        assert count == 169_917
+
+    @pytest.mark.parametrize("nlat, nlon", [(40, 40), (120, 160)])
+    @pytest.mark.parametrize("step", [0.5, 0.25])
+    def test_half_degree_lattices_unchanged(self, nlat, nlon, step):
+        spec = SynthSpec(nlat=nlat, nlon=nlon)
+        domain = spec.domain()
+        planted_a, planted_b = spec.planted_areas()
+        for template in (planted_a, planted_b.shifted(-2.0, 2.0), _TABLE_TEMPLATES[-1],
+                         AreaSet.of(Rect(-3.0, -2.5, 90.0, 92.0))):
+            want = [template.shifted(*offset)
+                    for offset in _reference_offsets(template, domain, step)]
+            assert _placements(template, domain, step) == want
+
 
 def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_b,
                                 domain, step=0.5, min_ocean=0.8):
@@ -393,30 +459,30 @@ def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_
     placement against the stack of B's centred series, one difference per
     pair, scored by `seasonal_scores`."""
     months = field.spec.months()
-    target = index.season_target(y_onset, y_retreat, months)
+    target = season_target(y_onset, y_retreat, months)
 
     def valid_placements(template):
-        for offset in _placements(template, domain, step):
-            s, _ = index.ocean_series(field, template.shifted(*offset), min_ocean)
+        for area in _placements(template, domain, step):
+            s, _ = index.ocean_series(field, area, min_ocean)
             if s is not None:
-                yield offset, index.season_centre(s, months)
+                yield area, season_centre(s, months)
 
     placed_b = list(valid_placements(template_b))
     if not placed_b:
         raise NemonsoonError(f"no placement of B in {domain} meets the area constraint")
     centred_b = np.array([c for _, c in placed_b])
     best_q, best = -np.inf, None
-    for offset_a, c_a in valid_placements(template_a):
+    for area_a, c_a in valid_placements(template_a):
         q = np.nan_to_num(seasonal_scores(centred_b - c_a, target, months)[2],
                           nan=-np.inf)
         ib = int(np.argmax(q))
         if q[ib] > best_q + 1e-15:
-            best_q, best = float(q[ib]), (offset_a, placed_b[ib][0])
+            best_q, best = float(q[ib]), (area_a, placed_b[ib][0])
     if best is None:
         raise NemonsoonError(
             f"no valid (A, B) pair in {domain}: no placement of A meets the area "
             "constraint, or every pair is degenerate (constant or non-finite)")
-    return (template_a.shifted(*best[0]), template_b.shifted(*best[1])), best_q
+    return best, best_q
 
 
 # templates on a 0.5 degree grid: one cell, a 2x2 block, a 3x2 block and a
@@ -536,9 +602,8 @@ class TestTablePath:
                                      _padded(field.spec.domain(), pad), step, min_ocean)
         err = lattice.error(peak)
         fits = list(lattice.fits)
-        for k, offset in enumerate(lattice.offsets):
-            want, _ = index.ocean_series(field, lattice.template.shifted(*offset),
-                                         min_ocean)
+        for k, area in enumerate(lattice.areas):
+            want, _ = index.ocean_series(field, area, min_ocean)
             assert (k in fits) == (want is not None)
             if want is None:
                 continue
@@ -558,16 +623,15 @@ class TestTablePath:
         finds invalid has a bound of at least 1, so it is always scored
         again when near the best."""
         field, y_on, y_re = _table_world(seed, land, nan_cells, inf_cell)
-        months = field.spec.months()
         (lat_a, lat_b), peak = _lattices(field, [_TABLE_TEMPLATES[ta], _TABLE_TEMPLATES[tb]],
                                          field.spec.domain(), step, 0.5)
         rows_a, rows_b = (np.flatnonzero(np.isfinite(lat.series).all(axis=1))
                           for lat in (lat_a, lat_b))
         if not len(rows_a) or not len(rows_b):
             return
-        scorer = index.PairScorer(months, index.season_target(y_on, y_re, months),
-                                  lat_b.series[rows_b].astype(float), lat_b.error(peak)[rows_b])
         objective = index.PairObjective(field, y_on, y_re, 0.5)
+        scorer = index.PairScorer(objective, lat_b.series[rows_b].astype(float),
+                                  lat_b.error(peak)[rows_b])
         # every B placement against a sample of A placements
         rows_a = np.random.default_rng(seed).permutation(rows_a)[:8]
         q, bound = scorer.scores(lat_a.series[rows_a], lat_a.error(peak)[rows_a])
@@ -586,9 +650,10 @@ class TestTablePath:
         rng = np.random.default_rng(seed)
         months = (m0 - 1 + np.arange(nt)) % 12 + 1
         block = 20.0 + scale * rng.normal(size=(rows, nt))
-        scorer = index.PairScorer(months, rng.normal(size=nt), block.copy())
+        y = rng.normal(size=nt)
+        scorer = index.PairScorer(objective_on(f"2000-{m0:02d}", y, y), block.copy())
         order = np.concatenate([np.flatnonzero(sel) for sel in index.season_masks(months)])
-        want = np.array([np.take(index.season_centre(row, months), order) for row in block])
+        want = np.array([np.take(season_centre(row, months), order) for row in block])
         assert scorer._centred(block).tobytes() == want.tobytes()
 
     def test_near_tie_goes_to_the_exact_best(self):
@@ -622,9 +687,8 @@ class TestTablePath:
         assert (got_a, got_b) == (want_a, want_b)
         assert abs(got_q - want_q) <= 1e-12
         # the table alone would pick the other block
-        months = field.spec.months()
         (lat_a, lat_b), _ = _lattices(field, [a, b], domain, 0.5, 0.8)
-        scorer = index.PairScorer(months, index.season_target(y_on, y_re, months),
+        scorer = index.PairScorer(index.PairObjective(field, y_on, y_re),
                                   lat_b.series.astype(float))
         q, _ = scorer.scores(lat_a.series)
         ia, ib = np.unravel_index(np.nanargmax(q), q.shape)

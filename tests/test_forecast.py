@@ -298,9 +298,9 @@ class TestLSTM:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_gradient_check(self, layers, rng):
         cfg = ForecasterConfig(hidden=5, layers=layers)
-        model = LSTMForecaster([3], cfg, [rng], out_dim=4)
+        model = LSTMForecaster([3], cfg, [rng])
         x = [rng.normal(size=(3, 7, 3))]
-        y = [rng.normal(size=(3, 4))]
+        y = [rng.normal(size=(3, HORIZON))]
         _, grads = model.loss_and_grads(x, y)
         eps = 1e-6
         gmax = max(np.abs(g).max() for g in grads)
@@ -352,15 +352,14 @@ class TestLSTM:
     @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
            hidden=st.integers(1, 16), layers=st.integers(1, 3),
            dropout=st.sampled_from([0.0, 0.4]), training=st.booleans(),
-           n=st.integers(1, 5), t_len=st.integers(1, 5), out_dim=st.integers(1, 4),
-           seed=st.integers(0, 2**16))
+           n=st.integers(1, 5), t_len=st.integers(1, 5), seed=st.integers(0, 2**16))
     @example(widths=[3, 4], hidden=16, layers=1, dropout=0.0, training=False,
-             n=3, t_len=3, out_dim=2, seed=0)  # the ablation's widths
+             n=3, t_len=3, seed=0)  # the ablation's widths
     def test_loss_and_grads_per_lane_match_reference(self, widths, hidden, layers, dropout,
-                                                     training, n, t_len, out_dim, seed):
+                                                     training, n, t_len, seed):
         """Each lane's loss and gradients, narrower lanes included, are
-        bit-equal to a one-lane model and, from two hidden units and two
-        outputs up, to the one-model reference; the rows padding a narrower
+        bit-equal to a one-lane model and, from two hidden units up, to the
+        one-model reference; the rows padding a narrower
         lane's Wx get exact-zero gradients, and each lane's clip norm equals
         the one-lane model's (widths and hidden sizes reach past numpy's
         128-element pairwise-sum block, where zero padding would change the
@@ -368,15 +367,15 @@ class TestLSTM:
         cfg = ForecasterConfig(hidden=hidden, layers=layers, dropout=dropout)
         data = np.random.default_rng(seed)
         xs = [data.normal(size=(n, t_len, w)) for w in widths]
-        ys = [data.normal(size=(n, out_dim)) for _ in widths]
+        ys = [data.normal(size=(n, HORIZON)) for _ in widths]
         stacked = LSTMForecaster(widths, cfg, [np.random.default_rng(seed + k)
-                                               for k in range(len(widths))], out_dim=out_dim)
+                                               for k in range(len(widths))])
         losses, grads = stacked.loss_and_grads(
             xs, np.stack(ys), training=training,
             rngs=[np.random.default_rng(99 + k) for k in range(len(widths))])
         assert losses.shape == (len(widths),)
         for k, w in enumerate(widths):
-            solo = LSTMForecaster([w], cfg, [np.random.default_rng(seed + k)], out_dim=out_dim)
+            solo = LSTMForecaster([w], cfg, [np.random.default_rng(seed + k)])
             ref_loss, ref_grads = reference_loss_and_grads(
                 [p[0] for p in solo.params], cfg, xs[k], ys[k], training,
                 np.random.default_rng(99 + k))
@@ -389,11 +388,11 @@ class TestLSTM:
             lane_grads = [grads[0][k, :w], *(g[k] for g in grads[1:])]
             for mine, (theirs,), ref in zip(lane_grads, solo_grads, ref_grads):
                 np.testing.assert_array_equal(mine, theirs)
-                if hidden > 1 and out_dim > 1:
+                if hidden > 1:
                     np.testing.assert_array_equal(theirs, ref)
                 else:
-                    # With one hidden unit or one output, h^T @ da or
-                    # h^T @ dout is numpy's gemv case, and OpenBLAS's gemv
+                    # With one hidden unit, h^T @ da or h^T @ dout is
+                    # numpy's gemv case, and OpenBLAS's gemv
                     # rounds by the operand's strides: the reference reads h
                     # from its (N, T, H) output buffer, the model recomputes
                     # it into a contiguous array.
@@ -703,6 +702,25 @@ class TestAblation:
             ablation_experiment(1, target, years, cands, ne, [fold],
                                 grid=[ForecasterConfig(hidden=8, max_epochs=2)])
         assert exc.value.cluster_id == 1
+
+    def test_every_fold_checked_before_any_training(self, monkeypatch):
+        """Fold 1 passes the bar and fold 2 misses it: the cluster is
+        skipped with fold 2's message and no grid search runs."""
+        years, target, ne, cands = self._world(couple=True)
+        later = years >= 2005
+        target[later] = 100.0 + 40.0 * np.random.default_rng(1).normal(size=later.sum())
+        folds = [FoldSpec((2000, 2002), (2003, 2003), (2004, 2004)),
+                 FoldSpec((2005, 2009), (2010, 2010), (2011, 2011))]
+        fold2 = (years >= 2005) & (years <= 2009)
+        r = abs(forecast.pearson(ne[fold2], target[fold2]))
+        calls = []
+        monkeypatch.setattr(forecast, "grid_search", lambda *a, **k: calls.append(a))
+        with pytest.raises(SkippedCluster) as exc:
+            ablation_experiment(1, target, years, cands, ne, folds,
+                                grid=[ForecasterConfig(hidden=8, max_epochs=2)])
+        assert str(exc.value) == f"cluster 1 skipped: |corr(NE, target)| = {r:.3f} <= 0.6 on fold 2"
+        assert _safe_abs_corr(ne[years <= 2002], target[years <= 2002]) > 0.6
+        assert calls == []
 
     def test_rows_schema(self):
         years, target, ne, cands = self._world(couple=True)

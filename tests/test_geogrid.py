@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,17 @@ class TestGridIO:
         header = (tmp_path / "sst" / "grid.json").read_text().replace('"nt": 3', '"nt": 5')
         (tmp_path / "sst" / "grid.json").write_text(header)
         with pytest.raises(FormatError):
+            load_sst(tmp_path / "sst")
+
+    @pytest.mark.parametrize("key", ["lat0", "dlat"])
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_grid_geometry_rejected_on_load(self, tmp_path, rng, key, value):
+        # an infinite dlat would load, and evaluate would score areas on it
+        save_sst(make_field(rng.uniform(0, 30, size=(1, 4, 4))), tmp_path / "sst")
+        header = json.loads((tmp_path / "sst" / "grid.json").read_text())
+        header[key] = "VALUE"
+        (tmp_path / "sst" / "grid.json").write_text(json.dumps(header).replace('"VALUE"', value))
+        with pytest.raises(FormatError, match="must be finite"):
             load_sst(tmp_path / "sst")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 60.0], ids=["nan", "inf", "hot"])

@@ -25,15 +25,22 @@ from nemonsoon.index import (
     objective_q,
     pearson,
     raw_index,
-    season_centre,
     season_masks,
     PairScorer,
     read_index_csv,
-    season_target,
     write_index_csv,
 )
 
-from conftest import bits, make_field, monthly_values, reference_pair_report, seasonal_scores
+from conftest import (
+    bits,
+    make_field,
+    monthly_values,
+    objective_on,
+    reference_pair_report,
+    season_centre,
+    season_target,
+    seasonal_scores,
+)
 
 
 def reference_scores(raw, y_onset, y_retreat, months):
@@ -186,9 +193,9 @@ class TestSeasonalCorrelations:
         months = np.array([10, 11, 12, 1])  # onset only
         z = np.arange(4.0)
         with pytest.raises(InsufficientSeasonSamplesError):
-            season_centre(z, months)
+            season_masks(months)
         with pytest.raises(InsufficientSeasonSamplesError):
-            season_target(z, z, months)
+            PairScorer(objective_on("2000-10", z, z), np.ones((1, 4)))
 
 
 def _series(seed, nt):
@@ -211,7 +218,9 @@ class TestPairScorer:
         sa, sb = series[:n_a], series[n_a:]
         sa[0] = sb[-1]  # an identical pair: degenerate, never a q
         target = season_target(y_on, y_re, months)
-        scorer = PairScorer(months, target, sb.astype(float))
+        objective = objective_on("1982-07", y_on, y_re)
+        assert objective._target.tobytes() == target.tobytes()
+        scorer = PairScorer(objective, sb.astype(float))
         for lo in range(0, n_a, block_rows):
             got, _ = scorer.scores(sa[lo:lo + block_rows])
             for k, s in enumerate(sa[lo:lo + block_rows]):
@@ -222,9 +231,8 @@ class TestPairScorer:
 
     def test_target_constant_in_a_season_scores_nan(self):
         _, raw, y_on, _ = _series(5, 36)
-        months = month_axis("1982-01", 36)
-        target = season_target(y_on, np.full(36, 7.0), months)
-        scorer = PairScorer(months, target, np.array([raw, raw * 2.0 + 1.0]))
+        scorer = PairScorer(objective_on("1982-01", y_on, np.full(36, 7.0)),
+                            np.array([raw, raw * 2.0 + 1.0]))
         assert np.isnan(scorer.scores(raw[None, ::-1])[0]).all()
 
 
@@ -352,9 +360,9 @@ class TestExactlyConstant:
     def test_target_invalid_in_pair_scorer(self, value):
         rng, raw, y_on, _ = _series(5, self.NT)
         months = month_axis("2000-01", self.NT)
-        target = season_target(y_on, np.full(self.NT, value), months)
-        assert not target[~np.isin(months, list(ONSET_MONTHS))].any()
-        scorer = PairScorer(months, target, np.array([raw, raw * 2.0 + 1.0]))
+        objective = objective_on("2000-01", y_on, np.full(self.NT, value))
+        assert not objective._target[~np.isin(months, list(ONSET_MONTHS))].any()
+        scorer = PairScorer(objective, np.array([raw, raw * 2.0 + 1.0]))
         assert np.isnan(scorer.scores(np.array([raw[::-1], rng.normal(size=self.NT)]))[0]).all()
 
     def test_index_row_invalid(self):

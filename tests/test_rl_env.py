@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nemonsoon.errors import EpisodeOverError, InvalidInitialAreasError
-from nemonsoon.geogrid import AreaSet, Rect
+from nemonsoon.geogrid import AreaSet, Rect, inside
 from nemonsoon.rl_env import (
     Action,
     AreaEnv,
     EnvConfig,
+    INVALID_PENALTY,
     SHIFT_AND_RESIZE,
     SHIFT_ONLY,
     _move_rect,
@@ -200,7 +201,7 @@ class TestEpisode:
             env.step(idx)
         geom_before = (env.state.area_a, env.state.area_b)
         _, reward, _ = env.step(idx)
-        assert reward == -env.config.invalid_penalty
+        assert reward == -INVALID_PENALTY
         assert (env.state.area_a, env.state.area_b) == geom_before
 
     def test_ocean_violation_is_penalized_noop(self):
@@ -212,7 +213,7 @@ class TestEpisode:
         assert env.state.area_b.rects[0].lon_max == 108.5
         geom_before = (env.state.area_a, env.state.area_b)
         _, reward, _ = env.step(idx)  # 3 of 5 columns ocean
-        assert reward == -env.config.invalid_penalty
+        assert reward == -INVALID_PENALTY
         assert (env.state.area_a, env.state.area_b) == geom_before
 
     def test_jitter_respects_lattice_and_validity(self):
@@ -228,8 +229,7 @@ class TestEpisode:
                 assert dlat == pytest.approx(round(dlat))
                 assert abs(dlat) <= 2 and abs(dlon) <= 2
                 assert r.lat_max - r.lat_min == pytest.approx(r0.lat_max - r0.lat_min)
-            assert all(env.config.domain.contains(r)
-                       for area in (env.state.area_a, env.state.area_b) for r in area.rects)
+            assert inside(env.config.domain, env.state.area_a, env.state.area_b)
             assert env._q_of(env.state.area_a, env.state.area_b) is not None
 
     @pytest.mark.parametrize("jitter, step", [(1, 0.5), (2, 0.5), (3, 1.0 / 3.0)])
@@ -326,7 +326,7 @@ class TestPairObjectiveEnv:
         env = AreaEnv(*world)
         got = run_random(env, 400, seed=11)
         want = run_random(ReferenceEnv(*world), 400, seed=11)
-        assert -env.config.invalid_penalty in got[0]  # some moves were refused
+        assert -INVALID_PENALTY in got[0]  # some moves were refused
         violations = [v for _, v in env.objective.series.values() if v]
         assert any("ocean_fraction" in v for v in violations)
         assert any(not np.isfinite(s).all() for s, _ in env.objective.series.values()

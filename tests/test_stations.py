@@ -41,6 +41,15 @@ class TestStation:
         with pytest.raises(ValueError):
             Station("X", 0.0, 0.0, "2000-01", np.array([1.0, -2.0]))
 
+    def test_infinite_rain_rejected_and_nan_still_missing(self):
+        """Clustering a station with rain[3] = inf once died in numpy's
+        eigensolver (LinAlgError) instead of a typed error."""
+        rain = np.array([1.0, np.nan, 3.0, np.inf])
+        with pytest.raises(ValueError, match="station X: infinite rainfall"):
+            Station("X", 0.0, 0.0, "2000-01", rain)
+        rain[3] = np.nan
+        assert np.isnan(Station("X", 0.0, 0.0, "2000-01", rain).rain[[1, 3]]).all()
+
     def test_coords_checked(self):
         with pytest.raises(ValueError):
             Station("X", 95.0, 0.0, "2000-01", np.array([1.0]))
