@@ -30,7 +30,7 @@ def dispatch(argv: list[str]) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         args.handler(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a path the user named
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NemonsoonError as exc:

@@ -22,7 +22,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .geogrid import MonthColumns, monthly_rows, read_csv_rows, write_csv_rows
-from .index import pearson
+from .index import normalise_series, pearson
 
 WINDOW = 24
 HORIZON = 12
@@ -37,7 +37,6 @@ class ForecasterConfig:
     hidden: int = 16
     layers: int = 1
     dropout: float = 0.0
-    lr: float = 0.01
     max_epochs: int = 200
     patience: int = 20
 
@@ -74,7 +73,7 @@ def default_grid() -> list[ForecasterConfig]:
 
 
 # ---------------------------------------------------------------------------
-# Features and windows
+# Feature selection and error
 # ---------------------------------------------------------------------------
 
 def select_features(features: dict[str, np.ndarray], target: np.ndarray,
@@ -83,27 +82,6 @@ def select_features(features: dict[str, np.ndarray], target: np.ndarray,
     strictly exceeds the threshold; a constant column has none. Call with
     training-fold rows only."""
     return [name for name, col in features.items() if _safe_abs_corr(col, target) > threshold]
-
-
-def make_windows(features: np.ndarray, target: np.ndarray,
-                 window: int = WINDOW, horizon: int = HORIZON):
-    """Stride-1 sliding windows over (T, F) features and a length-T target:
-    inputs (N, window, F), targets (N, horizon).
-
-    Sample k covers input months [k, k+window) and target months
-    [k+window, k+window+horizon), chronologically ordered.
-    """
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[0] != len(target):
-        raise ShapeMismatchError(f"features {features.shape} are not (T, F) "
-                                 f"for a target of {len(target)} months")
-    t_len = len(target)
-    n = max(0, t_len - window - horizon + 1)
-    inputs = np.stack([features[k:k + window] for k in range(n)]) if n else \
-        np.zeros((0, window, features.shape[1]))
-    targets = np.stack([np.asarray(target, dtype=float)[k + window:k + window + horizon]
-                        for k in range(n)]) if n else np.zeros((0, horizon))
-    return inputs, targets
 
 
 def rmse(observed: np.ndarray, predicted: np.ndarray) -> float:
@@ -321,6 +299,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
 
 
+LR = 0.01  # plain minibatch gradient descent's step size
 GRAD_CLIP = 5.0  # global-norm clip keeps plain GD at lr 0.01 stable
 
 
@@ -361,7 +340,7 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig, r
             sel = orders[:, lo:lo + BATCH_SIZE]
             _, grads = model.loss_and_grads([tx[k][s] for k, s in zip(active, sel)],
                                             ty[rows, sel], training=True, rngs=lane_rngs)
-            scale = [config.lr * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
+            scale = [LR * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
                      for norm in _grad_norms(grads, model.in_dims)]
             model.flat -= np.array(scale)[:, None] * np.concatenate(
                 [g.reshape(len(active), -1) for g in grads], axis=1)
@@ -511,13 +490,15 @@ def ablation_experiment(
 ) -> list[dict]:
     """Per-fold test RMSE for the base arm (selected features) and the
     base+ne arm (same features plus the candidate index), same seed both
-    arms. Raises SkippedCluster, before any fold trains, if the candidate
-    index misses the correlation bar on any fold's training rows."""
+    arms. Before any fold trains, raises ConfigError if a fold leaves a
+    split without windows, then SkippedCluster if the candidate index
+    misses the correlation bar on any fold's training rows."""
     grid = grid or default_grid()
     target = np.asarray(target, dtype=float)
     years = np.asarray(years)
-    folds = [(fold, (years >= fold.train[0]) & (years <= fold.train[1])) for fold in foldspecs]
-    for fold_no, (_, train_rows) in enumerate(folds, start=1):
+    folds = [((years >= fold.train[0]) & (years <= fold.train[1]), _fold_windows(years, fold))
+             for fold in foldspecs]
+    for fold_no, (train_rows, _) in enumerate(folds, start=1):
         ne_r = _safe_abs_corr(ne_index[train_rows], target[train_rows])
         if ne_r <= threshold:
             raise SkippedCluster(
@@ -525,7 +506,7 @@ def ablation_experiment(
                 f"|corr(NE, target)| = {ne_r:.3f} <= {threshold} on fold {fold_no}",
             )
     rows = []
-    for fold_no, (fold, train_rows) in enumerate(folds, start=1):
+    for fold_no, (train_rows, windows) in enumerate(folds, start=1):
         selected = select_features(
             {k: v[train_rows] for k, v in candidate_indices.items()},
             target[train_rows], threshold,
@@ -536,7 +517,7 @@ def ablation_experiment(
         ne_cols = dict(base_cols)
         ne_cols["__ne_index__"] = np.asarray(ne_index, dtype=float)
         arms = {"base": base_cols, "base+ne": ne_cols}
-        results = _run_fold(list(arms.values()), target, years, fold, grid, seed)
+        results = _run_fold(list(arms.values()), target, train_rows, windows, grid, seed)
         for arm, result in zip(arms, results):
             rows.append({
                 "cluster_id": cluster_id, "fold": fold_no,
@@ -552,52 +533,47 @@ def _safe_abs_corr(x, y) -> float:
         return 0.0
 
 
-def _run_fold(arms: list[dict[str, np.ndarray]], target, years, fold: FoldSpec,
+def _fold_windows(years: np.ndarray, fold: FoldSpec) -> list[np.ndarray]:
+    """Start months of the fold's training, validation and test windows on
+    the time-ordered year axis `years`. Window k reads months [k, k+WINDOW)
+    and predicts the HORIZON after them; it belongs to a split iff the years
+    of its first and last target month lie in the split's range, so all its
+    target months do (no training target month follows a validation or test one)."""
+    last = years[WINDOW + HORIZON - 1:]  # the year of each window's last target month
+    first = years[WINDOW:WINDOW + len(last)]
+    splits = [np.flatnonzero((first >= lo) & (last <= hi))
+              for lo, hi in (fold.train, fold.val, fold.test)]
+    if not all(s.size for s in splits):
+        raise ConfigError(f"{fold} leaves a split without windows on the "
+                          f"data's years {years[0]}-{years[-1]}")
+    return splits
+
+
+def _run_fold(arms: list[dict[str, np.ndarray]], target, train_rows, windows,
               grid, seed: int) -> list[float]:
-    """Test RMSE of each arm (a set of feature columns), the arms trained
-    together as lanes of one grid search."""
+    """Test RMSE of each arm (a set of feature columns) on one fold's training
+    rows and window starts, the arms trained together as lanes of one grid search."""
     if not all(arms):
         raise ValueError("no features selected; cannot train")
-    train_rows = (years >= fold.train[0]) & (years <= fold.train[1])
+    target_z = normalise_series(target, reference=train_rows)
     t_mu = target[train_rows].mean()
     t_sd = target[train_rows].std()
-    if t_sd == 0:
-        raise ZeroVarianceError("target is constant on the training fold")
-    target_z = (target - t_mu) / t_sd
-    splits = []  # each arm's (train, validation, test) windows
+    # each split's windows as rows of months: the input months, then the target months
+    tr, va, te = (k[:, None] + np.arange(WINDOW + HORIZON) for k in windows)
+    splits = []  # each arm's (train, validation, test) inputs
     for cols in arms:
         # standardize features against training-fold statistics
         matrix = np.column_stack(list(cols.values()))
         mu = matrix[train_rows].mean(axis=0)
         sd = matrix[train_rows].std(axis=0)
         sd[sd == 0] = 1.0
-        inputs, targets_z = make_windows((matrix - mu) / sd, target_z)
-        if not splits:
-            tr, va, te = _assign_windows(years, fold, n_samples=inputs.shape[0])
-            if not (tr.any() and va.any() and te.any()):
-                raise ConfigError(f"{fold} leaves a split without windows on the "
-                                  f"data's years {years[0]}-{years[-1]}")
-        splits.append((inputs[tr], inputs[va], inputs[te]))
-    _, targets_raw = make_windows(matrix, target)
-    models, _ = grid_search([s[0] for s in splits], [targets_z[tr]] * len(arms),
-                            [s[1] for s in splits], [targets_z[va]] * len(arms),
+        features = (matrix - mu) / sd
+        splits.append([features[m[:, :WINDOW]] for m in (tr, va, te)])
+    models, _ = grid_search([s[0] for s in splits], [target_z[tr[:, WINDOW:]]] * len(arms),
+                            [s[1] for s in splits], [target_z[va[:, WINDOW:]]] * len(arms),
                             grid, seed)
-    return [rmse(targets_raw[te], model.forward([s[2]])[0] * t_sd + t_mu)
+    return [rmse(target[te[:, WINDOW:]], model.forward([s[2]])[0] * t_sd + t_mu)
             for model, s in zip(models, splits)]
-
-
-def _assign_windows(years, fold: FoldSpec, n_samples: int):
-    """A sample belongs to a split iff all its target months fall inside
-    that split's year range (so no training target month can follow a
-    validation or test target month)."""
-    def contains(lo, hi, k):
-        ys = years[k + WINDOW:k + WINDOW + HORIZON]
-        return bool((ys >= lo).all() and (ys <= hi).all())
-
-    tr = np.array([contains(*fold.train, k) for k in range(n_samples)])
-    va = np.array([contains(*fold.val, k) for k in range(n_samples)])
-    te = np.array([contains(*fold.test, k) for k in range(n_samples)])
-    return tr, va, te
 
 
 # ---------------------------------------------------------------------------

@@ -406,12 +406,14 @@ def monthly_rows(t0: str, series):
 @contextmanager
 def atomic_write(path: str | os.PathLike, mode: str = "w", **open_kwargs):
     """Open `path + '.tmp'` for writing and rename it over `path` once the block
-    completes, so readers never see a partial file; if it raises, the temporary goes."""
+    completes, so readers never see a partial file; if the block or the rename
+    raises, the temporary goes."""
     tmp = str(path) + ".tmp"
-    with open(tmp, mode, **open_kwargs) as fh:
-        try:
+    fh = open(tmp, mode, **open_kwargs)
+    try:
+        with fh:
             yield fh
-        except BaseException:
-            os.remove(tmp)
-            raise
-    os.replace(tmp, path)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

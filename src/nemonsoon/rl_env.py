@@ -17,6 +17,8 @@ from .geogrid import AreaSet, Rect, SSTField
 SHIFT_ONLY = "shift-only"
 SHIFT_AND_RESIZE = "shift-resize"
 INVALID_PENALTY = 0.05  # the reward for a refused move or an invalid geometry
+# where an areas file's rects must lie: a finite but huge bound would overflow later
+GLOBE = Rect(-90.0, 90.0, -360.0, 360.0)
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,9 @@ def save_areas(area_a: AreaSet, area_b: AreaSet, path: str | os.PathLike) -> Non
 def load_areas(path: str | os.PathLike) -> tuple[AreaSet, AreaSet]:
     with open(path) as fh:
         try:
-            return areas_from_json(json.load(fh))
+            areas = areas_from_json(json.load(fh))
+            if not geogrid.inside(GLOBE, *areas):
+                raise ValueError(f"a rect lies outside {GLOBE}")
+            return areas
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"bad areas file {path}: {exc!r}") from exc

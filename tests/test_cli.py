@@ -267,6 +267,14 @@ class TestForecast:
         assert dispatch(args) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_fold_before_the_data_is_config_error(self, forecast_world, tmp_path, capsys):
+        """No month of 1950-1962 is on the 1982-1993 axis: the fold is
+        refused before the correlation bar, which has no training rows."""
+        args = self._args(forecast_world, tmp_path / "x.csv")
+        args[args.index("--fold") + 1] = "1950-1960:1961:1962"
+        assert dispatch(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_fold_flags_replace_config_folds(self, forecast_world, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"folds": ["1982-1990:1991:1992"]}))
@@ -408,7 +416,8 @@ class TestConfigFile:
     '{"A": [[3.0, 8.0, 103.0, 108.0]]',
     '{"A": [[3.0, 8.0, 103.0, 108.0]]}',
     '{"A": [[3.0, 8.0, 103.0]], "B": [[12.0, 17.0, 112.0, 117.0]]}',
-], ids=["reversed-rect", "bad-json", "missing-B", "short-rect"])
+    '{"A": [[3.0, 1e303, 103.0, 108.0]], "B": [[12.0, 17.0, 112.0, 117.0]]}',
+], ids=["reversed-rect", "bad-json", "missing-B", "short-rect", "huge-bound"])
 @pytest.mark.parametrize("command", ["evaluate", "optimize", "oracle"])
 def test_bad_areas_file_is_config_error(world, clustered, tmp_path, capsys, command, content):
     areas = tmp_path / "areas.json"
@@ -428,3 +437,27 @@ class TestExitCodes:
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert dispatch(["cluster", "--stations", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["synth", "evaluate"])
+    def test_out_that_is_a_file_is_config_error(self, world, clustered, tmp_path, capsys,
+                                                command):
+        out = tmp_path / "out"
+        out.write_text("")
+        args = ["synth", "--years", "1"] if command == "synth" else \
+            ["evaluate", *world_args(world, clustered),
+             "--areas", str(world / "planted_areas.json")]
+        assert dispatch([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_stations_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        assert dispatch(["cluster", "--stations", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_that_is_a_directory_is_config_error(self, world, tmp_path, capsys):
+        """The rename over a directory fails, and its temporary goes too."""
+        out = tmp_path / "clusters"
+        out.mkdir()
+        assert dispatch(["cluster", "--stations", str(world / "stations.csv"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clusters"]

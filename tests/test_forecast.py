@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from nemonsoon import forecast
 from nemonsoon.errors import (
+    ConfigError,
     FormatError,
     NonFiniteLossError,
     ShapeMismatchError,
     SkippedCluster,
     ZeroVarianceError,
 )
-from nemonsoon.geogrid import month_slots, read_csv_rows
+from nemonsoon.geogrid import month_slots, read_csv_rows, year_axis
 from nemonsoon.forecast import (
     FOLD1,
     FOLD2,
@@ -29,12 +30,11 @@ from nemonsoon.forecast import (
     FoldSpec,
     ForecasterConfig,
     LSTMForecaster,
-    _assign_windows,
+    _fold_windows,
     _safe_abs_corr,
     ablation_experiment,
     default_grid,
     grid_search,
-    make_windows,
     read_indices_csv,
     rmse,
     select_features,
@@ -132,6 +132,42 @@ def reference_loss_and_grads(params, config, x, y, training=False, rng=None):
     return loss, grads
 
 
+def reference_make_windows(features, target, window=WINDOW, horizon=HORIZON):
+    """Stride-1 sliding windows over (T, F) features and a length-T target:
+    inputs (N, window, F), targets (N, horizon), as the ablation built them
+    before it gathered each split's windows by index.
+
+    Sample k covers input months [k, k+window) and target months
+    [k+window, k+window+horizon), chronologically ordered.
+    """
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] != len(target):
+        raise ShapeMismatchError(f"features {features.shape} are not (T, F) "
+                                 f"for a target of {len(target)} months")
+    t_len = len(target)
+    n = max(0, t_len - window - horizon + 1)
+    inputs = np.stack([features[k:k + window] for k in range(n)]) if n else \
+        np.zeros((0, window, features.shape[1]))
+    targets = np.stack([np.asarray(target, dtype=float)[k + window:k + window + horizon]
+                        for k in range(n)]) if n else np.zeros((0, horizon))
+    return inputs, targets
+
+
+def reference_assign_windows(years, fold, n_samples):
+    """The split masks of the `n_samples` windows, as the ablation built
+    them before `_fold_windows`: a sample belongs to a split iff all its
+    target months fall inside that split's year range (so no training
+    target month can follow a validation or test target month)."""
+    def contains(lo, hi, k):
+        ys = years[k + WINDOW:k + WINDOW + HORIZON]
+        return bool((ys >= lo).all() and (ys <= hi).all())
+
+    tr = np.array([contains(*fold.train, k) for k in range(n_samples)])
+    va = np.array([contains(*fold.val, k) for k in range(n_samples)])
+    te = np.array([contains(*fold.test, k) for k in range(n_samples)])
+    return tr, va, te
+
+
 def reference_ablation_rows(cluster_id, target, years, candidate_indices, ne_index,
                             foldspecs, grid, seed=0, threshold=0.6,
                             include_target_history=True):
@@ -158,9 +194,9 @@ def reference_ablation_rows(cluster_id, target, years, candidate_indices, ne_ind
             t_mu, t_sd = target[train_rows].mean(), target[train_rows].std()
             if t_sd == 0:
                 raise ZeroVarianceError("constant target")
-            inputs, targets_z = make_windows(matrix, (target - t_mu) / t_sd)
-            _, targets_raw = make_windows(matrix, target)
-            tr, va, te = _assign_windows(years, fold, n_samples=inputs.shape[0])
+            inputs, targets_z = reference_make_windows(matrix, (target - t_mu) / t_sd)
+            _, targets_raw = reference_make_windows(matrix, target)
+            tr, va, te = reference_assign_windows(years, fold, n_samples=inputs.shape[0])
             models, _ = grid_search([inputs[tr]], [targets_z[tr]], [inputs[va]],
                                     [targets_z[va]], grid, seed)
             pred = models[0].forward([inputs[te]])[0] * t_sd + t_mu
@@ -211,7 +247,8 @@ class TestConstants:
         combos = {(c.hidden, c.layers, c.dropout) for c in grid}
         assert combos == {(h, l, d) for h in (16, 32, 64)
                           for l in (1, 2, 3) for d in (0.0, 0.2, 0.5)}
-        assert all(c.lr == 0.01 and c.max_epochs == 200 for c in grid)
+        assert forecast.LR == 0.01
+        assert all(c.max_epochs == 200 for c in grid)
 
     def test_fold_year_ranges(self):
         assert FOLD1 == FoldSpec((1982, 2019), (2020, 2020), (2021, 2021))
@@ -248,25 +285,35 @@ class TestFeatureSelection:
 
 
 class TestWindows:
+    """Window k reads months [k, k+WINDOW) and predicts the HORIZON after
+    them; `_fold_windows` gives the starts k of each split's windows."""
+
     def test_count_and_alignment(self):
-        t_len = 48
-        target = np.arange(float(t_len))
-        feats = np.arange(float(t_len))[:, None] * 10
-        x, y = make_windows(feats, target)
-        assert x.shape == (t_len - WINDOW - HORIZON + 1, WINDOW, 1)
-        assert y.shape == (x.shape[0], HORIZON)
-        # sample 0: inputs cover months [0, 24), targets [24, 36)
-        np.testing.assert_array_equal(x[0, :, 0], np.arange(24.0) * 10)
-        np.testing.assert_array_equal(y[0], np.arange(24.0, 36.0))
+        years = np.repeat(np.arange(2000, 2006), 12)  # 72 months, 37 windows
+        tr, va, te = _fold_windows(years, FoldSpec((2000, 2003), (2004, 2004), (2005, 2005)))
+        # window 0 predicts 2002, window 12 is the last to predict 2003 alone
+        np.testing.assert_array_equal(tr, np.arange(13))
+        np.testing.assert_array_equal(va, [24])
+        np.testing.assert_array_equal(te, [36])
 
-    def test_too_short_series(self):
-        x, y = make_windows(np.zeros((10, 2)), np.zeros(10))
-        assert x.shape[0] == 0 and y.shape[0] == 0
+    def test_axis_starting_mid_year(self):
+        years = year_axis("2000-07", 66)  # 2000-07 .. 2005-12, 31 windows
+        tr, va, te = _fold_windows(years, FoldSpec((2000, 2003), (2004, 2004), (2005, 2005)))
+        # window k's targets start at axis month k + 24: 2002-07 for k = 0,
+        # 2004-01 (month 42) for k = 18 and 2005-01 (month 54) for k = 30
+        np.testing.assert_array_equal(tr, np.arange(7))
+        np.testing.assert_array_equal(va, [18])
+        np.testing.assert_array_equal(te, [30])
 
-    def test_length_mismatch(self):
-        for features in (np.zeros((10, 2)), np.zeros((2, 11))):  # short, transposed
-            with pytest.raises(ShapeMismatchError):
-                make_windows(features, np.zeros(11))
+    def test_too_short_series_is_config_error(self):
+        years = np.repeat(np.arange(2000, 2003), 12)[:WINDOW + HORIZON - 1]  # no window
+        with pytest.raises(ConfigError, match="without windows"):
+            _fold_windows(years, FoldSpec((2000, 2000), (2001, 2001), (2002, 2002)))
+
+    def test_fold_before_the_data_is_config_error(self):
+        years = np.repeat(np.arange(1982, 2002), 12)
+        with pytest.raises(ConfigError, match="data's years 1982-2001"):
+            _fold_windows(years, FoldSpec((1950, 1960), (1961, 1961), (1962, 1962)))
 
     def test_rmse_hand_case(self):
         assert rmse(np.array([1.0, 2.0]), np.array([1.0, 4.0])) == pytest.approx(np.sqrt(2.0))
@@ -405,7 +452,7 @@ class TestTraining:
         t_len = 200
         s = np.sin(np.arange(t_len) * 2 * np.pi / 24)
         target = s + 0.05 * rng.normal(size=t_len)
-        x, y = make_windows(s[:, None], target)
+        x, y = reference_make_windows(s[:, None], target)
         n = x.shape[0]
         return x[: n - 40], y[: n - 40], x[n - 40: n - 20], y[n - 40: n - 20], \
             x[n - 20:], y[n - 20:]
@@ -661,26 +708,51 @@ class TestFoldAssignment:
     def test_no_target_leakage(self):
         years = np.repeat(np.arange(2000, 2010), 12)
         fold = FoldSpec((2000, 2007), (2008, 2008), (2009, 2009))
-        n = len(years) - WINDOW - HORIZON + 1
-        tr, va, te = _assign_windows(years, fold, n)
-        assert not (tr & va).any() and not (tr & te).any() and not (va & te).any()
-        for k in np.flatnonzero(tr):
+        tr, va, te = map(set, _fold_windows(years, fold))
+        assert not (tr & va) and not (tr & te) and not (va & te)
+        for k in tr:
             assert years[k + WINDOW:k + WINDOW + HORIZON].max() <= 2007
-        for k in np.flatnonzero(te):
+        for k in te:
             target_years = years[k + WINDOW:k + WINDOW + HORIZON]
             assert (target_years == 2009).all()
 
     def test_straddling_windows_unassigned(self):
         years = np.repeat(np.arange(2000, 2010), 12)
         fold = FoldSpec((2000, 2007), (2008, 2008), (2009, 2009))
-        n = len(years) - WINDOW - HORIZON + 1
-        tr, va, te = _assign_windows(years, fold, n)
-        assigned = tr | va | te
-        straddlers = ~assigned
-        assert straddlers.any()
-        for k in np.flatnonzero(straddlers):
+        assigned = set(np.concatenate(_fold_windows(years, fold)))
+        straddlers = set(range(len(years) - WINDOW - HORIZON + 1)) - assigned
+        assert straddlers
+        for k in straddlers:
             ys = years[k + WINDOW:k + WINDOW + HORIZON]
             assert len(np.unique(ys)) == 2
+
+    @settings(max_examples=500, deadline=None)
+    @given(t0_year=st.integers(1985, 2000), t0_month=st.integers(1, 12),
+           nt=st.integers(1, 300), train_from=st.integers(-6, 14),
+           gaps=st.tuples(st.integers(0, 12), st.integers(1, 3), st.integers(0, 2),
+                          st.integers(1, 3), st.integers(0, 2)))
+    @example(t0_year=1990, t0_month=5, nt=35, train_from=0, gaps=(0, 1, 0, 1, 0))
+    @example(t0_year=1990, t0_month=5, nt=60, train_from=0, gaps=(1, 1, 0, 1, 0))
+    def test_starts_match_the_per_window_masks(self, t0_year, t0_month, nt, train_from, gaps):
+        """The first and last target month's years place a window as all
+        its target months' years did, on axes shorter than one window,
+        starting in any month, and for folds partly or wholly off the axis
+        (the training years start `train_from` years after the axis does)."""
+        train_len, to_val, val_len, to_test, test_len = gaps
+        train_lo = t0_year + train_from
+        val_lo = train_lo + train_len + to_val
+        test_lo = val_lo + val_len + to_test
+        fold = FoldSpec((train_lo, train_lo + train_len), (val_lo, val_lo + val_len),
+                        (test_lo, test_lo + test_len))
+        years = year_axis(f"{t0_year}-{t0_month:02d}", nt)
+        masks = reference_assign_windows(years, fold, max(0, nt - WINDOW - HORIZON + 1))
+        expected = [np.flatnonzero(m) for m in masks]
+        if all(e.size for e in expected):
+            got = _fold_windows(years, fold)
+            assert [g.tolist() for g in got] == [e.tolist() for e in expected]
+        else:
+            with pytest.raises(ConfigError, match="without windows"):
+                _fold_windows(years, fold)
 
 
 class TestAblation:
@@ -720,6 +792,22 @@ class TestAblation:
                                 grid=[ForecasterConfig(hidden=8, max_epochs=2)])
         assert str(exc.value) == f"cluster 1 skipped: |corr(NE, target)| = {r:.3f} <= 0.6 on fold 2"
         assert _safe_abs_corr(ne[years <= 2002], target[years <= 2002]) > 0.6
+        assert calls == []
+
+    def test_split_without_windows_found_before_the_bar(self, monkeypatch):
+        """Every fold misses the bar and fold 2's test year is off the
+        axis: the fold's ConfigError comes first, and no grid search runs."""
+        years, target, ne, cands = self._world(couple=False)
+        folds = [FoldSpec((2000, 2009), (2010, 2010), (2011, 2011)),
+                 FoldSpec((2000, 2009), (2010, 2010), (2030, 2030))]
+        calls = []
+        monkeypatch.setattr(forecast, "grid_search", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="without windows on the data's years 2000-2011"):
+            ablation_experiment(1, target, years, cands, ne, folds,
+                                grid=[ForecasterConfig(hidden=8, max_epochs=2)])
+        with pytest.raises(SkippedCluster):
+            ablation_experiment(1, target, years, cands, ne, folds[:1],
+                                grid=[ForecasterConfig(hidden=8, max_epochs=2)])
         assert calls == []
 
     def test_rows_schema(self):
