@@ -228,6 +228,9 @@ def _cluster_targets(args, t0: str, nt: int, ids, rest: bool = False) -> list[np
             f"!= the other inputs' axis ({t0}, {nt} months)")
     usable = [stations.impute_monthly_median(st) for st in stations.qc_filter(sts)]
     membership = stations.read_clusters_csv(args.clusters)
+    unknown = sorted(set(ids) - set(membership))
+    if unknown:
+        raise ConfigError(f"clusters {unknown} are not in {args.clusters}")
     targets = []
     for group in [set(ids)] + ([set(membership) - set(ids)] if rest else []):
         members = set().union(*(membership.get(c, ()) for c in group))

@@ -335,6 +335,26 @@ class TestBadInputs:
         assert rc == 2
         assert "no usable stations" in capsys.readouterr().err
 
+    def test_forecast_cluster_not_in_clusters_csv(self, world, clustered, tmp_path, capsys):
+        """The synth world clusters into 1 and 2, so 3 names no cluster."""
+        indices, t0 = forecast.read_indices_csv(world / "indices.csv")
+        ne = tmp_path / "ne.csv"
+        write_index_csv(np.zeros(len(next(iter(indices.values())))), t0, ne)
+        rc = dispatch(["forecast", "--stations", str(world / "stations.csv"),
+                       "--clusters", str(clustered), "--indices", str(world / "indices.csv"),
+                       "--ne-index", str(ne), "--cluster", "3", "--small-grid",
+                       "--out", str(tmp_path / "report.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: clusters [3] are not in {clustered}\n"
+
+    def test_onset_clusters_not_in_clusters_csv(self, world, clustered, tmp_path, capsys):
+        args = world_args(world, clustered)
+        args[args.index("--onset-clusters") + 1] = "1,2,3,4"
+        rc = dispatch(["optimize", *args, "--areas", str(world / "initial_areas.json"),
+                       "--timesteps", "10", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: clusters [3, 4] are not in {clustered}\n"
+
     def test_station_axis_off_the_sst_axis(self, world, clustered, tmp_path, capsys):
         lines = (world / "stations.csv").read_text().splitlines(keepends=True)
         shifted = tmp_path / "stations.csv"

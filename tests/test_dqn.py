@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nemonsoon import geogrid, index
+from nemonsoon import dqn, geogrid, index
 from nemonsoon.dqn import (
     Adam,
     DQNConfig,
@@ -202,6 +202,7 @@ class TestDQNConfig:
         {"buffer_capacity": 63},
         {"target_sync_every": 0},
         {"learn_start": -1},
+        {"train_every": 0},
         {"lr": 0.0},
         {"lr": float("nan")},
         {"lr": float("inf")},
@@ -213,7 +214,7 @@ class TestDQNConfig:
 
     def test_edges_are_accepted(self):
         DQNConfig(decay_fraction=0.0, batch=1, buffer_capacity=1, target_sync_every=1,
-                  learn_start=0, seed=0)
+                  learn_start=0, train_every=1, seed=0)
         DQNConfig(decay_fraction=1.0)
 
 
@@ -327,6 +328,144 @@ class TestTraining:
         path = tmp_path / "history.csv"
         write_history_csv(rows, path)
         assert path.read_text().splitlines()[1] == "0,0,-0.05,0.5,1.0"
+
+
+class _StepCountingChain(ChainEnv):
+    """A ChainEnv that counts its steps, so a learner call can tell which
+    environment step t it runs in."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def step(self, action):
+        self.steps += 1
+        return super().step(action)
+
+
+def reference_train_with_net(env_factory, config: DQNConfig):
+    """`train_with_net` before the learner period: the learner runs on every
+    environment step once t + 1 >= learn_start and the buffer holds a
+    batch. Returns train_with_net's four results and the optimizer."""
+    rng = np.random.default_rng(config.seed)
+    env = env_factory()
+    qnet = QNetwork(env.obs_dim, env.n_actions, rng)
+    optimizer = Adam(qnet.flat, lr=config.lr)
+    buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim)
+
+    best_areas = None
+    best_q = -np.inf
+    history: list[HistoryRow] = []
+    episode = 0
+    obs = env.reset(rng)
+    best_areas, best_q = dqn._maybe_better(env, best_areas, best_q)
+
+    for t in range(config.total_timesteps):
+        eps = epsilon_at(t, config)
+        a = act(obs, qnet, eps, rng)
+        next_obs, reward, done = env.step(a)
+        buffer.push(obs, a, reward, next_obs, done)
+        best_areas, best_q = dqn._maybe_better(env, best_areas, best_q)
+        if t + 1 >= config.learn_start and buffer.size >= config.batch:
+            batch = buffer.sample(config.batch, rng)
+            train_step(qnet, batch, optimizer, config.gamma)
+        if (t + 1) % config.target_sync_every == 0:
+            qnet.lanes[1] = qnet.lanes[0]
+        history.append(HistoryRow(step=t, episode=episode, reward=float(reward),
+                                  best_q=float(best_q), epsilon=eps))
+        if done:
+            episode += 1
+            if t + 1 < config.total_timesteps:
+                obs = env.reset(rng)
+                best_areas, best_q = dqn._maybe_better(env, best_areas, best_q)
+        else:
+            obs = next_obs
+    return best_areas, best_q, history, qnet, optimizer
+
+
+def _small_area_factory():
+    """An AreaEnv factory on a 6-year default-grid synth world, the
+    initial areas 2 degrees off the planted ones."""
+    spec = SynthSpec(years=6)
+    field = gen_sst(spec, seed=2)
+    y_on, y_re = regime_targets(*gen_stations(spec, seed=2))
+    a, b = spec.planted_areas()
+    cfg = EnvConfig(SHIFT_ONLY, spec.domain(), a.shifted(2.0, -2.0), b.shifted(-2.0, 2.0),
+                    episode_len=32, jitter=2)
+    return lambda: AreaEnv(field, y_on, y_re, cfg)
+
+
+class TestLearnerPeriod:
+    @given(st.integers(1, 120), st.integers(0, 40), st.integers(1, 12), st.integers(0, 12),
+           st.integers(1, 6), st.integers(1, 25), st.integers(0, 2**16))
+    @example(steps=60, learn_start=10, batch=4, spare=0, train_every=4, sync_every=7, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_learner_runs_every_train_every_steps(self, steps, learn_start, batch, spare,
+                                                  train_every, sync_every, seed):
+        """The learner runs, on a full batch, at exactly the steps t with
+        t + 1 >= learn_start, t + 1 a multiple of train_every and a batch in
+        the buffer; one push per step, so the buffer holds a batch iff
+        t + 1 >= batch. The target row is the online row as it stood at the
+        end of the last step s with s + 1 a multiple of target_sync_every:
+        syncs still count environment steps."""
+        cfg = DQNConfig(total_timesteps=steps, learn_start=learn_start, batch=batch,
+                        buffer_capacity=batch + spare, target_sync_every=sync_every,
+                        train_every=train_every, seed=seed)
+        envs, calls, online = [], [], {}
+
+        def factory():
+            envs.append(_StepCountingChain())
+            return envs[-1]
+
+        def counted(qnet, sample, optimizer, gamma):
+            t = envs[0].steps - 1
+            calls.append((t, len(sample[1]), qnet.lanes[1].tobytes()))
+            loss = train_step(qnet, sample, optimizer, gamma)
+            online[t] = qnet.lanes[0].tobytes()
+            return loss
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dqn, "train_step", counted)
+            *_, qnet = dqn.train_with_net(factory, cfg)
+        assert [t for t, _, _ in calls] == [
+            t for t in range(steps)
+            if t + 1 >= learn_start and t + 1 >= batch and (t + 1) % train_every == 0]
+        assert all(n == batch for _, n, _ in calls)
+
+        initial = QNetwork(ChainEnv.N, 2, np.random.default_rng(seed)).lanes[0].tobytes()
+
+        def target_during(t):
+            last_sync = t // sync_every * sync_every - 1
+            trained = [s for s in online if s <= last_sync]
+            return online[max(trained)] if trained else initial
+
+        assert all(target == target_during(t) for t, _, target in calls)
+        assert qnet.lanes[1].tobytes() == target_during(steps)
+
+    @pytest.mark.parametrize("world", ["chain", "area"])
+    def test_period_one_is_byte_equal_to_the_reference_loop(self, world, monkeypatch):
+        factory = ChainEnv if world == "chain" else _small_area_factory()
+        cfg = DQNConfig(total_timesteps=1_500, learn_start=100, batch=32, buffer_capacity=600,
+                        target_sync_every=150, train_every=1, seed=5)
+        optimizers = []
+
+        class RecordedAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(dqn, "Adam", RecordedAdam)
+        areas, q, history, qnet = dqn.train_with_net(factory, cfg)
+        want_areas, want_q, want_history, want_net, want_opt = \
+            reference_train_with_net(factory, cfg)
+        (opt,) = optimizers
+        assert areas == want_areas
+        assert (areas is None) == (world == "chain")
+        assert repr(q) == repr(want_q)
+        assert [repr(row) for row in history] == [repr(row) for row in want_history]
+        assert qnet.lanes.tobytes() == want_net.lanes.tobytes()
+        assert opt.m.tobytes() == want_opt.m.tobytes()
+        assert opt.v.tobytes() == want_opt.v.tobytes()
 
 
 class TestOracle:
