@@ -233,7 +233,7 @@ def _cluster_targets(args, t0: str, nt: int, ids, rest: bool = False) -> list[np
         raise ConfigError(f"clusters {unknown} are not in {args.clusters}")
     targets = []
     for group in [set(ids)] + ([set(membership) - set(ids)] if rest else []):
-        members = set().union(*(membership.get(c, ()) for c in group))
+        members = set().union(*(membership[c] for c in group))
         try:
             targets.append(stations.cluster_mean_series(members, usable))
         except ValueError as exc:

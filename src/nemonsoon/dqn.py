@@ -208,9 +208,6 @@ class DQNConfig:
     buffer_capacity: int = 10_000
     target_sync_every: int = 500
     learn_start: int = 1_000
-    # environment steps per learner step: Mnih et al. (2015)'s update
-    # frequency; target syncs and epsilon still count environment steps
-    train_every: int = 4
     lr: float = 1e-3
     seed: int = 0
 
@@ -232,8 +229,6 @@ class DQNConfig:
             raise ValueError("target_sync_every must be >= 1")
         if self.learn_start < 0:
             raise ValueError("learn_start must be >= 0")
-        if self.train_every < 1:
-            raise ValueError("train_every must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be finite and > 0")
         if self.seed < 0:
@@ -311,6 +306,11 @@ def train_step(qnet: QNetwork, batch, optimizer: Adam, gamma: float) -> float:
 # Training loop
 # ---------------------------------------------------------------------------
 
+# environment steps per learner step: Mnih et al. (2015)'s update frequency;
+# target syncs and epsilon still count environment steps
+TRAIN_EVERY = 4
+
+
 @dataclass
 class HistoryRow:
     step: int
@@ -353,7 +353,7 @@ def train_with_net(env_factory, config: DQNConfig):
         buffer.push(obs, a, reward, next_obs, done)
         best_areas, best_q = _maybe_better(env, best_areas, best_q)
         if (t + 1 >= config.learn_start and buffer.size >= config.batch
-                and (t + 1) % config.train_every == 0):
+                and (t + 1) % TRAIN_EVERY == 0):
             batch = buffer.sample(config.batch, rng)
             train_step(qnet, batch, optimizer, config.gamma)
         if (t + 1) % config.target_sync_every == 0:

@@ -1,9 +1,10 @@
 """Search quality of the DQN at two learner periods.
 
 For each world and DQN seed, the DQN runs once with the learner on every
-environment step (`train_every=1`) and once on every 4th (`train_every=4`),
-with equal environment steps. Each run records its best q ÷ the oracle's q
-(`dqn.exhaustive_search` on the same world) and its wall time. Two set-ups:
+environment step (`dqn.TRAIN_EVERY = 1`) and once on every 4th
+(`TRAIN_EVERY = 4`), with equal environment steps. Each run records its
+best q ÷ the oracle's q (`dqn.exhaustive_search` on the same world) and
+its wall time. Two set-ups:
 
 - criterion-03: acceptance criterion 03's set-up. The default 20-year
   synth world at seeds 0-2, DQN seeds 0-4, 20,000 steps, shift-only,
@@ -33,6 +34,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
@@ -103,12 +105,12 @@ def run_setup(setup: Setup) -> dict:
         env_config = rl_env.EnvConfig(rl_env.SHIFT_ONLY, domain, init_a, init_b, jitter=2)
         for seed in setup.dqn_seeds:
             for period in PERIODS if k % 2 == 0 else PERIODS[::-1]:
-                config = dqn.DQNConfig(total_timesteps=setup.steps, seed=seed,
-                                       train_every=period)
-                start = time.perf_counter()
-                _, best_q, _ = dqn.train(
-                    lambda: rl_env.AreaEnv(field, y_onset, y_retreat, env_config), config)
-                seconds = time.perf_counter() - start
+                config = dqn.DQNConfig(total_timesteps=setup.steps, seed=seed)
+                with mock.patch.object(dqn, "TRAIN_EVERY", period):
+                    start = time.perf_counter()
+                    _, best_q, _ = dqn.train(
+                        lambda: rl_env.AreaEnv(field, y_onset, y_retreat, env_config), config)
+                    seconds = time.perf_counter() - start
                 rows.append({"world": world, "dqn_seed": seed, "train_every": period,
                              "best_q": best_q, "oracle_q": oracle_q,
                              "ratio": best_q / oracle_q, "seconds": seconds})

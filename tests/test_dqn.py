@@ -202,7 +202,6 @@ class TestDQNConfig:
         {"buffer_capacity": 63},
         {"target_sync_every": 0},
         {"learn_start": -1},
-        {"train_every": 0},
         {"lr": 0.0},
         {"lr": float("nan")},
         {"lr": float("inf")},
@@ -214,7 +213,7 @@ class TestDQNConfig:
 
     def test_edges_are_accepted(self):
         DQNConfig(decay_fraction=0.0, batch=1, buffer_capacity=1, target_sync_every=1,
-                  learn_start=0, train_every=1, seed=0)
+                  learn_start=0, seed=0)
         DQNConfig(decay_fraction=1.0)
 
 
@@ -398,19 +397,19 @@ def _small_area_factory():
 class TestLearnerPeriod:
     @given(st.integers(1, 120), st.integers(0, 40), st.integers(1, 12), st.integers(0, 12),
            st.integers(1, 6), st.integers(1, 25), st.integers(0, 2**16))
-    @example(steps=60, learn_start=10, batch=4, spare=0, train_every=4, sync_every=7, seed=0)
+    @example(steps=60, learn_start=10, batch=4, spare=0, period=4, sync_every=7, seed=0)
     @settings(max_examples=40, deadline=None)
     def test_learner_runs_every_train_every_steps(self, steps, learn_start, batch, spare,
-                                                  train_every, sync_every, seed):
+                                                  period, sync_every, seed):
         """The learner runs, on a full batch, at exactly the steps t with
-        t + 1 >= learn_start, t + 1 a multiple of train_every and a batch in
+        t + 1 >= learn_start, t + 1 a multiple of TRAIN_EVERY and a batch in
         the buffer; one push per step, so the buffer holds a batch iff
         t + 1 >= batch. The target row is the online row as it stood at the
         end of the last step s with s + 1 a multiple of target_sync_every:
         syncs still count environment steps."""
         cfg = DQNConfig(total_timesteps=steps, learn_start=learn_start, batch=batch,
                         buffer_capacity=batch + spare, target_sync_every=sync_every,
-                        train_every=train_every, seed=seed)
+                        seed=seed)
         envs, calls, online = [], [], {}
 
         def factory():
@@ -426,10 +425,11 @@ class TestLearnerPeriod:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dqn, "train_step", counted)
+            mp.setattr(dqn, "TRAIN_EVERY", period)
             *_, qnet = dqn.train_with_net(factory, cfg)
         assert [t for t, _, _ in calls] == [
             t for t in range(steps)
-            if t + 1 >= learn_start and t + 1 >= batch and (t + 1) % train_every == 0]
+            if t + 1 >= learn_start and t + 1 >= batch and (t + 1) % period == 0]
         assert all(n == batch for _, n, _ in calls)
 
         initial = QNetwork(ChainEnv.N, 2, np.random.default_rng(seed)).lanes[0].tobytes()
@@ -446,7 +446,7 @@ class TestLearnerPeriod:
     def test_period_one_is_byte_equal_to_the_reference_loop(self, world, monkeypatch):
         factory = ChainEnv if world == "chain" else _small_area_factory()
         cfg = DQNConfig(total_timesteps=1_500, learn_start=100, batch=32, buffer_capacity=600,
-                        target_sync_every=150, train_every=1, seed=5)
+                        target_sync_every=150, seed=5)
         optimizers = []
 
         class RecordedAdam(Adam):
@@ -455,6 +455,7 @@ class TestLearnerPeriod:
                 optimizers.append(self)
 
         monkeypatch.setattr(dqn, "Adam", RecordedAdam)
+        monkeypatch.setattr(dqn, "TRAIN_EVERY", 1)
         areas, q, history, qnet = dqn.train_with_net(factory, cfg)
         want_areas, want_q, want_history, want_net, want_opt = \
             reference_train_with_net(factory, cfg)
