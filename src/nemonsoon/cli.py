@@ -43,6 +43,8 @@ def _load_config(argv: list[str]) -> dict:
     """The JSON object named by `--config FILE` or `--config=FILE`, else {}."""
     paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
     paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+    if len(paths) > 1:
+        raise ConfigError(f"more than one --config: {', '.join(paths)}")
     if not paths:
         return {}
     try:
@@ -232,7 +234,11 @@ def _cluster_targets(args, t0: str, nt: int, ids, rest: bool = False) -> list[np
     if unknown:
         raise ConfigError(f"clusters {unknown} are not in {args.clusters}")
     targets = []
-    for group in [set(ids)] + ([set(membership) - set(ids)] if rest else []):
+    groups = [set(ids)] + ([set(membership) - set(ids)] if rest else [])
+    for side, group in zip(("onset", "retreat"), groups):
+        if not group:  # only --onset-clusters can leave a side empty
+            raise ConfigError(f"--onset-clusters leaves the {side} target with no cluster "
+                              f"in {args.clusters}")
         members = set().union(*(membership[c] for c in group))
         try:
             targets.append(stations.cluster_mean_series(members, usable))

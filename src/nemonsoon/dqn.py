@@ -126,12 +126,15 @@ def lane_buffer(lanes: int, shapes: list[tuple[int, ...]],
                   for shape, size, end in zip(shapes, sizes, ends)]
 
 
+# Adam's decay rates and floor (Kingma & Ba 2015), and the Q-network's step size
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LR = 0.9, 0.999, 1e-8, 1e-3
+
+
 class Adam:
     """Adaptive-moment optimizer over one flat parameter buffer."""
 
-    def __init__(self, flat: np.ndarray, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, flat: np.ndarray, lr: float = LR):
+        self.lr = lr
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.t = 0
@@ -143,21 +146,21 @@ class Adam:
         flat -= lr (m / b1t) / (sqrt(v / b2t) + eps), each operation in
         that order through two reused scratch buffers."""
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         m, v, (s, u) = self.m, self.v, self._scratch
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=s)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
         m += s
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=s)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=s)
         s *= grad
         v += s
         np.divide(m, b1t, out=s)
         s *= self.lr
         np.divide(v, b2t, out=u)
         np.sqrt(u, out=u)
-        u += self.eps
+        u += ADAM_EPS
         s /= u
         flat -= s
 
@@ -197,27 +200,23 @@ class ReplayBuffer:
         return self.obs.take(idx, axis=1), self.actions[idx], self.rewards[idx], self.dones[idx]
 
 
+# Mnih et al. (2015)'s epsilon-greedy schedule: 1.0 -> 0.1 over the first tenth of the steps
+EPSILON_INITIAL, EPSILON_FINAL, DECAY_FRACTION = 1.0, 0.1, 0.1
+
+
 @dataclass(frozen=True)
 class DQNConfig:
     gamma: float = 0.99
-    epsilon_initial: float = 1.0
-    epsilon_final: float = 0.1
-    decay_fraction: float = 0.1
     total_timesteps: int = 100_000
     batch: int = 64
     buffer_capacity: int = 10_000
     target_sync_every: int = 500
     learn_start: int = 1_000
-    lr: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must be in (0, 1]")
-        if not 0 <= self.epsilon_final <= self.epsilon_initial <= 1:
-            raise ValueError("need 0 <= epsilon_final <= epsilon_initial <= 1")
-        if not 0 <= self.decay_fraction <= 1:
-            raise ValueError("decay_fraction must be in [0, 1]")
         if self.total_timesteps < 1:
             raise ValueError("total_timesteps must be >= 1")
         if self.batch < 1:
@@ -229,22 +228,20 @@ class DQNConfig:
             raise ValueError("target_sync_every must be >= 1")
         if self.learn_start < 0:
             raise ValueError("learn_start must be >= 0")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError("lr must be finite and > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
 
 def epsilon_at(t: int, config: DQNConfig) -> float:
-    """Linear anneal from epsilon_initial to epsilon_final over the first
-    decay_fraction of total timesteps, then constant."""
+    """Linear anneal from EPSILON_INITIAL to EPSILON_FINAL over the first
+    DECAY_FRACTION of total timesteps, then constant."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    decay_end = config.decay_fraction * config.total_timesteps
-    if decay_end <= 0 or t >= decay_end:
-        return config.epsilon_final
+    decay_end = DECAY_FRACTION * config.total_timesteps
+    if t >= decay_end:
+        return EPSILON_FINAL
     frac = t / decay_end
-    return config.epsilon_initial + frac * (config.epsilon_final - config.epsilon_initial)
+    return EPSILON_INITIAL + frac * (EPSILON_FINAL - EPSILON_INITIAL)
 
 
 def act(state: np.ndarray, qnet: QNetwork, epsilon: float,
@@ -336,7 +333,7 @@ def train_with_net(env_factory, config: DQNConfig):
     rng = np.random.default_rng(config.seed)
     env = env_factory()
     qnet = QNetwork(env.obs_dim, env.n_actions, rng)
-    optimizer = Adam(qnet.flat, lr=config.lr)
+    optimizer = Adam(qnet.flat)
     buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim)
 
     best_areas = None
@@ -409,7 +406,7 @@ def _placements(template: AreaSet, domain: Rect, step: float) -> list[AreaSet]:
 # months per summed-area table: the oracle's float64 tables cover this many
 # months at a time, so no float64 copy of the whole field is ever held
 _TABLE_MONTHS = 12
-_U32, _U64 = 2.0 ** -24, 2.0 ** -53  # unit roundoffs of float32 and float64
+_U32 = 2.0 ** -24  # unit roundoff of float32
 # a q must beat the best by more than this to replace it, so exact ties go
 # to the earlier placement
 _TIE = 1e-15
@@ -469,8 +466,8 @@ class _Lattice:
         # each table sum adds at most nlat + nlon roundings of sums of up
         # to nlat nlon values, and a placement combines 4 T of them
         self._table_err = 4 * len(subsets) * (spec.nlat + spec.nlon + 4 * len(subsets)) \
-            * spec.nlat * spec.nlon * _U64
-        self._centre_err = 4 * (spec.nt + 4) * _U64
+            * spec.nlat * spec.nlon * index._U64
+        self._centre_err = 4 * (spec.nt + 4) * index._U64
 
     def box_sums(self, table: np.ndarray) -> np.ndarray:
         """(P, n): each placement's sum of the table's n layers."""

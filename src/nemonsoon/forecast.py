@@ -26,6 +26,7 @@ from .index import normalise_series, pearson
 
 WINDOW = 24
 HORIZON = 12
+CORR_BAR = 0.6  # |r| with the target that a feature, or the candidate index, must exceed
 
 HIDDEN_GRID = (16, 32, 64)
 LAYER_GRID = (1, 2, 3)
@@ -76,12 +77,11 @@ def default_grid() -> list[ForecasterConfig]:
 # Feature selection and error
 # ---------------------------------------------------------------------------
 
-def select_features(features: dict[str, np.ndarray], target: np.ndarray,
-                    threshold: float = 0.6) -> list[str]:
+def select_features(features: dict[str, np.ndarray], target: np.ndarray) -> list[str]:
     """Names of columns whose absolute Pearson correlation with the target
-    strictly exceeds the threshold; a constant column has none. Call with
+    strictly exceeds CORR_BAR; a constant column has none. Call with
     training-fold rows only."""
-    return [name for name, col in features.items() if _safe_abs_corr(col, target) > threshold]
+    return [name for name, col in features.items() if _safe_abs_corr(col, target) > CORR_BAR]
 
 
 def rmse(observed: np.ndarray, predicted: np.ndarray) -> float:
@@ -485,7 +485,6 @@ def ablation_experiment(
     foldspecs: list[FoldSpec],
     grid: list[ForecasterConfig] | None = None,
     seed: int = 0,
-    threshold: float = 0.6,
     include_target_history: bool = True,
 ) -> list[dict]:
     """Per-fold test RMSE for the base arm (selected features) and the
@@ -500,17 +499,15 @@ def ablation_experiment(
              for fold in foldspecs]
     for fold_no, (train_rows, _) in enumerate(folds, start=1):
         ne_r = _safe_abs_corr(ne_index[train_rows], target[train_rows])
-        if ne_r <= threshold:
+        if ne_r <= CORR_BAR:
             raise SkippedCluster(
                 cluster_id,
-                f"|corr(NE, target)| = {ne_r:.3f} <= {threshold} on fold {fold_no}",
+                f"|corr(NE, target)| = {ne_r:.3f} <= {CORR_BAR} on fold {fold_no}",
             )
     rows = []
     for fold_no, (train_rows, windows) in enumerate(folds, start=1):
-        selected = select_features(
-            {k: v[train_rows] for k, v in candidate_indices.items()},
-            target[train_rows], threshold,
-        )
+        selected = select_features({k: v[train_rows] for k, v in candidate_indices.items()},
+                                   target[train_rows])
         base_cols = {k: candidate_indices[k] for k in selected}
         if include_target_history:
             base_cols["__target_history__"] = target

@@ -138,10 +138,6 @@ class GridSpec:
     def lats(self) -> np.ndarray:
         return self.lat0 + self.dlat * np.arange(self.nlat)
 
-    @property
-    def lons(self) -> np.ndarray:
-        return self.lon0 + self.dlon * np.arange(self.nlon)
-
     def months(self) -> np.ndarray:
         return month_axis(self.t0, self.nt)
 

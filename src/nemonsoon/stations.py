@@ -15,6 +15,7 @@ from .geogrid import MonthColumns, month_axis, monthly_rows, read_csv_rows, writ
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "year", "month", "rain_mm"]
 FEATURE_NAMES = ["lat", "lon"] + [f"clim_{m:02d}" for m in range(1, 13)]
+COMPLETENESS = 0.8  # QC's least observed fraction of each calendar month's slots
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,16 @@ class ClusterParams:
             raise ValueError(f"n must be in [1, {len(FEATURE_NAMES)}]")
 
 
-def qc_filter(stations: list[Station], completeness: float = 0.8) -> list[Station]:
-    """Keep a station only if every calendar month has at least the given
-    fraction of its slots observed."""
-    if not 0 < completeness <= 1:
-        raise ValueError("completeness must be in (0, 1]")
+def qc_filter(stations: list[Station]) -> list[Station]:
+    """Keep a station only if every calendar month has at least the
+    COMPLETENESS fraction of its slots observed."""
     kept = []
     for st in stations:
         months = month_axis(st.t0, len(st.rain))
         total = np.bincount(months, minlength=13)
         present = np.bincount(months, weights=~np.isnan(st.rain), minlength=13)
         seen = total > 0
-        if (present[seen] / total[seen] >= completeness).all():
+        if (present[seen] / total[seen] >= COMPLETENESS).all():
             kept.append(st)
     return kept
 

@@ -13,10 +13,13 @@ from .geogrid import AreaSet, GridSpec, Rect, SSTField, area_indices, month_axis
 from .index import normalise_series, season_masks
 from .stations import Station
 
-DEFAULT_INDEX_CORR = {
+INDEX_CORR = {
     "ONI": 0.80, "DMI": 0.70, "MEI": 0.65, "SWMI": 0.55,
     "PDO": 0.45, "MJO": 0.30, "BSISO": 0.15,
 }
+# gen_forecast_cluster's world: the driver's period (months) and white-noise
+# sd, the target's noise sd (mm/month), and the surrogate's weight on the driver
+PERIOD, SIGNAL_NOISE, NOISE, SURROGATE_MIX = 36, 0.05, 20.0, 0.8
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,6 @@ class SynthSpec:
 
     def planted_areas(self) -> tuple[AreaSet, AreaSet]:
         return AreaSet.of(self.rect_a), AreaSet.of(self.rect_b)
-
-    def domain(self) -> Rect:
-        return self.grid().domain()
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -153,16 +153,14 @@ def regime_targets(stations: list[Station], labels: dict[str, str]) -> tuple[np.
     return np.mean(south, axis=0), np.mean(upper, axis=0)
 
 
-def gen_global_indices(spec: SynthSpec, seed: int, target: np.ndarray,
-                       correlations: dict[str, float] | None = None) -> dict[str, np.ndarray]:
-    """Surrogate climate-index columns with exact in-sample correlation to
-    the given target (noise orthogonalized against it), standardized."""
-    correlations = correlations or DEFAULT_INDEX_CORR
+def gen_global_indices(spec: SynthSpec, seed: int, target: np.ndarray) -> dict[str, np.ndarray]:
+    """Surrogate climate-index columns with exact in-sample correlation
+    INDEX_CORR to the given target (noise orthogonalized against it), standardized."""
     rng = _rng(seed, 5)
     target = np.asarray(target, dtype=float)
     z = normalise_series(target)
     out: dict[str, np.ndarray] = {}
-    for name, rho in correlations.items():
+    for name, rho in INDEX_CORR.items():
         noise = rng.standard_normal(len(target))
         resid = noise - (noise @ z) / (z @ z) * z
         e = normalise_series(resid)
@@ -170,9 +168,7 @@ def gen_global_indices(spec: SynthSpec, seed: int, target: np.ndarray,
     return out
 
 
-def gen_forecast_cluster(nt: int, seed: int, period: int = 36,
-                         beta: float = 45.0, noise: float = 20.0,
-                         signal_noise: float = 0.05, surrogate_mix: float = 0.8):
+def gen_forecast_cluster(nt: int, seed: int, beta: float = 45.0):
     """A rainfall target with a planted, window-predictable dependence on a
     candidate index: the index is a low-frequency sinusoid (forecastable
     from its own 24-month history), the target adds seasonality and noise.
@@ -184,16 +180,16 @@ def gen_forecast_cluster(nt: int, seed: int, period: int = 36,
     rng = np.random.default_rng([seed, 6])
     t = np.arange(nt)
     phase = rng.uniform(0, 2 * np.pi)
-    ne = np.cos(2 * np.pi * t / period + phase) + signal_noise * rng.standard_normal(nt)
+    ne = np.cos(2 * np.pi * t / PERIOD + phase) + SIGNAL_NOISE * rng.standard_normal(nt)
     ne = normalise_series(ne)
     seasonal = 20.0 * np.cos(2 * np.pi * (t % 12) / 12.0)
-    target = 100.0 + seasonal + beta * ne + noise * rng.standard_normal(nt)
+    target = 100.0 + seasonal + beta * ne + NOISE * rng.standard_normal(nt)
     # the surrogate's corruption is itself low-frequency, so a window model
     # cannot smooth it away; its correlation with the driver stays capped
     lf_noise = normalise_series(
         np.cos(2 * np.pi * t / 28.0 + rng.uniform(0, 2 * np.pi))
-        + signal_noise * rng.standard_normal(nt))
-    surrogate = surrogate_mix * ne + np.sqrt(1 - surrogate_mix ** 2) * lf_noise
+        + SIGNAL_NOISE * rng.standard_normal(nt))
+    surrogate = SURROGATE_MIX * ne + np.sqrt(1 - SURROGATE_MIX ** 2) * lf_noise
     candidates = {
         "SURR": normalise_series(surrogate),
         "NOISE1": normalise_series(rng.standard_normal(nt)),

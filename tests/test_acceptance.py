@@ -84,7 +84,7 @@ def test_criterion_03_oracle_parity(accept_world):
     t_start = time.monotonic()
     planted_a, planted_b = spec.planted_areas()
     (best_a, best_b), oracle_q = exhaustive_search(
-        field, y_onset, y_retreat, planted_a, planted_b, spec.domain())
+        field, y_onset, y_retreat, planted_a, planted_b, spec.grid().domain())
     offsets = [
         abs(got.rects[0].lat_min - want.rects[0].lat_min)
         for got, want in ((best_a, planted_a), (best_b, planted_b))
@@ -95,7 +95,7 @@ def test_criterion_03_oracle_parity(accept_world):
     within_step = max(offsets) <= 0.5 + 1e-9
 
     init_a, init_b = _shifted_inits(spec)
-    env_config = EnvConfig(mode=SHIFT_ONLY, domain=spec.domain(),
+    env_config = EnvConfig(mode=SHIFT_ONLY, domain=spec.grid().domain(),
                            init_a=init_a, init_b=init_b, jitter=2)
     ratios = []
     for seed in range(5):
@@ -148,7 +148,7 @@ class _AuditEnv(AreaEnv):
 def test_criterion_05_constraint_safety(accept_world):
     spec, field, y_onset, y_retreat = accept_world
     init_a, init_b = _shifted_inits(spec)
-    env_config = EnvConfig(mode=SHIFT_AND_RESIZE, domain=spec.domain(),
+    env_config = EnvConfig(mode=SHIFT_AND_RESIZE, domain=spec.grid().domain(),
                            init_a=init_a, init_b=init_b, jitter=2,
                            episode_len=32)
     log = []

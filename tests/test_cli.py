@@ -355,6 +355,17 @@ class TestBadInputs:
         assert rc == 2
         assert capsys.readouterr().err == f"error: clusters [3, 4] are not in {clustered}\n"
 
+    @pytest.mark.parametrize("onset, side", [("1,2", "retreat"), ("", "onset"), (",", "onset")],
+                             ids=["all", "empty", "comma"])
+    def test_onset_clusters_leaving_a_target_without_clusters(self, world, clustered,
+                                                              tmp_path, capsys, onset, side):
+        """The synth world clusters into 1 and 2: naming both leaves the
+        retreat target no cluster, naming neither the onset target."""
+        assert self._evaluate(world, clustered, tmp_path, onset_clusters=onset) == 2
+        assert capsys.readouterr().err == (
+            f"error: --onset-clusters leaves the {side} target with no cluster "
+            f"in {clustered}\n")
+
     def test_station_axis_off_the_sst_axis(self, world, clustered, tmp_path, capsys):
         lines = (world / "stations.csv").read_text().splitlines(keepends=True)
         shifted = tmp_path / "stations.csv"
@@ -418,6 +429,19 @@ class TestConfigFile:
         }))
         assert dispatch(["cluster", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_config.csv").exists()
+
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    def test_second_config_is_config_error(self, world, tmp_path, capsys, spelling):
+        """A second --config is not read in silence: here it alone would
+        fail, on a misspelt key."""
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps({"stations": str(world / "stations.csv"),
+                                     "out": str(tmp_path / "clusters.csv")}))
+        second.write_text(json.dumps({"timestep": 5}))
+        flag = ["--config", str(second)] if spelling == "space" else [f"--config={second}"]
+        assert dispatch(["cluster", "--config", str(first), *flag]) == 2
+        assert capsys.readouterr().err == f"error: more than one --config: {first}, {second}\n"
+        assert not (tmp_path / "clusters.csv").exists()
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
                              ids=["missing", "bad-json", "not-object"])

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,17 +170,16 @@ def reference_assign_windows(years, fold, n_samples):
 
 
 def reference_ablation_rows(cluster_id, target, years, candidate_indices, ne_index,
-                            foldspecs, grid, seed=0, threshold=0.6,
-                            include_target_history=True):
+                            foldspecs, grid, seed=0, include_target_history=True):
     """The ablation with one grid search per arm, base arm first."""
     target = np.asarray(target, dtype=float)
     rows = []
     for fold_no, fold in enumerate(foldspecs, start=1):
         train_rows = (years >= fold.train[0]) & (years <= fold.train[1])
-        if _safe_abs_corr(ne_index[train_rows], target[train_rows]) <= threshold:
+        if _safe_abs_corr(ne_index[train_rows], target[train_rows]) <= forecast.CORR_BAR:
             raise SkippedCluster(cluster_id, "uncorrelated")
         selected = select_features({k: v[train_rows] for k, v in candidate_indices.items()},
-                                   target[train_rows], threshold)
+                                   target[train_rows])
         base_cols = {k: candidate_indices[k] for k in selected}
         if include_target_history:
             base_cols["__target_history__"] = target
@@ -248,6 +248,7 @@ class TestConstants:
         assert combos == {(h, l, d) for h in (16, 32, 64)
                           for l in (1, 2, 3) for d in (0.0, 0.2, 0.5)}
         assert forecast.LR == 0.01
+        assert forecast.CORR_BAR == 0.6
         assert all(c.max_epochs == 200 for c in grid)
 
     def test_fold_year_ranges(self):
@@ -268,7 +269,7 @@ class TestFeatureSelection:
             "weak": rng.normal(size=200),
             "constant": np.ones(200),
         }
-        kept = select_features(feats, t, threshold=0.6)
+        kept = select_features(feats, t)
         assert set(kept) == {"strong", "negative"}
 
     def test_nan_column_rejected(self):
@@ -280,7 +281,8 @@ class TestFeatureSelection:
 
     def test_exactly_at_threshold_excluded(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
-        kept = select_features({"self": t}, t, threshold=1.0)
+        with mock.patch.object(forecast, "CORR_BAR", 1.0):
+            kept = select_features({"self": t}, t)
         assert kept == []
 
 

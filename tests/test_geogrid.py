@@ -66,7 +66,8 @@ class TestRectCells:
         want = {
             (i, j) for i in range(spec.nlat) for j in range(spec.nlon)
             for r in rects
-            if r.lat_min <= spec.lats[i] <= r.lat_max and r.lon_min <= spec.lons[j] <= r.lon_max
+            if r.lat_min <= spec.lats[i] <= r.lat_max
+            and r.lon_min <= spec.lon0 + spec.dlon * j <= r.lon_max
         }
         ii, jj = area_indices(AreaSet(tuple(rects)), spec)
         assert list(zip(ii.tolist(), jj.tolist())) == sorted(want)

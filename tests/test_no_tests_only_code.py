@@ -1,6 +1,8 @@
-"""Every top-level name defined in the package serves the pipeline: it is
-referenced from `src/nemonsoon/` or from the benchmark (`perfbench/`), not
-only from the tests. A helper that only tests call belongs in the tests.
+"""Every top-level name defined in the package, and every method and
+property of a top-level class, serves the pipeline: it is referenced from
+`src/nemonsoon/` or from the benchmark (`perfbench/`), not only from the
+tests. A helper that only tests call belongs in the tests. Dunder methods
+are called by Python itself and are not checked.
 Checked on the syntax trees: a reference is a name, an attribute, an
 imported name or a string constant spelling an identifier, which covers
 the attribute names perfbench's tracer lists as strings."""
@@ -20,9 +22,15 @@ ALLOWED = {
 
 
 def _definitions(path):
-    """(module, name) of each top-level function, class and assigned name."""
+    """(module, name) of each top-level function, class and assigned name,
+    and (module, "Class.name") of each method and property of a top-level
+    class but its dunder methods."""
     found = set()
     for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            found.update((path.stem, f"{node.name}.{f.name}") for f in node.body
+                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not (f.name.startswith("__") and f.name.endswith("__")))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.add((path.stem, node.name))
         elif isinstance(node, ast.Assign):
@@ -57,10 +65,13 @@ def test_scan_sees_definitions_and_references():
     """The scan is not vacuous: it finds the benchmark's tracer and its
     string-named attributes."""
     assert PERFBENCH.is_dir()
-    assert {("dqn", "td_targets"), ("index", "objective_q"), ("geogrid", "area_cells")} <= DEFINED
+    assert {("dqn", "td_targets"), ("index", "objective_q"), ("geogrid", "area_cells"),
+            ("geogrid", "GridSpec.lats"), ("dqn", "QNetwork.loss_and_grads")} <= DEFINED
+    assert not any(name.endswith(".__init__") for _, name in DEFINED)
     assert {"td_targets", "gen_forecast_cluster", "area_cells"} <= USED
 
 
 def test_no_tests_only_names():
-    unused = {(module, name) for module, name in DEFINED if name not in USED}
+    unused = {(module, name) for module, name in DEFINED
+              if name.rsplit(".", 1)[-1] not in USED}
     assert unused == ALLOWED

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from nemonsoon import stations as stations_module
 from nemonsoon.errors import DegenerateColumnError, FormatError, NoObservationsError
 from nemonsoon.stations import (
     STATIONS_HEADER,
@@ -74,7 +76,8 @@ class TestQC:
         rain = st.rain.copy()
         rain[0] = np.nan  # 4/5 = 0.8 observed, exactly at threshold
         ok = Station(st.id, st.lat, st.lon, st.t0, rain)
-        assert qc_filter([ok], completeness=0.8) == [ok]
+        assert stations_module.COMPLETENESS == 0.8
+        assert qc_filter([ok]) == [ok]
 
     @settings(max_examples=80, deadline=None)
     @given(nt=hst.integers(1, 40), start=hst.integers(1, 12), seed=hst.integers(0, 2**16),
@@ -84,8 +87,8 @@ class TestQC:
         rng = np.random.default_rng(seed)
         rain = np.where(rng.random(nt) < missing, np.nan, 10.0)
         station = Station("S", 0.0, 0.0, f"2000-{start:02d}", rain)
-        assert qc_filter([station], completeness) == \
-            reference_qc_filter([station], completeness)
+        with mock.patch.object(stations_module, "COMPLETENESS", completeness):
+            assert qc_filter([station]) == reference_qc_filter([station], completeness)
 
 
 def reference_qc_filter(stations, completeness):

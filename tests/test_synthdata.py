@@ -15,7 +15,7 @@ from nemonsoon.index import (
 )
 from nemonsoon.stations import ClusterParams, run_clustering
 from nemonsoon.synthdata import (
-    DEFAULT_INDEX_CORR,
+    INDEX_CORR,
     SynthSpec,
     gen_forecast_cluster,
     gen_global_indices,
@@ -162,10 +162,10 @@ class TestGlobalIndices:
     def test_exact_in_sample_correlation(self, rng):
         target = rng.normal(size=240)
         out = gen_global_indices(SPEC, SEED, target)
-        assert set(out) == set(DEFAULT_INDEX_CORR)
+        assert set(out) == set(INDEX_CORR)
         for name, series in out.items():
             assert pearson(series, target) == pytest.approx(
-                DEFAULT_INDEX_CORR[name], abs=1e-9)
+                INDEX_CORR[name], abs=1e-9)
             assert abs(series.mean()) < 1e-9
 
 
@@ -190,13 +190,14 @@ class TestForecastCluster:
 
 class TestSpec:
     def test_domain_covers_grid(self):
-        domain = SPEC.domain()
         grid = SPEC.grid()
+        domain = grid.domain()
+        lons = grid.lon0 + grid.dlon * np.arange(grid.nlon)
         assert domain.lat_min <= grid.lats.min() <= grid.lats.max() <= domain.lat_max
-        assert domain.lon_min <= grid.lons.min() <= grid.lons.max() <= domain.lon_max
+        assert domain.lon_min <= lons.min() <= lons.max() <= domain.lon_max
 
     def test_planted_areas_inside_domain(self):
-        assert inside(SPEC.domain(), *SPEC.planted_areas())
+        assert inside(SPEC.grid().domain(), *SPEC.planted_areas())
         grid = SPEC.grid()
         a, b = SPEC.planted_areas()
         assert area_cells(a, grid) and area_cells(b, grid)
