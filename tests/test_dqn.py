@@ -220,6 +220,18 @@ class TestPolicy:
         # the shortest run still starts fully exploring
         assert epsilon_at(0, DQNConfig(total_timesteps=1)) == 1.0
 
+    @pytest.mark.parametrize("total", [1, 7, 1000])
+    def test_epsilon_is_a_probability_that_never_rises(self, total):
+        # what DQNConfig's range checks on the schedule fields used to
+        # guarantee, now checked on the schedule the constants give
+        cfg = DQNConfig(total_timesteps=total)
+        eps = [epsilon_at(t, cfg) for t in range(total)]
+        assert all(0.0 <= e <= 1.0 for e in eps)
+        assert all(b <= a for a, b in zip(eps, eps[1:]))
+        assert eps[0] == dqn.EPSILON_INITIAL
+        # a 1-step run ends before the decay does
+        assert eps[-1] == (dqn.EPSILON_FINAL if total > 1 else dqn.EPSILON_INITIAL)
+
     def test_greedy_when_epsilon_zero(self, rng):
         net = QNetwork(3, 4, rng)
         s = rng.normal(size=3)
