@@ -197,8 +197,8 @@ def _cmd_synth(args) -> None:
     sts, labels = synthdata.gen_stations(spec, args.seed)
     stations.write_stations_csv(sts, os.path.join(args.out, "stations.csv"))
     y_onset, _ = synthdata.regime_targets(sts, labels)
-    indices = synthdata.gen_global_indices(spec, args.seed, y_onset)
-    forecast.write_indices_csv(indices, spec.t0, os.path.join(args.out, "indices.csv"))
+    indices = synthdata.gen_global_indices(args.seed, y_onset)
+    forecast.write_indices_csv(indices, field.spec.t0, os.path.join(args.out, "indices.csv"))
     area_a, area_b = spec.planted_areas()
     rl_env.save_areas(area_a, area_b, os.path.join(args.out, "planted_areas.json"))
     # the initial areas sit 2 degrees off the planted ones, A to the north-west

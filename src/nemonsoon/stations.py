@@ -49,7 +49,6 @@ def _check_site(sid: str, lat: float, lon: float) -> None:
 class Cluster:
     id: int
     member_ids: frozenset
-    centroid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -202,14 +201,8 @@ def cluster_stations(
     ordered = sorted(
         groups.values(), key=lambda members: (-len(members), min(members))
     )
-    return [
-        Cluster(
-            id=k + 1,
-            member_ids=frozenset(stations[i].id for i in members),
-            centroid=features[members].mean(axis=0),
-        )
-        for k, members in enumerate(ordered)
-    ]
+    return [Cluster(id=k + 1, member_ids=frozenset(stations[i].id for i in members))
+            for k, members in enumerate(ordered)]
 
 
 def _scan_closest(flat: np.ndarray, pos: int) -> int:

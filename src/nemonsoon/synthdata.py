@@ -21,48 +21,47 @@ INDEX_CORR = {
 # sd, the target's noise sd (mm/month), and the surrogate's weight on the driver
 PERIOD, SIGNAL_NOISE, NOISE, SURROGATE_MIX = 36, 0.05, 20.0, 0.8
 
+# the grid: the first cell centre and the cell size (degrees), and the first month
+LAT0, LON0, DLAT, DLON, T0 = 0.0, 100.0, 0.5, 0.5, "1982-01"
+# the planted dipole: the latent signal, times ALPHA, is subtracted over
+# RECT_A and added over RECT_B. The per-cell noise sd SST_NOISE is
+# deliberately large relative to ALPHA: after area averaging the index SNR
+# then falls off smoothly with overlap fraction, which makes the planted
+# placement the actual argmax
+RECT_A, RECT_B = Rect(3.0, 8.0, 103.0, 108.0), Rect(12.0, 17.0, 112.0, 117.0)
+ALPHA, SST_NOISE = 0.5, 3.0
+# the share of cells that are land, kept off the planted rectangles
+LAND_FRACTION = 0.05
+# latent signal: a seasonal sinusoid of this amplitude + AR(1) with unit marginal variance
+SEASONAL_AMP, AR_PHI = 0.8, 0.6
+# gauge stations per regime, and the sd of their rainfall noise (mm/month);
+# the series have no gaps
+N_SOUTH, N_UPPER, RAIN_NOISE = 20, 20, 15.0
+
 
 @dataclass(frozen=True)
 class SynthSpec:
-    # grid
-    lat0: float = 0.0
-    lon0: float = 100.0
-    dlat: float = 0.5
-    dlon: float = 0.5
+    """A world's size and its rainfall couplings (mm/month per unit of the
+    latent signal); the module's constants fix the rest."""
+
     nlat: int = 40
     nlon: int = 40
-    t0: str = "1982-01"
     years: int = 20
-    # planted dipole
-    rect_a: Rect = Rect(3.0, 8.0, 103.0, 108.0)
-    rect_b: Rect = Rect(12.0, 17.0, 112.0, 117.0)
-    # the per-cell noise sd is deliberately large relative to alpha: after
-    # area averaging the index SNR then falls off smoothly with overlap
-    # fraction, which makes the planted placement the actual argmax
-    alpha: float = 0.5
-    sst_noise: float = 3.0
-    # latent signal: seasonal sinusoid + AR(1) with unit marginal variance
-    seasonal_amp: float = 0.8
-    ar_phi: float = 0.6
-    # rainfall couplings (mm/month per unit of latent signal)
     beta_onset: float = 30.0
     beta_retreat: float = 30.0
-    rain_noise: float = 15.0
-    n_south: int = 20
-    n_upper: int = 20
-    missing_rate: float = 0.0
-    land_fraction: float = 0.05
+    # class attributes, not fields: every world plants the same dipole
+    rect_a = RECT_A
+    rect_b = RECT_B
 
     @property
     def nt(self) -> int:
         return self.years * 12
 
     def grid(self) -> GridSpec:
-        return GridSpec(self.lat0, self.lon0, self.dlat, self.dlon,
-                        self.nlat, self.nlon, self.t0, self.nt)
+        return GridSpec(LAT0, LON0, DLAT, DLON, self.nlat, self.nlon, T0, self.nt)
 
     def planted_areas(self) -> tuple[AreaSet, AreaSet]:
-        return AreaSet.of(self.rect_a), AreaSet.of(self.rect_b)
+        return AreaSet.of(RECT_A), AreaSet.of(RECT_B)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -71,15 +70,15 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 def latent_signal(spec: SynthSpec, seed: int) -> np.ndarray:
     """The shared driver s(t): seasonal sinusoid plus unit-variance AR(1)."""
-    months = month_axis(spec.t0, spec.nt)
-    seasonal = spec.seasonal_amp * np.cos(2 * np.pi * (months - 1) / 12.0)
+    months = month_axis(T0, spec.nt)
+    seasonal = SEASONAL_AMP * np.cos(2 * np.pi * (months - 1) / 12.0)
     rng = _rng(seed, 1)
     ar = np.empty(spec.nt)
     ar[0] = rng.standard_normal()
-    innov_sd = np.sqrt(1.0 - spec.ar_phi ** 2)
+    innov_sd = np.sqrt(1.0 - AR_PHI ** 2)
     shocks = rng.standard_normal(spec.nt - 1)
     for t in range(1, spec.nt):
-        ar[t] = spec.ar_phi * ar[t - 1] + innov_sd * shocks[t - 1]
+        ar[t] = AR_PHI * ar[t - 1] + innov_sd * shocks[t - 1]
     return seasonal + ar
 
 
@@ -96,12 +95,12 @@ def gen_sst(spec: SynthSpec, seed: int) -> SSTField:
         - 0.05 * (lat - lat.mean())[None, :, :]
     )
     clim = np.broadcast_to(clim, (spec.nt, spec.nlat, spec.nlon)).copy()
-    noise = _rng(seed, 2).standard_normal(clim.shape) * spec.sst_noise
+    noise = _rng(seed, 2).standard_normal(clim.shape) * SST_NOISE
     values = clim + noise
     s = latent_signal(spec, seed)
-    for rect, sign in ((spec.rect_a, -1.0), (spec.rect_b, +1.0)):
+    for rect, sign in ((RECT_A, -1.0), (RECT_B, +1.0)):
         ii, jj = area_indices(AreaSet.of(rect), grid)
-        values[:, ii, jj] += sign * spec.alpha * s[:, None]
+        values[:, ii, jj] += sign * ALPHA * s[:, None]
     values = np.clip(values, -4.5, 44.5)  # keep the field invariant airtight
     land = _land_mask(spec, seed)
     values[:, land] = np.nan
@@ -110,8 +109,8 @@ def gen_sst(spec: SynthSpec, seed: int) -> SSTField:
 
 def _land_mask(spec: SynthSpec, seed: int) -> np.ndarray:
     grid = spec.grid()
-    land = _rng(seed, 4).random((spec.nlat, spec.nlon)) < spec.land_fraction
-    land[area_indices(AreaSet.of(spec.rect_a, spec.rect_b), grid)] = False
+    land = _rng(seed, 4).random((spec.nlat, spec.nlon)) < LAND_FRACTION
+    land[area_indices(AreaSet.of(RECT_A, RECT_B), grid)] = False
     return land
 
 
@@ -121,12 +120,12 @@ def gen_stations(spec: SynthSpec, seed: int) -> tuple[list[Station], dict[str, s
     Returns (stations, regime-by-station-id)."""
     rng = _rng(seed, 3)
     s = latent_signal(spec, seed)
-    onset, retreat = season_masks(month_axis(spec.t0, spec.nt))
+    onset, retreat = season_masks(month_axis(T0, spec.nt))
     stations: list[Station] = []
     labels: dict[str, str] = {}
     plans = [
-        ("south", spec.n_south, (4.0, 9.0), 180.0, 80.0, spec.beta_onset, onset),
-        ("upper", spec.n_upper, (14.0, 19.0), 60.0, 160.0, spec.beta_retreat, retreat),
+        ("south", N_SOUTH, (4.0, 9.0), 180.0, 80.0, spec.beta_onset, onset),
+        ("upper", N_UPPER, (14.0, 19.0), 60.0, 160.0, spec.beta_retreat, retreat),
     ]
     for regime, count, lat_range, base_on, base_re, beta, active in plans:
         for k in range(count):
@@ -135,13 +134,10 @@ def gen_stations(spec: SynthSpec, seed: int) -> tuple[list[Station], dict[str, s
             offset = rng.normal(0.0, 10.0)
             rain = np.where(onset, base_on, base_re) + offset
             rain = rain + beta * s * active
-            rain = rain + rng.normal(0.0, spec.rain_noise, size=spec.nt)
+            rain = rain + rng.normal(0.0, RAIN_NOISE, size=spec.nt)
             rain = np.maximum(rain, 0.0)
-            if spec.missing_rate > 0:
-                gaps = rng.random(spec.nt) < spec.missing_rate
-                rain = np.where(gaps, np.nan, rain)
             sid = f"{regime[0].upper()}{k:03d}"
-            stations.append(Station(id=sid, lat=lat, lon=lon, t0=spec.t0, rain=rain))
+            stations.append(Station(id=sid, lat=lat, lon=lon, t0=T0, rain=rain))
             labels[sid] = regime
     return stations, labels
 
@@ -153,7 +149,7 @@ def regime_targets(stations: list[Station], labels: dict[str, str]) -> tuple[np.
     return np.mean(south, axis=0), np.mean(upper, axis=0)
 
 
-def gen_global_indices(spec: SynthSpec, seed: int, target: np.ndarray) -> dict[str, np.ndarray]:
+def gen_global_indices(seed: int, target: np.ndarray) -> dict[str, np.ndarray]:
     """Surrogate climate-index columns with exact in-sample correlation
     INDEX_CORR to the given target (noise orthogonalized against it), standardized."""
     rng = _rng(seed, 5)

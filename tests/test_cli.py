@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from nemonsoon import forecast
+from nemonsoon import dqn, forecast
 from nemonsoon.cli import dispatch
 from nemonsoon.errors import NonFiniteLossError
 from nemonsoon.geogrid import SSTField, load_sst, save_sst
@@ -116,6 +118,41 @@ class TestOracle:
         best = load_areas(tmp_path / "best_areas.json")
         planted = load_areas(world / "planted_areas.json")
         assert best == planted
+
+    def test_quarter_degree_step_runs(self, world, clustered, tmp_path, capsys):
+        rc = dispatch(["oracle", *world_args(world, clustered),
+                       "--areas", str(world / "initial_areas.json"),
+                       "--out", str(tmp_path), "--step", "0.25"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("oracle q = ")
+
+    def test_lattice_past_the_cap_is_config_error(self, world, clustered, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(dqn, "_placements", None)  # never reached
+        rc = dispatch(["oracle", *world_args(world, clustered),
+                       "--areas", str(world / "initial_areas.json"),
+                       "--out", str(tmp_path), "--step", "0.1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: step 0.1 gives up to 23,104 x 23,104 = 533,794,816 placement pairs in ")
+        assert not (tmp_path / "best_areas.json").exists()
+
+    def test_tiny_step_exits_2_without_walking_the_lattice(self, world, clustered, tmp_path):
+        """--step 1e-9 passes the environment's check; walking its
+        (15 / 1e-9)^2 offsets per area would never end, so the run is a
+        child process with a timeout."""
+        argv = ["oracle", *world_args(world, clustered),
+                "--areas", str(world / "initial_areas.json"),
+                "--out", str(tmp_path), "--step", "1e-9"]
+        src = os.path.dirname(os.path.dirname(dqn.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from nemonsoon.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))",
+             *argv], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "placement pairs" in proc.stderr
+        assert not (tmp_path / "best_areas.json").exists()
 
     def test_all_pairs_degenerate_exit_1(self, world, clustered, tmp_path, capsys):
         spec = load_sst(world / "sst").spec

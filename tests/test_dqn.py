@@ -24,6 +24,7 @@ from nemonsoon.dqn import (
     write_history_csv,
 )
 from nemonsoon.errors import (
+    ConfigError,
     InsufficientSeasonSamplesError,
     InvalidInitialAreasError,
     NemonsoonError,
@@ -195,7 +196,6 @@ class TestDQNConfig:
     @pytest.mark.parametrize("bad", [
         {"gamma": 0.0},
         {"total_timesteps": 0},
-        {"batch": 0},
         {"buffer_capacity": 63},
         {"target_sync_every": 0},
         {"learn_start": -1},
@@ -206,8 +206,12 @@ class TestDQNConfig:
             DQNConfig(**bad)
 
     def test_edges_are_accepted(self):
-        DQNConfig(batch=1, buffer_capacity=1, target_sync_every=1,
-                  learn_start=0, seed=0)
+        DQNConfig(buffer_capacity=dqn.BATCH, target_sync_every=1, learn_start=0, seed=0)
+
+    def test_batch_is_a_constant_not_a_field(self):
+        assert dqn.BATCH == 64
+        with pytest.raises(TypeError):
+            DQNConfig(batch=64)
 
 
 class TestPolicy:
@@ -311,7 +315,7 @@ class TestTraining:
                 assert a.dtype == dtype and a.tobytes() == b.tobytes()
 
     def test_history_shape_and_determinism(self):
-        cfg = DQNConfig(total_timesteps=300, learn_start=50, batch=16,
+        cfg = DQNConfig(total_timesteps=300, learn_start=50,
                         buffer_capacity=200, target_sync_every=50, seed=3)
         _, _, h1 = train(ChainEnv, cfg)
         _, _, h2 = train(ChainEnv, cfg)
@@ -372,8 +376,8 @@ def reference_train_with_net(env_factory, config: DQNConfig):
         next_obs, reward, done = env.step(a)
         buffer.push(obs, a, reward, next_obs, done)
         best_areas, best_q = dqn._maybe_better(env, best_areas, best_q)
-        if t + 1 >= config.learn_start and buffer.size >= config.batch:
-            batch = buffer.sample(config.batch, rng)
+        if t + 1 >= config.learn_start and buffer.size >= dqn.BATCH:
+            batch = buffer.sample(dqn.BATCH, rng)
             train_step(qnet, batch, optimizer, config.gamma)
         if (t + 1) % config.target_sync_every == 0:
             qnet.lanes[1] = qnet.lanes[0]
@@ -408,15 +412,12 @@ class TestLearnerPeriod:
     @settings(max_examples=40, deadline=None)
     def test_learner_runs_every_train_every_steps(self, steps, learn_start, batch, spare,
                                                   period, sync_every, seed):
-        """The learner runs, on a full batch, at exactly the steps t with
-        t + 1 >= learn_start, t + 1 a multiple of TRAIN_EVERY and a batch in
-        the buffer; one push per step, so the buffer holds a batch iff
-        t + 1 >= batch. The target row is the online row as it stood at the
+        """With `batch` patched in as BATCH, the learner runs, on a full
+        batch, at exactly the steps t with t + 1 >= learn_start, t + 1 a
+        multiple of TRAIN_EVERY and a batch in the buffer; one push per
+        step, so the buffer holds a batch iff t + 1 >= batch. The target row is the online row as it stood at the
         end of the last step s with s + 1 a multiple of target_sync_every:
         syncs still count environment steps."""
-        cfg = DQNConfig(total_timesteps=steps, learn_start=learn_start, batch=batch,
-                        buffer_capacity=batch + spare, target_sync_every=sync_every,
-                        seed=seed)
         envs, calls, online = [], [], {}
 
         def factory():
@@ -433,6 +434,10 @@ class TestLearnerPeriod:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dqn, "train_step", counted)
             mp.setattr(dqn, "TRAIN_EVERY", period)
+            mp.setattr(dqn, "BATCH", batch)
+            cfg = DQNConfig(total_timesteps=steps, learn_start=learn_start,
+                            buffer_capacity=batch + spare, target_sync_every=sync_every,
+                            seed=seed)
             *_, qnet = dqn.train_with_net(factory, cfg)
         assert [t for t, _, _ in calls] == [
             t for t in range(steps)
@@ -452,7 +457,7 @@ class TestLearnerPeriod:
     @pytest.mark.parametrize("world", ["chain", "area"])
     def test_period_one_is_byte_equal_to_the_reference_loop(self, world, monkeypatch):
         factory = ChainEnv if world == "chain" else _small_area_factory()
-        cfg = DQNConfig(total_timesteps=1_500, learn_start=100, batch=32, buffer_capacity=600,
+        cfg = DQNConfig(total_timesteps=1_500, learn_start=100, buffer_capacity=600,
                         target_sync_every=150, seed=5)
         optimizers = []
 
@@ -550,6 +555,29 @@ class TestOracle:
         short = make_field(field.values[:4], t0="2000-10")  # onset months only
         with pytest.raises(InsufficientSeasonSamplesError):
             exhaustive_search(short, s[:4], s[:4], a, b, domain)
+
+    def test_lattice_past_a_cap_is_config_error_before_any_placement(self, monkeypatch):
+        """The offsets bound each area's placements. More than MAX_PAIRS
+        pairs, or more than MAX_PLACEMENTS placements of an area, is a
+        ConfigError raised before `_placements` builds one; a lattice at
+        both caps is searched."""
+        field, s, a, b, domain = self._world()
+        n_a, n_b = (len(k_lat) * len(k_lon)
+                    for k_lat, k_lon in (dqn._offsets(t, domain, 0.5) for t in (a, b)))
+        assert (n_a, n_b) == (len(_placements(a, domain, 0.5)), len(_placements(b, domain, 0.5)))
+        built = []
+        monkeypatch.setattr(dqn, "_placements",
+                            lambda *args: built.append(args) or _placements(*args))
+        for pairs, per_area in ((n_a * n_b - 1, n_a), (n_a * n_b, n_a - 1)):
+            monkeypatch.setattr(dqn, "MAX_PAIRS", pairs)
+            monkeypatch.setattr(dqn, "MAX_PLACEMENTS", per_area)
+            with pytest.raises(ConfigError, match="step 0.5 gives up to 64 x 64 = 4,096 "):
+                exhaustive_search(field, s, s, a, b, domain)
+        assert built == []
+        monkeypatch.setattr(dqn, "MAX_PAIRS", n_a * n_b)
+        monkeypatch.setattr(dqn, "MAX_PLACEMENTS", n_a)
+        exhaustive_search(field, s, s, a, b, domain)
+        assert len(built) == 2
 
 
 def _reference_offsets(template, domain, step):

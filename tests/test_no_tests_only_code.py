@@ -5,7 +5,12 @@ tests. A helper that only tests call belongs in the tests. Dunder names
 (`__init__`, `__all__`) are read by Python itself and are not checked.
 Checked on the syntax trees: a reference is a name, an attribute, an
 imported name or a string constant spelling an identifier, which covers
-the attribute names perfbench's tracer lists as strings."""
+the attribute names perfbench's tracer lists as strings.
+
+Dataclass fields are held to the same rule. Every field is read as an
+attribute in the package or the benchmark, and every defaulted field of a
+`*Config`, `*Spec` or `*Params` dataclass is set by keyword there or in
+the acceptance criteria; a default that nothing varies is a constant."""
 
 import ast
 from pathlib import Path
@@ -78,3 +83,89 @@ def test_no_tests_only_names():
     unused = {(module, name) for module, name in DEFINED
               if name.rsplit(".", 1)[-1] not in USED}
     assert unused == ALLOWED
+
+
+# (module, "Class.field") defaulted settings that nothing sets yet
+ALLOWED_UNSET = {
+    # the null test of the search (ROADMAP item 8) builds beta = 0 worlds
+    ("synthdata", "SynthSpec.beta_onset"),
+    ("synthdata", "SynthSpec.beta_retreat"),
+}
+SETTINGS = ("Config", "Spec", "Params")
+
+
+def _fields(path):
+    """(module, class, field, defaulted) for each field of a top-level
+    dataclass: an annotated name in the class body."""
+    found = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef) and any(
+                _named(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
+            found += [(path.stem, node.name, f.target.id, f.value is not None)
+                      for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return found
+
+
+def _named(node):
+    """The name a Name or Attribute node ends in, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _attribute_reads(path):
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _keywords(path):
+    """(callee, keyword) for each keyword argument of a call in the module
+    at `path`. The callees are the names the call ends in, as its function
+    or a positional argument (`_checked(dqn.DQNConfig, seed=...)`), and a
+    function that hands its `**kwargs` to a call passes its keywords on to
+    that call's callees."""
+    tree = ast.parse(path.read_text(), str(path))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    forwards = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.args.kwarg:
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and any(
+                        k.arg is None and _named(k.value) == fn.args.kwarg.arg
+                        for k in call.keywords):
+                    forwards.setdefault(fn.name, set()).update(
+                        map(_named, [call.func, *call.args]))
+    found = set()
+    for call in calls:
+        callees = set(map(_named, [call.func, *call.args]))
+        callees.update(*(forwards.get(c, ()) for c in list(callees)))
+        found.update((c, k.arg) for c in callees for k in call.keywords if k.arg)
+    return found
+
+
+FIELDS = [f for path in MODULES for f in _fields(path)]
+READ = set().union(*map(_attribute_reads, MODULES + sorted(PERFBENCH.glob("*.py"))))
+ACCEPTANCE = PACKAGE.parent.parent / "tests" / "test_acceptance.py"
+PASSED = set().union(*map(_keywords,
+                          MODULES + sorted(PERFBENCH.glob("*.py")) + [ACCEPTANCE]))
+
+
+def test_field_scan_sees_fields_and_keywords():
+    """The scan is not vacuous: it finds fields, reads and keywords passed
+    directly, through `_checked` and through `_load_world`'s **env_flags."""
+    assert {("stations", "Cluster", "member_ids", False),
+            ("dqn", "DQNConfig", "seed", True),
+            ("synthdata", "SynthSpec", "beta_onset", True)} <= set(FIELDS)
+    assert {"member_ids", "rect_a", "step"} <= READ
+    assert {("ForecasterConfig", "hidden"), ("ClusterParams", "d"),
+            ("EnvConfig", "step"), ("EnvConfig", "jitter")} <= PASSED
+
+
+def test_every_field_is_read():
+    assert [f"{module}.{cls}.{name}" for module, cls, name, _ in FIELDS
+            if name not in READ] == []
+
+
+def test_every_setting_is_set():
+    unset = {(module, f"{cls}.{name}") for module, cls, name, defaulted in FIELDS
+             if defaulted and cls.endswith(SETTINGS) and (cls, name) not in PASSED}
+    assert unset == ALLOWED_UNSET

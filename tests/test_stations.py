@@ -280,8 +280,7 @@ class TestClustering:
         params = ClusterParams(d=d, n=2)
         got = cluster_stations(stations, feats, params)
         want = reference_cluster_stations(stations, feats, params)
-        assert [(c.id, c.member_ids, c.centroid.tobytes()) for c in got] == \
-            [(c.id, c.member_ids, c.centroid.tobytes()) for c in want]
+        assert got == want
 
     def test_distance_count_grows_with_merges_not_rescans(self, monkeypatch):
         n = 60
@@ -338,8 +337,7 @@ def reference_cluster_stations(stations, features, params):
         del groups[b], centroids[b]
         centroids[a] = features[groups[a]].mean(axis=0)
     ordered = sorted(groups.values(), key=lambda members: (-len(members), min(members)))
-    return [Cluster(id=k + 1, member_ids=frozenset(stations[i].id for i in members),
-                    centroid=features[members].mean(axis=0))
+    return [Cluster(id=k + 1, member_ids=frozenset(stations[i].id for i in members))
             for k, members in enumerate(ordered)]
 
 
@@ -502,8 +500,8 @@ class TestCSV:
 
     def test_clusters_round_trip(self, tmp_path):
         clusters = [
-            Cluster(1, frozenset({"B", "A"}), np.zeros(2)),
-            Cluster(2, frozenset({"C"}), np.zeros(2)),
+            Cluster(1, frozenset({"B", "A"})),
+            Cluster(2, frozenset({"C"})),
         ]
         path = tmp_path / "clusters.csv"
         write_clusters_csv(clusters, path)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nemonsoon import synthdata
 from nemonsoon.geogrid import AreaSet, area_cells, area_indices, inside, month_axis, ocean_fraction
 from nemonsoon.index import (
     ONSET_MONTHS,
@@ -33,19 +36,21 @@ def expected_corr(spec, seed, season) -> float:
     """Closed-form correlation of z = c*s + eta with y = beta*s + eps over
     one season (0 onset with the south regime, 1 retreat with the upper
     one, as `season_masks` orders them), treating Z as the latent signal
-    itself: c = 2*alpha, eta is the area-averaged cell noise and eps the
+    itself: c = 2*ALPHA, eta is the area-averaged cell noise and eps the
     station-averaged rainfall noise."""
-    beta, n_stations = ((spec.beta_onset, spec.n_south), (spec.beta_retreat, spec.n_upper))[season]
+    beta, n_stations = ((spec.beta_onset, synthdata.N_SOUTH),
+                        (spec.beta_retreat, synthdata.N_UPPER))[season]
     s = latent_signal(spec, seed)
-    var_s = s[season_masks(month_axis(spec.t0, spec.nt))[season]].var()
-    c = 2.0 * spec.alpha
+    var_s = s[season_masks(month_axis(synthdata.T0, spec.nt))[season]].var()
+    c = 2.0 * synthdata.ALPHA
     grid = spec.grid()
 
     def ncells(rect):
         return area_indices(AreaSet.of(rect), grid)[0].size
 
-    var_eta = spec.sst_noise ** 2 * (1.0 / ncells(spec.rect_a) + 1.0 / ncells(spec.rect_b))
-    var_eps = spec.rain_noise ** 2 / n_stations
+    var_eta = synthdata.SST_NOISE ** 2 * (1.0 / ncells(synthdata.RECT_A)
+                                          + 1.0 / ncells(synthdata.RECT_B))
+    var_eps = synthdata.RAIN_NOISE ** 2 / n_stations
     num = c * beta * var_s
     den = np.sqrt((c * c * var_s + var_eta) * (beta * beta * var_s + var_eps))
     return float(num / den)
@@ -86,7 +91,7 @@ class TestLatentSignal:
     def test_roughly_unit_stochastic_variance(self):
         s = latent_signal(SPEC, SEED)
         months = np.tile(np.arange(1, 13), SPEC.years)
-        seasonal = SPEC.seasonal_amp * np.cos(2 * np.pi * (months - 1) / 12.0)
+        seasonal = synthdata.SEASONAL_AMP * np.cos(2 * np.pi * (months - 1) / 12.0)
         resid = s - seasonal
         assert 0.5 < resid.var() < 2.0
 
@@ -138,8 +143,8 @@ class TestSST:
 class TestStations:
     def test_counts_and_labels(self):
         stations, labels = gen_stations(SPEC, SEED)
-        assert len(stations) == SPEC.n_south + SPEC.n_upper
-        assert sum(v == "south" for v in labels.values()) == SPEC.n_south
+        assert len(stations) == synthdata.N_SOUTH + synthdata.N_UPPER
+        assert sum(v == "south" for v in labels.values()) == synthdata.N_SOUTH
         assert all(st.rain.min() >= 0 for st in stations)
 
     def test_regimes_recovered_by_clustering(self):
@@ -151,17 +156,11 @@ class TestStations:
             regimes = {labels[sid] for sid in cl.member_ids}
             assert len(regimes) == 1
 
-    def test_missing_rate_produces_gaps(self):
-        spec = SynthSpec(missing_rate=0.1)
-        stations, _ = gen_stations(spec, SEED)
-        frac = np.mean([np.isnan(st.rain).mean() for st in stations])
-        assert 0.05 < frac < 0.15
-
 
 class TestGlobalIndices:
     def test_exact_in_sample_correlation(self, rng):
         target = rng.normal(size=240)
-        out = gen_global_indices(SPEC, SEED, target)
+        out = gen_global_indices(SEED, target)
         assert set(out) == set(INDEX_CORR)
         for name, series in out.items():
             assert pearson(series, target) == pytest.approx(
@@ -189,6 +188,19 @@ class TestForecastCluster:
 
 
 class TestSpec:
+    def test_fields_are_the_size_and_the_couplings(self):
+        assert [f.name for f in dataclasses.fields(SynthSpec)] == \
+            ["nlat", "nlon", "years", "beta_onset", "beta_retreat"]
+        with pytest.raises(TypeError):
+            SynthSpec(alpha=0.5)
+        assert (SPEC.rect_a, SPEC.rect_b) == (synthdata.RECT_A, synthdata.RECT_B)
+
+    def test_grid_takes_the_constants(self):
+        grid = SynthSpec(nlat=30, nlon=50, years=3).grid()
+        assert (grid.lat0, grid.lon0, grid.dlat, grid.dlon, grid.t0) == \
+            (synthdata.LAT0, synthdata.LON0, synthdata.DLAT, synthdata.DLON, synthdata.T0)
+        assert (grid.nlat, grid.nlon, grid.nt) == (30, 50, 36)
+
     def test_domain_covers_grid(self):
         grid = SPEC.grid()
         domain = grid.domain()
