@@ -124,7 +124,6 @@ def _keywords(path):
     function that hands its `**kwargs` to a call passes its keywords on to
     that call's callees."""
     tree = ast.parse(path.read_text(), str(path))
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     forwards = {}
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and fn.args.kwarg:
@@ -135,18 +134,17 @@ def _keywords(path):
                     forwards.setdefault(fn.name, set()).update(
                         map(_named, [call.func, *call.args]))
     found = set()
-    for call in calls:
+    for call in filter(lambda node: isinstance(node, ast.Call), ast.walk(tree)):
         callees = set(map(_named, [call.func, *call.args]))
         callees.update(*(forwards.get(c, ()) for c in list(callees)))
         found.update((c, k.arg) for c in callees for k in call.keywords if k.arg)
     return found
 
 
+SOURCES = MODULES + sorted(PERFBENCH.glob("*.py"))
 FIELDS = [f for path in MODULES for f in _fields(path)]
-READ = set().union(*map(_attribute_reads, MODULES + sorted(PERFBENCH.glob("*.py"))))
-ACCEPTANCE = PACKAGE.parent.parent / "tests" / "test_acceptance.py"
-PASSED = set().union(*map(_keywords,
-                          MODULES + sorted(PERFBENCH.glob("*.py")) + [ACCEPTANCE]))
+READ = set().union(*map(_attribute_reads, SOURCES))
+PASSED = set().union(*map(_keywords, SOURCES + [Path(__file__).with_name("test_acceptance.py")]))
 
 
 def test_field_scan_sees_fields_and_keywords():
