@@ -138,8 +138,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     flag(p, "out", "report.csv")
     p.set_defaults(handler=_cmd_forecast)
 
-    p = add_world("oracle", "exhaustive shift-lattice search (brute-force optimum)")
-    flag(p, "step", 0.5, type=float)
+    p = add_world("oracle", "exhaustive search of whole-cell shifts (brute-force optimum)")
     p.set_defaults(handler=_cmd_oracle)
 
     # one config may serve several subcommands, but a key no flag reads is a typo
@@ -288,10 +287,10 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    field, y_onset, y_retreat, env = _load_world(args, step=args.step)
+    field, y_onset, y_retreat, env = _load_world(args)
     (best_a, best_b), best_q = dqn.exhaustive_search(
         field, y_onset, y_retreat, env.init_a, env.init_b,
-        domain=env.domain, step=env.step, min_ocean=env.min_ocean,
+        domain=env.domain, min_ocean=env.min_ocean,
     )
     os.makedirs(args.out, exist_ok=True)
     rl_env.save_areas(best_a, best_b, os.path.join(args.out, "best_areas.json"))

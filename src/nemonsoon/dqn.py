@@ -386,31 +386,25 @@ def write_history_csv(history: list[HistoryRow], path) -> None:
 # Exhaustive-search oracle
 # ---------------------------------------------------------------------------
 
-# the most placement pairs, and placements per area, the oracle searches.
-# On a 2-core Xeon VM the default world's 900 x 900 placements take about
-# 0.09 s and its 8,836 x 8,836 at step 0.16 about 3 s, in 75 MB
-MAX_PAIRS, MAX_PLACEMENTS = 10 ** 8, 10 ** 4
+# the most placement pairs the oracle searches (the default world's 810,000: 0.09 s, 2-core Xeon)
+MAX_PAIRS = 10 ** 8
 
 
-def _offsets(template: AreaSet, domain: Rect, step: float) -> tuple[range, range]:
-    """The multiples of step, per axis, that may keep the template inside the
-    domain, and one more each side for `geogrid.inside` to drop."""
-    lat_lo = min(r.lat_min for r in template.rects)
-    lat_hi = max(r.lat_max for r in template.rects)
-    lon_lo = min(r.lon_min for r in template.rects)
-    lon_hi = max(r.lon_max for r in template.rects)
-    return (range(math.floor((domain.lat_min - lat_lo) / step),
-                  math.ceil((domain.lat_max - lat_hi) / step) + 1),
-            range(math.floor((domain.lon_min - lon_lo) / step),
-                  math.ceil((domain.lon_max - lon_hi) / step) + 1))
-
-
-def _placements(template: AreaSet, domain: Rect, step: float) -> list[AreaSet]:
-    """The template shifted by each multiple of step that keeps it inside
-    the domain (`geogrid.inside`), in lexicographic order of offset."""
-    k_lat, k_lon = _offsets(template, domain, step)
-    placed = (template.shifted(i * step, j * step) for i in k_lat for j in k_lon)
-    return [area for area in placed if geogrid.inside(domain, area)]
+def _offsets(template: AreaSet, domain: Rect, spec: geogrid.GridSpec) -> tuple[list, list]:
+    """Whole-cell shifts i and j, per axis, that keep the template moved by
+    (i dlat, j dlon) inside the domain: `geogrid.inside` bounds each axis on
+    its own, so each is tried in the domain's band that the template spans on
+    the other, from one shift past each end of what the rule can admit."""
+    bounds = np.array(template.as_lists())
+    (lat_lo, lon_lo), (lat_hi, lon_hi) = bounds[:, 0::2].min(axis=0), bounds[:, 1::2].max(axis=0)
+    lat_band = Rect(domain.lat_min, domain.lat_max, lon_lo, lon_hi)
+    lon_band = Rect(lat_lo, lat_hi, domain.lon_min, domain.lon_max)
+    return ([i for i in range(math.floor((domain.lat_min - lat_lo) / spec.dlat),
+                              math.ceil((domain.lat_max - lat_hi) / spec.dlat) + 1)
+             if geogrid.inside(lat_band, template.shifted(i * spec.dlat, 0.0))],
+            [j for j in range(math.floor((domain.lon_min - lon_lo) / spec.dlon),
+                              math.ceil((domain.lon_max - lon_hi) / spec.dlon) + 1)
+             if geogrid.inside(lon_band, template.shifted(0.0, j * spec.dlon))])
 
 
 # months per summed-area table: the oracle's float64 tables cover this many
@@ -433,11 +427,13 @@ def _table(cells: np.ndarray) -> np.ndarray:
 
 
 class _Lattice:
-    """A template at every shift-lattice offset in a domain, each placement's
-    cells as index boxes from `geogrid._rect_index_bounds`. A multi-rect
-    template's cells are the union of its rects' boxes by inclusion-exclusion
-    (every nonempty subset of rects, the intersection of their boxes signed
-    by the subset's size), so a cell in two rects counts once, as in
+    """A template at every pair of `_offsets`' shifts, in lexicographic
+    order, each placement's cells as index boxes: the template's boxes
+    from `geogrid._rect_cell_span`, moved by the shift and cut to the grid
+    as `geogrid._rect_index_bounds` cuts them. A multi-rect template's
+    cells are the union of its rects' boxes by inclusion-exclusion (every
+    nonempty subset of rects, the intersection of their boxes signed by
+    the subset's size), so a cell in two rects counts once, as in
     `geogrid.area_indices`.
 
     `fits` indexes the placements that meet `index.ocean_series`'s area
@@ -445,24 +441,22 @@ class _Lattice:
     `series` (filled by `_fill_series`) holds its ocean-mean series.
     """
 
-    def __init__(self, template: AreaSet, domain: Rect, step: float, spec: geogrid.GridSpec,
+    def __init__(self, template: AreaSet, offsets: tuple[list, list], spec: geogrid.GridSpec,
                  ocean: np.ndarray, min_ocean: float, dtype=np.float32):
-        self.areas = _placements(template, domain, step)
+        self._template, self._spec = template, spec
+        shifts = np.array(list(itertools.product(*offsets)), dtype=np.intp).reshape(-1, 2)
         m = len(template.rects)
         subsets = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
         self._signs = np.array([(-1) ** (len(c) + 1) for c in subsets])
-        # (P, m, 4) inclusive bounds i0, i1, j0, j1 of each rect's cells
-        bounds = np.array([[geogrid._rect_index_bounds(r, spec) for r in area.rects]
-                           for area in self.areas], dtype=np.intp)
-        bounds = bounds.reshape(len(self.areas), m, 4)
-        lo, hi = bounds[..., 0::2], bounds[..., 1::2] + 1
-        boxes = []
-        for c in subsets:
-            start, stop = lo[:, c].max(axis=1), hi[:, c].min(axis=1)
-            box = np.stack([start[:, 0], stop[:, 0], start[:, 1], stop[:, 1]], axis=1)
-            box[(start >= stop).any(axis=1)] = 0  # empty: four lookups of one entry
-            boxes.append(box)
-        self._boxes = np.stack(boxes, axis=1)  # (P, T, 4): i0, i1, j0, j1, half-open
+        # half-open (lat, lon) bounds of each subset's cells, (T, 2) on the grid's unbounded
+        # lattice, then (P, T, 2) moved and cut to the grid; `_boxes` is (P, T, 4): i0, i1,
+        # j0, j1, and an empty box is four lookups of one entry
+        span = np.array([geogrid._rect_cell_span(r, spec) for r in template.rects], dtype=np.intp)
+        start = np.array([span[list(c), 0::2].max(axis=0) for c in subsets]) + shifts[:, None]
+        stop = np.array([span[list(c), 1::2].min(axis=0) + 1 for c in subsets]) + shifts[:, None]
+        start, stop = np.maximum(start, 0), np.minimum(stop, (spec.nlat, spec.nlon))
+        self._boxes = np.stack([start[..., 0], stop[..., 0], start[..., 1], stop[..., 1]], axis=-1)
+        self._boxes[(start >= stop).any(axis=-1)] = 0
         i0, i1, j0, j1 = np.moveaxis(self._boxes, -1, 0)
         cells = (i1 - i0) * (j1 - j0) @ self._signs
         n_ocean = self.box_sums(ocean)[:, 0]
@@ -472,6 +466,7 @@ class _Lattice:
         fits &= ~(frac < min_ocean) & (frac != 0.0)
         self.fits = np.flatnonzero(fits)
         self._boxes, self.ocean = self._boxes[self.fits], n_ocean[self.fits]
+        self._shifts = shifts[self.fits].tolist()
         self.series = np.empty((len(self.fits), spec.nt), dtype=dtype)
         # each table sum adds at most nlat + nlon roundings of sums of up
         # to nlat nlon values, and a placement combines 4 T of them
@@ -498,7 +493,8 @@ class _Lattice:
 
     def area(self, row: int) -> AreaSet:
         """The placement of fitting row `row`."""
-        return self.areas[self.fits[row]]
+        i, j = self._shifts[row]
+        return self._template.shifted(i * self._spec.dlat, j * self._spec.dlon)
 
 
 def _fill_series(field: SSTField, lattices) -> float:
@@ -536,13 +532,13 @@ def exhaustive_search(
     template_a: AreaSet,
     template_b: AreaSet,
     domain: Rect,
-    step: float = 0.5,
     min_ocean: float = 0.8,
 ) -> tuple[tuple[AreaSet, AreaSet], float]:
-    """Evaluate every valid shift-lattice placement of A crossed with every
-    valid placement of B; return the argmax-q pair (lexicographic ties go
-    to the earlier placement). Placements that break the area constraint
-    or have a non-finite series are skipped; degenerate pairs never win.
+    """Evaluate every valid placement of A crossed with every valid
+    placement of B, each a template moved by whole grid cells inside the
+    domain (`_offsets`); return the argmax-q pair (lexicographic ties go to
+    the earlier placement). Placements that break the area constraint or
+    have a non-finite series are skipped; degenerate pairs never win.
 
     Every placement's series comes from summed-area tables of the field
     (`_fill_series`), built here and freed on return. `index.PairScorer`,
@@ -555,21 +551,21 @@ def exhaustive_search(
     q wins; the q returned is the winner's exact q, as
     `index.evaluate_pair` gives it.
 
-    A lattice of more than MAX_PAIRS pairs or MAX_PLACEMENTS placements of
-    an area, counted from the offsets before any placement is built, is a
-    ConfigError.
+    A lattice of more than MAX_PAIRS pairs, counted from `_offsets` before
+    any placement is built, is a ConfigError.
     """
-    n_a, n_b = (math.prod(map(len, _offsets(t, domain, step))) for t in (template_a, template_b))
-    if n_a * n_b > MAX_PAIRS or max(n_a, n_b) > MAX_PLACEMENTS:
-        raise ConfigError(
-            f"step {step} gives up to {n_a:,} x {n_b:,} = {n_a * n_b:,} placement pairs "
-            f"in {domain}; the oracle searches at most {MAX_PAIRS:,} pairs and "
-            f"{MAX_PLACEMENTS:,} placements per area")
+    spec = field.spec
+    offsets = {t: _offsets(t, domain, spec) for t in (template_a, template_b)}
+    n_a, n_b = (math.prod(map(len, offsets[t])) for t in (template_a, template_b))
+    if n_a * n_b > MAX_PAIRS:
+        raise ConfigError(f"the {spec.nlat} x {spec.nlon} grid gives up to {n_a:,} x {n_b:,} = "
+                          f"{n_a * n_b:,} placement pairs in {domain}; the oracle searches "
+                          f"at most {MAX_PAIRS:,}")
     objective = index.PairObjective(field, y_onset, y_retreat, min_ocean)
     ocean = _table(field.ocean_mask()[None].astype(np.int64))
 
     def lattice(template, dtype):
-        return _Lattice(template, domain, step, field.spec, ocean, min_ocean, dtype)
+        return _Lattice(template, offsets[template], spec, ocean, min_ocean, dtype)
 
     # B's float64 series become the scorer's stack; A's are read in blocks
     lattice_b = lattice(template_b, np.float64)

@@ -132,7 +132,9 @@ class GridSpec:
             raise ValueError("dlat and dlon must be positive")
         if self.nlat < 1 or self.nlon < 1 or self.nt < 1:
             raise ValueError("nlat, nlon, nt must be >= 1")
-        parse_ym(self.t0)
+        year, month = parse_ym(self.t0)
+        if year * 12 + month + self.nt - 2 > 9999 * 12 + 11:  # no later YYYY-MM stamp
+            raise ValueError(f"a {self.nt}-month axis from {self.t0} ends after 9999-12")
 
     @property
     def lats(self) -> np.ndarray:
@@ -248,11 +250,16 @@ def area_indices(area: AreaSet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
 
 
 def _rect_index_bounds(rect: Rect, spec: GridSpec) -> tuple[int, int, int, int]:
-    i0 = max(0, math.ceil((rect.lat_min - spec.lat0) / spec.dlat - _EPS))
-    i1 = min(spec.nlat - 1, math.floor((rect.lat_max - spec.lat0) / spec.dlat + _EPS))
-    j0 = max(0, math.ceil((rect.lon_min - spec.lon0) / spec.dlon - _EPS))
-    j1 = min(spec.nlon - 1, math.floor((rect.lon_max - spec.lon0) / spec.dlon + _EPS))
-    return i0, i1, j0, j1
+    i0, i1, j0, j1 = _rect_cell_span(rect, spec)
+    return max(0, i0), min(spec.nlat - 1, i1), max(0, j0), min(spec.nlon - 1, j1)
+
+
+def _rect_cell_span(rect: Rect, spec: GridSpec) -> tuple[int, int, int, int]:
+    """`_rect_index_bounds` on the grid's lattice extended without end."""
+    return (math.ceil((rect.lat_min - spec.lat0) / spec.dlat - _EPS),
+            math.floor((rect.lat_max - spec.lat0) / spec.dlat + _EPS),
+            math.ceil((rect.lon_min - spec.lon0) / spec.dlon - _EPS),
+            math.floor((rect.lon_max - spec.lon0) / spec.dlon + _EPS))
 
 
 def area_cells(area: AreaSet, spec: GridSpec) -> set[tuple[int, int]]:

@@ -1,10 +1,9 @@
 """Sequential decision environment over rectangle placements: discrete
-shift/resize actions, constraint checking, delta-objective reward."""
+shift/resize actions by grid cells, constraint checking, delta-q reward."""
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -51,7 +50,6 @@ class EnvConfig:
     domain: Rect
     init_a: AreaSet
     init_b: AreaSet
-    step: float = 0.5
     episode_len: int = 64
     min_ocean: float = 0.8
     jitter: int = 0
@@ -59,8 +57,6 @@ class EnvConfig:
     def __post_init__(self):
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be finite and positive")
         if not 0 <= self.min_ocean <= 1:
             raise ValueError("min_ocean must be in [0, 1]")
         if self.jitter < 0:
@@ -99,14 +95,15 @@ def apply_action(
     area_b: AreaSet,
     action: Action,
     config: EnvConfig,
+    cell: dict[str, float],
 ) -> tuple[AreaSet, AreaSet] | None:
-    """Apply one action; returns the new (A, B) or None if the move kills
-    an extent or leaves the domain. The ocean constraint is the
-    objective's to check."""
+    """Apply one action, whose step is the grid's `cell` size on its axis;
+    returns the new (A, B) or None if the move kills an extent or leaves
+    the domain. The ocean constraint is the objective's to check."""
     target = area_a if action.target == "A" else area_b
     moved = []
     for rect in target.rects:
-        new = _move_rect(rect, action, config.step)
+        new = _move_rect(rect, action, cell[action.axis])
         if new is None:
             return None
         moved.append(new)
@@ -134,10 +131,10 @@ def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
 
 
 class AreaEnv:
-    """Stateful episode environment over one read-only SST field and fixed
-    rainfall targets. Objective values are cached per geometry, and scored
-    through one `index.PairObjective`, which reduces each distinct area
-    once."""
+    """Stateful episode environment over one read-only SST field, whose grid
+    cell is the step of every move, and fixed rainfall targets. Objective
+    values are cached per geometry, and scored through one
+    `index.PairObjective`, which reduces each distinct area once."""
 
     def __init__(
         self,
@@ -148,6 +145,7 @@ class AreaEnv:
     ):
         self.field = field
         self.config = config
+        self.cell = {"lat": field.spec.dlat, "lon": field.spec.dlon}
         self.actions = enumerate_actions(config.mode)
         self.n_actions = len(self.actions)
         self.obs_dim = len(encode_state(config.init_a, config.init_b, config.domain))
@@ -192,10 +190,9 @@ class AreaEnv:
         j = self.config.jitter
         if j == 0:
             return area
-        step = self.config.step
-        # one (dlat, dlon) per rect, drawn in that order
-        return AreaSet(tuple(r.shifted(int(rng.integers(-j, j + 1)) * step,
-                                       int(rng.integers(-j, j + 1)) * step)
+        # whole cells: one (lat, lon) count per rect, drawn in that order
+        return AreaSet(tuple(r.shifted(int(rng.integers(-j, j + 1)) * self.cell["lat"],
+                                       int(rng.integers(-j, j + 1)) * self.cell["lon"])
                              for r in area.rects))
 
     def step(self, action_idx: int) -> tuple[np.ndarray, float, bool]:
@@ -204,7 +201,7 @@ class AreaEnv:
         cfg = self.config
         st = self.state
         action = self.actions[action_idx]
-        result = apply_action(st.area_a, st.area_b, action, cfg)
+        result = apply_action(st.area_a, st.area_b, action, cfg, self.cell)
         new_q = self._q_of(*result) if result is not None else None
         if result is None or new_q is None:
             reward = -INVALID_PENALTY

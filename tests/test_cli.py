@@ -1,8 +1,6 @@
 import csv
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -110,48 +108,44 @@ class TestEvaluate:
 
 
 class TestOracle:
-    def test_recovers_planted(self, world, clustered, tmp_path):
+    def test_recovers_planted(self, world, clustered, tmp_path, capsys):
         rc = dispatch(["oracle", *world_args(world, clustered),
                        "--areas", str(world / "initial_areas.json"),
                        "--out", str(tmp_path)])
         assert rc == 0
+        assert capsys.readouterr().out.startswith("oracle q = 0.8668; ")
         best = load_areas(tmp_path / "best_areas.json")
         planted = load_areas(world / "planted_areas.json")
         assert best == planted
 
-    def test_quarter_degree_step_runs(self, world, clustered, tmp_path, capsys):
-        rc = dispatch(["oracle", *world_args(world, clustered),
-                       "--areas", str(world / "initial_areas.json"),
-                       "--out", str(tmp_path), "--step", "0.25"])
-        assert rc == 0
-        assert capsys.readouterr().out.startswith("oracle q = ")
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_no_step_sets_the_lattice(self, world, clustered, tmp_path, capsys, by):
+        """The oracle moves areas by whole grid cells only: a --step flag,
+        or a config file's "step", is refused before anything is written."""
+        argv = ["oracle", *world_args(world, clustered),
+                "--areas", str(world / "initial_areas.json"), "--out", str(tmp_path / "out")]
+        if by == "flag":
+            argv += ["--step", "0.25"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"step": 0.25}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert ("unrecognized arguments: --step 0.25" if by == "flag" else "['step']") in err
+        assert not (tmp_path / "out" / "best_areas.json").exists()
 
     def test_lattice_past_the_cap_is_config_error(self, world, clustered, tmp_path, capsys,
                                                   monkeypatch):
-        monkeypatch.setattr(dqn, "_placements", None)  # never reached
+        """More than MAX_PAIRS pairs exits 2 before any lattice is built."""
+        monkeypatch.setattr(dqn, "MAX_PAIRS", 900 * 900 - 1)
+        monkeypatch.setattr(dqn, "_Lattice", None)  # never reached
         rc = dispatch(["oracle", *world_args(world, clustered),
                        "--areas", str(world / "initial_areas.json"),
-                       "--out", str(tmp_path), "--step", "0.1"])
+                       "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
-            "error: step 0.1 gives up to 23,104 x 23,104 = 533,794,816 placement pairs in ")
-        assert not (tmp_path / "best_areas.json").exists()
-
-    def test_tiny_step_exits_2_without_walking_the_lattice(self, world, clustered, tmp_path):
-        """--step 1e-9 passes the environment's check; walking its
-        (15 / 1e-9)^2 offsets per area would never end, so the run is a
-        child process with a timeout."""
-        argv = ["oracle", *world_args(world, clustered),
-                "--areas", str(world / "initial_areas.json"),
-                "--out", str(tmp_path), "--step", "1e-9"]
-        src = os.path.dirname(os.path.dirname(dqn.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from nemonsoon.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))",
-             *argv], capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 2
-        assert "placement pairs" in proc.stderr
+            "error: the 40 x 40 grid gives up to 900 x 900 = 810,000 placement pairs in ")
         assert not (tmp_path / "best_areas.json").exists()
 
     def test_all_pairs_degenerate_exit_1(self, world, clustered, tmp_path, capsys):
@@ -462,7 +456,7 @@ class TestConfigFile:
         cfg.write_text(json.dumps({
             "stations": str(world / "stations.csv"),
             "out": str(tmp_path / "from_config.csv"),
-            "timesteps": 5, "step": 1.0, "folds": ["1982-1990:1991:1992"],
+            "timesteps": 5, "min_ocean": 1.0, "folds": ["1982-1990:1991:1992"],
         }))
         assert dispatch(["cluster", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_config.csv").exists()

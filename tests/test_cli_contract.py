@@ -262,6 +262,7 @@ BAD_VALUES = [
     ("evaluate", "onset-clusters", "x"),
     ("evaluate", "min-ocean", "1.5"),
     ("evaluate", "min-ocean", "nan"),
+    # the oracle has no step: whole grid cells are its only lattice
     ("oracle", "step", "0"),
     ("oracle", "step", "inf"),
     ("optimize", "episode-len", "0"),
@@ -273,6 +274,9 @@ BAD_VALUES = [
     ("cluster", "n", "99"),
     ("cluster", "n", "2.5"),
     ("synth", "years", "0"),
+    # the axis would end after 9999-12, which no YYYY-MM stamp can name
+    ("synth", "years", "8019"),
+    ("synth", "years", "100000000"),
     ("synth", "seed", "-1"),
     ("optimize", "seed", "-1"),
 ]

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +18,6 @@ from nemonsoon.dqn import (
     exhaustive_search,
     _Lattice,
     _fill_series,
-    _placements,
     _table,
     lane_buffer,
     td_targets,
@@ -515,8 +517,8 @@ class TestOracle:
         assert report.valid
         assert report.q == pytest.approx(q, abs=1e-6)
         # spot-check a few random placements never beat the oracle
-        placed_a = _placements(a, domain, 0.5)
-        placed_b = _placements(b, domain, 0.5)
+        placed_a = reference_placements(a, domain, field.spec)
+        placed_b = reference_placements(b, domain, field.spec)
         for _ in range(20):
             pa = placed_a[rng.integers(len(placed_a))]
             pb = placed_b[rng.integers(len(placed_b))]
@@ -557,87 +559,114 @@ class TestOracle:
             exhaustive_search(short, s[:4], s[:4], a, b, domain)
 
     def test_lattice_past_a_cap_is_config_error_before_any_placement(self, monkeypatch):
-        """The offsets bound each area's placements. More than MAX_PAIRS
-        pairs, or more than MAX_PLACEMENTS placements of an area, is a
-        ConfigError raised before `_placements` builds one; a lattice at
-        both caps is searched."""
+        """The offsets count each area's placements. More than MAX_PAIRS
+        pairs is a ConfigError raised before any lattice is built; a
+        lattice at the cap is searched."""
         field, s, a, b, domain = self._world()
         n_a, n_b = (len(k_lat) * len(k_lon)
-                    for k_lat, k_lon in (dqn._offsets(t, domain, 0.5) for t in (a, b)))
-        assert (n_a, n_b) == (len(_placements(a, domain, 0.5)), len(_placements(b, domain, 0.5)))
+                    for k_lat, k_lon in (dqn._offsets(t, domain, field.spec) for t in (a, b)))
+        assert (n_a, n_b) == (len(_reference_offsets(a, domain, field.spec)),
+                              len(_reference_offsets(b, domain, field.spec)))
         built = []
-        monkeypatch.setattr(dqn, "_placements",
-                            lambda *args: built.append(args) or _placements(*args))
-        for pairs, per_area in ((n_a * n_b - 1, n_a), (n_a * n_b, n_a - 1)):
-            monkeypatch.setattr(dqn, "MAX_PAIRS", pairs)
-            monkeypatch.setattr(dqn, "MAX_PLACEMENTS", per_area)
-            with pytest.raises(ConfigError, match="step 0.5 gives up to 64 x 64 = 4,096 "):
-                exhaustive_search(field, s, s, a, b, domain)
+        monkeypatch.setattr(dqn, "_Lattice",
+                            lambda *args: built.append(args) or _Lattice(*args))
+        monkeypatch.setattr(dqn, "MAX_PAIRS", n_a * n_b - 1)
+        with pytest.raises(ConfigError, match="the 9 x 9 grid gives up to 64 x 64 = 4,096 "):
+            exhaustive_search(field, s, s, a, b, domain)
         assert built == []
         monkeypatch.setattr(dqn, "MAX_PAIRS", n_a * n_b)
-        monkeypatch.setattr(dqn, "MAX_PLACEMENTS", n_a)
         exhaustive_search(field, s, s, a, b, domain)
         assert len(built) == 2
 
 
-def _reference_offsets(template, domain, step):
-    """The shift lattice as the oracle found it before it shared
-    `geogrid.inside` with the environment: the bounding box's first and last
-    fitting multiples of step, 1e-9 step of slack on each."""
-    lat_lo = min(r.lat_min for r in template.rects)
-    lat_hi = max(r.lat_max for r in template.rects)
-    lon_lo = min(r.lon_min for r in template.rects)
-    lon_hi = max(r.lon_max for r in template.rects)
-    k_lat = range(int(np.ceil((domain.lat_min - lat_lo) / step - 1e-9)),
-                  int(np.floor((domain.lat_max - lat_hi) / step + 1e-9)) + 1)
-    k_lon = range(int(np.ceil((domain.lon_min - lon_lo) / step - 1e-9)),
-                  int(np.floor((domain.lon_max - lon_hi) / step + 1e-9)) + 1)
-    return [(i * step, j * step) for i in k_lat for j in k_lon]
+def _reference_offsets(template, domain, spec):
+    """Every whole-cell shift (i, j), in lexicographic order, that keeps the
+    template moved by (i dlat, j dlon) inside the domain by `geogrid.inside`,
+    tried over every shift that carries the template's extent across the
+    domain, and a cell more on each side."""
+    lats = [v for r in template.rects for v in (r.lat_min, r.lat_max)]
+    lons = [v for r in template.rects for v in (r.lon_min, r.lon_max)]
+    k_lat = range(math.floor((domain.lat_min - max(lats)) / spec.dlat) - 1,
+                  math.ceil((domain.lat_max - min(lats)) / spec.dlat) + 2)
+    k_lon = range(math.floor((domain.lon_min - max(lons)) / spec.dlon) - 1,
+                  math.ceil((domain.lon_max - min(lons)) / spec.dlon) + 2)
+    return [(i, j) for i in k_lat for j in k_lon
+            if geogrid.inside(domain, template.shifted(i * spec.dlat, j * spec.dlon))]
+
+
+def reference_placements(template, domain, spec):
+    """The template at each shift of `_reference_offsets`."""
+    return [template.shifted(i * spec.dlat, j * spec.dlon)
+            for i, j in _reference_offsets(template, domain, spec)]
+
+
+def check_lattice(field, template, domain, min_ocean=0.8):
+    """The lattice's placements that meet the area constraint are the
+    brute-force placements that `index.ocean_series` accepts, in order,
+    and each placed rect's box is `geogrid._rect_index_bounds` of that
+    rect (half-open; an empty box is all zeros). Returns the lattice and
+    `_fill_series`'s peak."""
+    (lattice,), peak = _lattices(field, [template], domain, min_ocean)
+    want = [area for area in reference_placements(template, domain, field.spec)
+            if index.ocean_series(field, area, min_ocean)[0] is not None]
+    got = [lattice.area(row) for row in range(len(lattice.fits))]
+    assert got == want
+    m = len(template.rects)
+    for row, area in enumerate(got):
+        boxes = []
+        for rect in area.rects:
+            i0, i1, j0, j1 = geogrid._rect_index_bounds(rect, field.spec)
+            boxes.append([i0, i1 + 1, j0, j1 + 1] if i0 <= i1 and j0 <= j1 else [0] * 4)
+        assert lattice._boxes[row, :m].tolist() == boxes
+    return lattice, peak
 
 
 class TestPlacementDomain:
     def test_every_placement_passes_the_environment_rule_at_a_tenth_degree(self):
-        """On a 40 x 40 grid of 0.1 degree cells the lattice bounds 0.05 +
-        0.1 k miss the domain's edges by a rounding. Every h x w cell
+        """On a 40 x 40 grid of 0.1 degree cells the placement bounds
+        0.05 + 0.1 k miss the domain's edges by a rounding. Every h x w cell
         template (1 <= h <= w <= 18) still reaches all (41 - h)(41 - w)
         positions, and each passes the environment's rule, `geogrid.inside`
         (exact comparisons with the domain's bounds reject 2,935 of them)."""
-        domain = make_field(np.zeros((12, 40, 40)), lat0=0.1, lon0=100.1,
-                            dlat=0.1, dlon=0.1).spec.domain()
+        spec = make_field(np.zeros((12, 40, 40)), lat0=0.1, lon0=100.1,
+                          dlat=0.1, dlon=0.1).spec
+        domain = spec.domain()
         count = 0
         for h in range(1, 19):
             for w in range(h, 19):
                 template = AreaSet.of(Rect(domain.lat_min, domain.lat_min + 0.1 * h,
                                            domain.lon_min, domain.lon_min + 0.1 * w))
-                placed = _placements(template, domain, 0.1)
-                assert len(placed) == (41 - h) * (41 - w)
-                assert all(geogrid.inside(domain, area) for area in placed)
-                count += len(placed)
+                shifts = list(itertools.product(*dqn._offsets(template, domain, spec)))
+                assert len(shifts) == (41 - h) * (41 - w)
+                assert all(geogrid.inside(domain, template.shifted(i * 0.1, j * 0.1))
+                           for i, j in shifts)
+                count += len(shifts)
         assert count == 169_917
 
     @pytest.mark.parametrize("nlat, nlon", [(40, 40), (120, 160)])
     @pytest.mark.parametrize("step", [0.5, 0.25])
     def test_half_degree_lattices_unchanged(self, nlat, nlon, step):
-        spec = SynthSpec(nlat=nlat, nlon=nlon)
-        domain = spec.grid().domain()
-        planted_a, planted_b = spec.planted_areas()
+        """On grids of the synthetic world's sizes, with its 0.5 degree
+        cells and with 0.25 degree ones, each template's lattice is the
+        brute-force one. One template lies off the grid, so its boxes are
+        cut to the grid only once placed."""
+        field = make_field(np.zeros((1, nlat, nlon)), dlat=step, dlon=step)
+        planted_a, planted_b = SynthSpec(nlat=nlat, nlon=nlon).planted_areas()
         for template in (planted_a, planted_b.shifted(-2.0, 2.0), _TABLE_TEMPLATES[-1],
                          AreaSet.of(Rect(-3.0, -2.5, 90.0, 92.0))):
-            want = [template.shifted(*offset)
-                    for offset in _reference_offsets(template, domain, step)]
-            assert _placements(template, domain, step) == want
+            check_lattice(field, template, field.spec.domain())
 
 
 def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_b,
-                                domain, step=0.5, min_ocean=0.8):
-    """The per-placement loop the Gram-matrix oracle replaces: every A
-    placement against the stack of B's centred series, one difference per
-    pair, scored by `seasonal_scores`."""
+                                domain, min_ocean=0.8):
+    """The per-placement loop the Gram-matrix oracle replaces: every
+    brute-force placement of A against the stack of B's centred series,
+    one difference per pair, scored by `seasonal_scores`."""
     months = field.spec.months()
     target = season_target(y_onset, y_retreat, months)
 
     def valid_placements(template):
-        for area in _placements(template, domain, step):
+        for area in reference_placements(template, domain, field.spec):
             s, _ = index.ocean_series(field, area, min_ocean)
             if s is not None:
                 yield area, season_centre(s, months)
@@ -697,7 +726,7 @@ class TestGramOracle:
         a = _TEMPLATES[ta]
         b = a if relation == "identical" else _TEMPLATES[tb]
         domain = field.spec.domain()
-        args = (field, y_on, y_re, a, b, domain, 0.5, min_ocean)
+        args = (field, y_on, y_re, a, b, domain, min_ocean)
         try:
             _, want_q = reference_exhaustive_search(*args)
         except NemonsoonError as exc:
@@ -728,9 +757,10 @@ _TABLE_TEMPLATES = [
 ]
 
 
-def _table_world(seed, land, nan_cells, inf_cell, nt=36, nlat=6, nlon=7):
+def _table_world(seed, land, nan_cells, inf_cell, nt=36, nlat=6, nlon=7, **grid):
     """A field with land, cells that are NaN in some months only, and
-    optionally a cell that is infinite in one month."""
+    optionally a cell that is infinite in one month; `grid` sets
+    `make_field`'s lat0, lon0, dlat and dlon."""
     rng = np.random.default_rng(seed)
     signal = rng.normal(size=nt)
     vals = (20.0 + rng.normal(0, 0.5, size=(nt, nlat, nlon))
@@ -741,15 +771,16 @@ def _table_world(seed, land, nan_cells, inf_cell, nt=36, nlat=6, nlon=7):
         vals[months, rng.integers(nlat), rng.integers(nlon)] = np.nan
     if inf_cell:
         vals[rng.integers(nt), rng.integers(nlat), rng.integers(nlon)] = np.inf
-    field = make_field(vals.astype(np.float32))
+    field = make_field(vals.astype(np.float32), **grid)
     y_on = rng.uniform(0, 2) * signal + rng.normal(size=nt)
     y_re = rng.uniform(0, 2) * signal + rng.normal(size=nt)
     return field, y_on, y_re
 
 
-def _lattices(field, templates, domain, step, min_ocean):
+def _lattices(field, templates, domain, min_ocean):
     ocean = _table(field.ocean_mask()[None].astype(np.int64))
-    lattices = [_Lattice(t, domain, step, field.spec, ocean, min_ocean) for t in templates]
+    lattices = [_Lattice(t, dqn._offsets(t, domain, field.spec), field.spec, ocean, min_ocean)
+                for t in templates]
     return lattices, _fill_series(field, lattices)
 
 
@@ -758,31 +789,33 @@ def _padded(domain, pad):
                 domain.lon_min - pad, domain.lon_max + pad)
 
 
-_STEPS = [0.25, 0.5, 0.75, 1.0]
+# (lat0, lon0, dlat, dlon) of the test grids: the 0.5 degree grid, and
+# grids whose cells and origins are off that lattice, with dlat != dlon
+_GRIDS = [(0.0, 100.0, 0.5, 0.5), (0.1, 100.05, 1.0 / 3.0, 0.25),
+          (-0.3, 99.9, 0.25, 0.75), (0.0, 100.0, 1.0, 0.5)]
+
+
+def _grid(k):
+    return dict(zip(("lat0", "lon0", "dlat", "dlon"), _GRIDS[k]))
 
 
 class TestTablePath:
     @given(st.integers(0, 10_000), st.floats(0.0, 0.5), st.integers(0, 2), st.booleans(),
-           st.sampled_from(range(len(_TABLE_TEMPLATES))), st.sampled_from(_STEPS),
+           st.sampled_from(range(len(_TABLE_TEMPLATES))), st.sampled_from(range(len(_GRIDS))),
            st.sampled_from([0.0, 0.5]), st.sampled_from([0.5, 0.8]))
     @settings(max_examples=80, deadline=None)
     def test_series_match_ocean_series(self, seed, land, nan_cells, inf_cell, template,
-                                       step, pad, min_ocean):
+                                       grid, pad, min_ocean):
         """The tables decide the area constraint as `ocean_series` does, put
         the non-finite months in the same places, and keep every finite
         month within the stated bound. A padded domain puts placements
         across the grid's edge."""
-        field, _, _ = _table_world(seed, land, nan_cells, inf_cell)
-        (lattice,), peak = _lattices(field, [_TABLE_TEMPLATES[template]],
-                                     _padded(field.spec.domain(), pad), step, min_ocean)
+        field, _, _ = _table_world(seed, land, nan_cells, inf_cell, **_grid(grid))
+        lattice, peak = check_lattice(field, _TABLE_TEMPLATES[template],
+                                      _padded(field.spec.domain(), pad), min_ocean)
         err = lattice.error(peak)
-        fits = list(lattice.fits)
-        for k, area in enumerate(lattice.areas):
-            want, _ = index.ocean_series(field, area, min_ocean)
-            assert (k in fits) == (want is not None)
-            if want is None:
-                continue
-            row = fits.index(k)
+        for row in range(len(lattice.fits)):
+            want, _ = index.ocean_series(field, lattice.area(row), min_ocean)
             got = lattice.series[row].astype(float)
             finite = np.isfinite(want)
             np.testing.assert_array_equal(np.isfinite(got), finite)
@@ -790,16 +823,16 @@ class TestTablePath:
 
     @given(st.integers(0, 10_000), st.floats(0.0, 0.4), st.integers(0, 1), st.booleans(),
            st.sampled_from(range(len(_TABLE_TEMPLATES))),
-           st.sampled_from(range(len(_TABLE_TEMPLATES))), st.sampled_from(_STEPS))
+           st.sampled_from(range(len(_TABLE_TEMPLATES))), st.sampled_from(range(len(_GRIDS))))
     @settings(max_examples=40, deadline=None)
-    def test_bound_covers_exact_q(self, seed, land, nan_cells, inf_cell, ta, tb, step):
+    def test_bound_covers_exact_q(self, seed, land, nan_cells, inf_cell, ta, tb, grid):
         """Every pair's table q lies within its bound of `PairObjective`'s q
         on the `area_mean_series` series; a pair that only the exact path
         finds invalid has a bound of at least 1, so it is always scored
         again when near the best."""
-        field, y_on, y_re = _table_world(seed, land, nan_cells, inf_cell)
+        field, y_on, y_re = _table_world(seed, land, nan_cells, inf_cell, **_grid(grid))
         (lat_a, lat_b), peak = _lattices(field, [_TABLE_TEMPLATES[ta], _TABLE_TEMPLATES[tb]],
-                                         field.spec.domain(), step, 0.5)
+                                         field.spec.domain(), 0.5)
         rows_a, rows_b = (np.flatnonzero(np.isfinite(lat.series).all(axis=1))
                           for lat in (lat_a, lat_b))
         if not len(rows_a) or not len(rows_b):
@@ -862,7 +895,7 @@ class TestTablePath:
         assert (got_a, got_b) == (want_a, want_b)
         assert abs(got_q - want_q) <= 1e-12
         # the table alone would pick the other block
-        (lat_a, lat_b), _ = _lattices(field, [a, b], domain, 0.5, 0.8)
+        (lat_a, lat_b), _ = _lattices(field, [a, b], domain, 0.8)
         scorer = index.PairScorer(index.PairObjective(field, y_on, y_re),
                                   lat_b.series.astype(float))
         q, _ = scorer.scores(lat_a.series)
@@ -870,6 +903,65 @@ class TestTablePath:
         assert want_b == AreaSet.of(Rect(1.0, 1.5, 100.0, 100.5))
         assert (lat_a.area(ia), lat_b.area(ib)) == (want_a, b)
         assert index.PairObjective(field, y_on, y_re)(want_a, b).q < want_q - 1e-8
+
+
+# a rect's span on one axis, in cells of the grid: (first cell, cells, f0,
+# f1) runs from centre first + f0 to centre first + cells + f1, so bounds
+# sit on cell centres, between them and on cell edges
+_FRACTIONS = [0.0, 0.3, -0.4, 0.5]
+_SPAN = st.tuples(st.integers(0, 2), st.integers(1, 2), st.sampled_from(_FRACTIONS),
+                  st.sampled_from(_FRACTIONS))
+_RECTS = st.lists(st.tuples(_SPAN, _SPAN), min_size=1, max_size=3)
+
+
+def _cell_template(rects, grid, far=(0, 0)):
+    """An area of the rects given as (lat span, lon span) in cells of
+    `_GRIDS[grid]`, moved `far` whole cells (lat, lon)."""
+    lat0, lon0, dlat, dlon = _GRIDS[grid]
+
+    def bounds(span, origin, cell, shift):
+        first, cells, f0, f1 = span
+        return (origin + (first + shift + f0) * cell,
+                origin + (first + shift + cells + f1) * cell)
+
+    return AreaSet(tuple(Rect(*bounds(lat, lat0, dlat, far[0]), *bounds(lon, lon0, dlon, far[1]))
+                         for lat, lon in rects))
+
+
+class TestCellLattice:
+    @given(st.integers(0, 10_000), st.floats(0.0, 0.4), st.integers(0, 1),
+           st.sampled_from(range(len(_GRIDS))), _RECTS, _RECTS,
+           st.sampled_from([(0, 0), (-7, 9)]), st.sampled_from([0.0, 0.4, -0.3]),
+           st.sampled_from([0.5, 0.8]))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_matches_brute_force(self, seed, land, nan_cells, grid, rects_a, rects_b,
+                                        far, pad, min_ocean):
+        """On grids whose cells are 0.5 degrees or not, differ between the
+        axes and start on or off the 0.5 degree lattice, with templates of
+        up to three rects whose bounds sit on cell centres or off them, A's
+        possibly far off the grid: each lattice holds the brute-force
+        placements with `_rect_index_bounds`' boxes, and the oracle's q is
+        the brute-force loop's (or both raise the same error)."""
+        field, y_on, y_re = _table_world(seed, land, nan_cells, False, **_grid(grid))
+        a, b = _cell_template(rects_a, grid, far), _cell_template(rects_b, grid)
+        domain = _padded(field.spec.domain(), pad)
+        for template in (a, b):
+            check_lattice(field, template, domain, min_ocean)
+        args = (field, y_on, y_re, a, b, domain, min_ocean)
+        try:
+            _, want_q = reference_exhaustive_search(*args)
+        except NemonsoonError as exc:
+            with pytest.raises(NemonsoonError) as got:
+                exhaustive_search(*args)
+            assert str(got.value) == str(exc)
+            return
+        (best_a, best_b), q = exhaustive_search(*args)
+        assert abs(q - want_q) <= 1e-9
+        assert best_a in reference_placements(a, domain, field.spec)
+        assert best_b in reference_placements(b, domain, field.spec)
+        report = evaluate_pair(field, best_a, best_b, y_on, y_re, min_ocean)
+        assert report.valid
+        assert abs(report.q - q) <= 1e-12
 
 
 @pytest.mark.parametrize("value", [7.1, 0.3])

@@ -263,6 +263,13 @@ class TestGridIO:
         with pytest.raises(FormatError, match="sst.f32"):
             load_sst(tmp_path / "sst")
 
+    def test_axis_past_year_9999_rejected_on_load(self, tmp_path, rng):
+        save_sst(make_field(rng.uniform(0, 30, size=(2, 4, 4)), t0="9999-11"), tmp_path / "sst")
+        header = (tmp_path / "sst" / "grid.json").read_text().replace('"9999-11"', '"9999-12"')
+        (tmp_path / "sst" / "grid.json").write_text(header)
+        with pytest.raises(FormatError, match="ends after 9999-12"):
+            load_sst(tmp_path / "sst")
+
     def test_wrong_keys(self, tmp_path, rng):
         vals = rng.uniform(0, 30, size=(1, 4, 4)).astype(np.float32)
         save_sst(make_field(vals), tmp_path / "sst")
@@ -281,6 +288,17 @@ class TestInvariants:
             GridSpec(0, 0, -0.5, 0.5, 4, 4, "2000-01", 3)
         with pytest.raises(FormatError):
             GridSpec(0, 0, 0.5, 0.5, 4, 4, "2000-13", 3)
+
+    @pytest.mark.parametrize("t0, nt", [("9999-12", 1), ("1982-01", 96_216), ("0000-01", 120_000)])
+    def test_axis_may_end_in_year_9999(self, t0, nt):
+        GridSpec(0, 0, 0.5, 0.5, 4, 4, t0, nt)
+
+    @pytest.mark.parametrize("t0, nt", [("9999-12", 2), ("9999-01", 13), ("1982-01", 96_217)])
+    def test_axis_past_year_9999_is_value_error(self, t0, nt):
+        """A later month has no YYYY-MM stamp: `synth --years 8019` would
+        write rows that no reader accepts."""
+        with pytest.raises(ValueError, match="ends after 9999-12"):
+            GridSpec(0, 0, 0.5, 0.5, 4, 4, t0, nt)
 
     def test_land_layout_constant_check(self):
         vals = np.full((2, 2, 2), 10.0, dtype=np.float32)

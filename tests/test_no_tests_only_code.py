@@ -155,7 +155,7 @@ def test_field_scan_sees_fields_and_keywords():
             ("synthdata", "SynthSpec", "beta_onset", True)} <= set(FIELDS)
     assert {"member_ids", "rect_a", "step"} <= READ
     assert {("ForecasterConfig", "hidden"), ("ClusterParams", "d"),
-            ("EnvConfig", "step"), ("EnvConfig", "jitter")} <= PASSED
+            ("EnvConfig", "episode_len"), ("EnvConfig", "jitter")} <= PASSED
 
 
 def test_every_field_is_read():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nemonsoon.errors import EpisodeOverError, InvalidInitialAreasError
-from nemonsoon.geogrid import AreaSet, Rect, inside
+from nemonsoon.geogrid import AreaSet, Rect, _rect_index_bounds, inside
 from nemonsoon.rl_env import (
     Action,
     AreaEnv,
@@ -26,12 +26,14 @@ from conftest import make_field, reference_pair_report
 
 
 DOMAIN = Rect(0.0, 10.0, 100.0, 110.0)
+HALF_DEGREE = {"lat": 0.5, "lon": 0.5}  # make_env's cell size
 
 
-def make_env(nt=36, jitter=0, mode=SHIFT_ONLY, episode_len=8):
+def make_env(nt=36, jitter=0, mode=SHIFT_ONLY, episode_len=8, cell=0.5):
     rng = np.random.default_rng(42)
     vals = rng.uniform(15, 25, size=(nt, 21, 21)).astype(np.float32)
-    field = make_field(vals)  # 0.5 deg grid covering lat 0..10, lon 100..110
+    # with 0.5 degree cells, the grid covers lat 0..10, lon 100..110
+    field = make_field(vals, dlat=cell, dlon=cell)
     cfg = EnvConfig(
         mode=mode,
         domain=DOMAIN,
@@ -126,14 +128,15 @@ class TestActions:
         cfg = EnvConfig(SHIFT_ONLY, DOMAIN,
                         AreaSet.of(Rect(0.0, 2.0, 102.0, 104.0)),
                         AreaSet.of(Rect(6.0, 8.0, 106.0, 108.0)))
-        out = apply_action(cfg.init_a, cfg.init_b, Action("A", "lat", "shift-"), cfg)
+        out = apply_action(cfg.init_a, cfg.init_b, Action("A", "lat", "shift-"), cfg, HALF_DEGREE)
         assert out is None
 
     def test_only_target_moves(self):
         cfg = EnvConfig(SHIFT_ONLY, DOMAIN,
                         AreaSet.of(Rect(2.0, 4.0, 102.0, 104.0)),
                         AreaSet.of(Rect(6.0, 8.0, 106.0, 108.0)))
-        new_a, new_b = apply_action(cfg.init_a, cfg.init_b, Action("B", "lon", "shift+"), cfg)
+        new_a, new_b = apply_action(cfg.init_a, cfg.init_b, Action("B", "lon", "shift+"), cfg,
+                                    HALF_DEGREE)
         assert new_a == cfg.init_a
         assert new_b.rects[0] == Rect(6.0, 8.0, 106.5, 108.5)
 
@@ -224,8 +227,8 @@ class TestEpisode:
             for area, init in ((env.state.area_a, env.config.init_a),
                                (env.state.area_b, env.config.init_b)):
                 r, r0 = area.rects[0], init.rects[0]
-                dlat = (r.lat_min - r0.lat_min) / env.config.step
-                dlon = (r.lon_min - r0.lon_min) / env.config.step
+                dlat = (r.lat_min - r0.lat_min) / env.cell["lat"]
+                dlon = (r.lon_min - r0.lon_min) / env.cell["lon"]
                 assert dlat == pytest.approx(round(dlat))
                 assert abs(dlat) <= 2 and abs(dlon) <= 2
                 assert r.lat_max - r.lat_min == pytest.approx(r0.lat_max - r0.lat_min)
@@ -234,10 +237,9 @@ class TestEpisode:
 
     @pytest.mark.parametrize("jitter, step", [(1, 0.5), (2, 0.5), (3, 1.0 / 3.0)])
     def test_jitter_matches_reference_draws(self, jitter, step):
-        """Same areas and the same rng stream after, on a two-rect area."""
-        env = make_env(jitter=jitter)
-        env.config = EnvConfig(SHIFT_ONLY, DOMAIN, env.config.init_a, env.config.init_b,
-                               step=step, jitter=jitter)
+        """Same areas and the same rng stream after, on a two-rect area, on
+        a grid whose cells are `step` degrees."""
+        env = make_env(jitter=jitter, cell=step)
         area = AreaSet.of(Rect(-0.0, 2.0, 102.0, 104.0), Rect(3.0, 4.5, 101.0, 103.0))
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(20):
@@ -262,6 +264,62 @@ class TestEpisode:
         q2 = env._q_of(a, b)
         assert q1 == q2
         assert len(env._q_cache) == 1
+
+
+def cell_grid_env(jitter=0):
+    """An environment on a 30 x 40 grid of 1/3 x 0.25 degree cells, whose
+    first centre (0.1, 100.05) is off the 0.5 degree lattice."""
+    rng = np.random.default_rng(5)
+    field = make_field(rng.uniform(15, 25, size=(36, 30, 40)), lat0=0.1, lon0=100.05,
+                       dlat=1.0 / 3.0, dlon=0.25)
+    cfg = EnvConfig(SHIFT_ONLY, field.spec.domain(), AreaSet.of(Rect(2.0, 4.0, 102.0, 104.0)),
+                    AreaSet.of(Rect(6.0, 8.0, 106.0, 108.0)), jitter=jitter)
+    return AreaEnv(field, rng.normal(size=36), rng.normal(size=36), cfg)
+
+
+def cell_shift(area, moved, spec):
+    """How many cells (lat, lon) the cell box of each rect of `area` moved
+    to become `moved`'s, one pair per rect."""
+    return [tuple(int(b - a) for a, b in zip(_rect_index_bounds(r, spec)[0::2],
+                                             _rect_index_bounds(m, spec)[0::2]))
+            for r, m in zip(area.rects, moved.rects)]
+
+
+class TestCellGrid:
+    def test_shift_moves_the_box_one_cell_on_its_axis(self):
+        """Each shift action moves the target's cell box by one cell on its
+        axis and by none on the other, and keeps the box's size."""
+        env = cell_grid_env()
+        env.reset(np.random.default_rng(0))
+        for k, action in enumerate(env.actions):
+            area_a, area_b = env.state.area_a, env.state.area_b
+            new_a, new_b = apply_action(area_a, area_b, action, env.config, env.cell)
+            before, after = (area_a, new_a) if action.target == "A" else (area_b, new_b)
+            sign = 1 if action.kind == "shift+" else -1
+            want = (sign, 0) if action.axis == "lat" else (0, sign)
+            assert cell_shift(before, after, env.field.spec) == [want]
+            i0, i1, j0, j1 = _rect_index_bounds(before.rects[0], env.field.spec)
+            k0, k1, l0, l1 = _rect_index_bounds(after.rects[0], env.field.spec)
+            assert (i1 - i0, j1 - j0) == (k1 - k0, l1 - l0)
+            # the environment takes the same move
+            env.step(k)
+            assert (env.state.area_a, env.state.area_b) == (new_a, new_b)
+
+    def test_jitter_lands_on_whole_cells(self):
+        env = cell_grid_env(jitter=2)
+        rng = np.random.default_rng(7)
+        moves = set()
+        for _ in range(20):
+            env.reset(rng)
+            for area, init in ((env.state.area_a, env.config.init_a),
+                               (env.state.area_b, env.config.init_b)):
+                r, r0 = area.rects[0], init.rects[0]
+                i, j = cell_shift(init, area, env.field.spec)[0]
+                assert r.lat_min - r0.lat_min == pytest.approx(i / 3.0, abs=1e-12)
+                assert r.lon_min - r0.lon_min == pytest.approx(j * 0.25, abs=1e-12)
+                assert abs(i) <= 2 and abs(j) <= 2
+                moves.add((i, j))
+        assert len(moves) > 5
 
 
 class ReferenceEnv(AreaEnv):
