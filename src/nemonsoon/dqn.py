@@ -430,10 +430,10 @@ class _Lattice:
     """A template at every pair of `_offsets`' shifts, in lexicographic
     order, each placement's cells as index boxes: the template's boxes
     from `geogrid._rect_cell_span`, moved by the shift and cut to the grid
-    as `geogrid._rect_index_bounds` cuts them. A multi-rect template's
-    cells are the union of its rects' boxes by inclusion-exclusion (every
-    nonempty subset of rects, the intersection of their boxes signed by
-    the subset's size), so a cell in two rects counts once, as in
+    as `geogrid.area_boxes` cuts them. A multi-rect template's cells are
+    the union of its rects' boxes by inclusion-exclusion (every nonempty
+    subset of rects, the intersection of their boxes signed by the
+    subset's size), so a cell in two rects counts once, as in
     `geogrid.area_indices`.
 
     `fits` indexes the placements that meet `index.ocean_series`'s area
@@ -442,7 +442,7 @@ class _Lattice:
     """
 
     def __init__(self, template: AreaSet, offsets: tuple[list, list], spec: geogrid.GridSpec,
-                 ocean: np.ndarray, min_ocean: float, dtype=np.float32):
+                 ocean: np.ndarray, min_ocean: float, dtype):
         self._template, self._spec = template, spec
         shifts = np.array(list(itertools.product(*offsets)), dtype=np.intp).reshape(-1, 2)
         m = len(template.rects)

@@ -12,7 +12,6 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -196,12 +195,6 @@ class AreaSet:
         """Every rect moved by the same (dlat, dlon)."""
         return AreaSet(tuple(r.shifted(dlat, dlon) for r in self.rects))
 
-    @cached_property
-    def key(self) -> tuple[int, ...]:
-        """Hashable key of the geometry, built once per object: every rect bound
-        rounded to 1e-6 degrees, so bounds that drift by float steps share one key."""
-        return tuple(round(v * 1e6) for r in self.rects for v in r.as_list())
-
 
 def inside(domain: Rect, *areas: AreaSet) -> bool:
     """Whether every rect of the areas lies in the closed domain, each bound to within
@@ -238,24 +231,28 @@ class SSTField:
             raise ValueError("non-land SST outside [-5, 45] degC")
 
 
+def area_boxes(area: AreaSet, spec: GridSpec) -> tuple[tuple[int, int, int, int], ...]:
+    """Per rect, in rect order, the box of grid cells whose centres it holds, as
+    inclusive bounds (i0, i1, j0, j1) cut to the grid (empty if i1 < i0 or j1 < j0):
+    the one rect-to-cell rule, and so the key of every per-area cache."""
+    boxes = []  # a loop: this runs on every environment step, and beats a generator
+    for rect in area.rects:
+        i0, i1, j0, j1 = _rect_cell_span(rect, spec)
+        boxes.append((max(0, i0), min(spec.nlat - 1, i1), max(0, j0), min(spec.nlon - 1, j1)))
+    return tuple(boxes)
+
+
 def area_indices(area: AreaSet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the cells whose centres fall inside any of
     the area's closed rects; overlaps counted once, row-major order."""
-    flat = []
-    for rect in area.rects:
-        i0, i1, j0, j1 = _rect_index_bounds(rect, spec)
-        flat.append((np.arange(i0, i1 + 1)[:, None] * spec.nlon + np.arange(j0, j1 + 1)).ravel())
+    flat = [(np.arange(i0, i1 + 1)[:, None] * spec.nlon + np.arange(j0, j1 + 1)).ravel()
+            for i0, i1, j0, j1 in area_boxes(area, spec)]
     # one rect's indices are already sorted and distinct
     return np.divmod(flat[0] if len(flat) == 1 else np.unique(np.concatenate(flat)), spec.nlon)
 
 
-def _rect_index_bounds(rect: Rect, spec: GridSpec) -> tuple[int, int, int, int]:
-    i0, i1, j0, j1 = _rect_cell_span(rect, spec)
-    return max(0, i0), min(spec.nlat - 1, i1), max(0, j0), min(spec.nlon - 1, j1)
-
-
 def _rect_cell_span(rect: Rect, spec: GridSpec) -> tuple[int, int, int, int]:
-    """`_rect_index_bounds` on the grid's lattice extended without end."""
+    """A rect's `area_boxes` box on the grid's lattice extended without end."""
     return (math.ceil((rect.lat_min - spec.lat0) / spec.dlat - _EPS),
             math.floor((rect.lat_max - spec.lat0) / spec.dlat + _EPS),
             math.ceil((rect.lon_min - spec.lon0) / spec.dlon - _EPS),
@@ -274,7 +271,7 @@ def _area_selector(area: AreaSet, spec: GridSpec):
     else `area_indices`."""
     if len(area.rects) > 1:
         return area_indices(area, spec)
-    i0, i1, j0, j1 = _rect_index_bounds(area.rects[0], spec)
+    (i0, i1, j0, j1), = area_boxes(area, spec)
     # an upper bound below zero would wrap round; clamp it to an empty slice
     return slice(i0, max(i0, i1 + 1)), slice(j0, max(j0, j1 + 1))
 

@@ -160,7 +160,7 @@ class PairScorer:
     # arrays, take what three took at 32 rows
     BLOCK_ROWS = 24
 
-    def __init__(self, objective: "PairObjective", series_b: np.ndarray, err_b=0.0):
+    def __init__(self, objective: "PairObjective", series_b: np.ndarray, err_b):
         """The season order and centred target are `objective`'s, and its
         error (too few months in a season, targets off the time axis) is
         raised here. `series_b` is the (n_b, nt) float64 array of B series,
@@ -200,7 +200,7 @@ class PairScorer:
         """The rows of a 2-D block, season-centred, in season order."""
         return _centre(np.take(series, self._order, axis=1), self._seasons)
 
-    def scores(self, series_a, err_a=0.0) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, series_a, err_a) -> tuple[np.ndarray, np.ndarray]:
         """(q, bound), each (len(series_a), n_b): q of each row of the 2-D
         block `series_a` against every B series, NaN marking an invalid
         pair, and the bound on its error. Both are views of buffers that
@@ -278,11 +278,12 @@ class PairObjective:
     `min_ocean`, prepared once. The season masks, the centred target and its
     season products are built here, and each distinct area's `ocean_series`
     outcome (its float32 series in season order, or its violation) is kept
-    in `series`, keyed by `AreaSet.key`. A call on two areas seen before
-    costs one subtraction, `_centre`'s rule on each season's run of months
-    (the same sums as on its gathered copy), one scatter back to time order
-    and two small matmuls, whose BLAS sums then run in time order: the
-    bits of centring and scoring in time order.
+    in `series`, keyed by `geogrid.area_boxes`, so areas with the same cells
+    share one entry (whose violation names the first of them). A call on two
+    areas seen before costs one subtraction, `_centre`'s rule on each
+    season's run of months (the same sums as on its gathered copy), one
+    scatter back to time order and two small matmuls, whose BLAS sums then
+    run in time order: the bits of centring and scoring in time order.
 
     Calls make `evaluate_pair`'s checks in its order: A, then B, then the
     seasons, then the targets' length. The field must not change while the
@@ -318,10 +319,10 @@ class PairObjective:
 
     def _area_series(self, area: AreaSet) -> tuple[np.ndarray | None, str | None]:
         """`ocean_series` of the area, reduced on its first call only."""
-        found = self.series.get(area.key)
+        found = self.series.get(key := geogrid.area_boxes(area, self.field.spec))
         if found is None:
             s, violation = ocean_series(self.field, area, self.min_ocean)
-            found = self.series[area.key] = (None if s is None else s[self._order], violation)
+            found = self.series[key] = (None if s is None else s[self._order], violation)
         return found
 
     def __call__(self, area_a: AreaSet, area_b: AreaSet) -> ObjectiveReport:

@@ -132,9 +132,9 @@ def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
 
 class AreaEnv:
     """Stateful episode environment over one read-only SST field, whose grid
-    cell is the step of every move, and fixed rainfall targets. Objective
-    values are cached per geometry, and scored through one
-    `index.PairObjective`, which reduces each distinct area once."""
+    cell is the step of every move, and fixed rainfall targets. q comes from
+    one `index.PairObjective` and is cached per pair of `geogrid.area_boxes`,
+    so a move that keeps both areas' cells is scored from the cache."""
 
     def __init__(
         self,
@@ -159,7 +159,8 @@ class AreaEnv:
     def _q_of(self, area_a: AreaSet, area_b: AreaSet) -> float | None:
         """Objective of a geometry, or None if the report is invalid (which
         covers a broken area constraint)."""
-        key = area_a.key, area_b.key
+        spec = self.field.spec
+        key = geogrid.area_boxes(area_a, spec), geogrid.area_boxes(area_b, spec)
         if key not in self._q_cache:
             report = self.objective(area_a, area_b)
             self._q_cache[key] = report.q if report.valid else None

@@ -1,0 +1,49 @@
+"""`chain_digest.py` is run by hand, so it runs here on one tiny world, to
+keep it from breaking unseen."""
+
+import hashlib
+import json
+
+import chain_digest
+from nemonsoon.geogrid import AreaSet, Rect
+from nemonsoon.synthdata import RECT_A
+
+STEPS = ["synth", "cluster", "oracle", "optimize shift-only", "optimize shift-resize",
+         "evaluate oracle", "evaluate shift-only", "evaluate shift-resize", "evaluate off-grid"]
+FILES = {
+    "world/sst/grid.json", "world/sst/sst.f32", "world/stations.csv", "world/indices.csv",
+    "world/planted_areas.json", "world/initial_areas.json", "clusters.csv",
+    "oracle/best_areas.json", "off_grid_areas.json",
+    "evaluate-oracle/objective.csv", "evaluate-oracle/index.csv",
+    "evaluate-off-grid/objective.csv",
+    *(f"{mode}/{name}" for mode in chain_digest.MODES
+      for name in ("best_areas.json", "history.csv")),
+    *(f"evaluate-{mode}/{name}" for mode in chain_digest.MODES
+      for name in ("objective.csv", "index.csv")),
+}
+
+
+def test_digests_on_a_tiny_world(capsys):
+    # 1,200 steps: past the DQN's default learn_start, so both modes train
+    chain_digest.main(["--seeds", "0", "--timesteps", "1200", "--years", "6"])
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["timesteps"], doc["years"], list(doc["seeds"])) == (1200, 6, ["0"])
+    got = doc["seeds"]["0"]
+    assert set(got) == {"files", "stdout"}
+    assert set(got["files"]) == FILES
+    assert list(got["stdout"]) == STEPS
+    assert all(len(lines) == 1 for lines in got["stdout"].values())
+    # the oracle recovers the planted areas, and A off the grid is invalid
+    assert got["files"]["oracle/best_areas.json"] == got["files"]["world/planted_areas.json"]
+    off_grid = AreaSet.of(RECT_A).shifted(50.0, 0.0)
+    assert off_grid == AreaSet.of(Rect(53.0, 58.0, 103.0, 108.0))
+    line = f"invalid pair: A: empty area: area covers no grid cells: {off_grid}"
+    assert got["stdout"]["evaluate off-grid"] == [hashlib.sha256(line.encode()).hexdigest()]
+    assert chain_digest.digests([0], 1200, 6) == doc
+
+
+def test_onset_clusters_are_those_mostly_of_s_stations(tmp_path):
+    path = tmp_path / "clusters.csv"
+    path.write_text("cluster_id,station_id\n1,U000\n1,S001\n2,S002\n2,S003\n2,U004\n"
+                    "3,S005\n4,U006\n")
+    assert chain_digest.south_clusters(path) == [2, 3]

@@ -603,8 +603,8 @@ def reference_placements(template, domain, spec):
 def check_lattice(field, template, domain, min_ocean=0.8):
     """The lattice's placements that meet the area constraint are the
     brute-force placements that `index.ocean_series` accepts, in order,
-    and each placed rect's box is `geogrid._rect_index_bounds` of that
-    rect (half-open; an empty box is all zeros). Returns the lattice and
+    and each placed rect's box is its `geogrid.area_boxes` box (half-open;
+    an empty box is all zeros). Returns the lattice and
     `_fill_series`'s peak."""
     (lattice,), peak = _lattices(field, [template], domain, min_ocean)
     want = [area for area in reference_placements(template, domain, field.spec)
@@ -613,10 +613,8 @@ def check_lattice(field, template, domain, min_ocean=0.8):
     assert got == want
     m = len(template.rects)
     for row, area in enumerate(got):
-        boxes = []
-        for rect in area.rects:
-            i0, i1, j0, j1 = geogrid._rect_index_bounds(rect, field.spec)
-            boxes.append([i0, i1 + 1, j0, j1 + 1] if i0 <= i1 and j0 <= j1 else [0] * 4)
+        boxes = [[i0, i1 + 1, j0, j1 + 1] if i0 <= i1 and j0 <= j1 else [0] * 4
+                 for i0, i1, j0, j1 in geogrid.area_boxes(area, field.spec)]
         assert lattice._boxes[row, :m].tolist() == boxes
     return lattice, peak
 
@@ -779,8 +777,8 @@ def _table_world(seed, land, nan_cells, inf_cell, nt=36, nlat=6, nlon=7, **grid)
 
 def _lattices(field, templates, domain, min_ocean):
     ocean = _table(field.ocean_mask()[None].astype(np.int64))
-    lattices = [_Lattice(t, dqn._offsets(t, domain, field.spec), field.spec, ocean, min_ocean)
-                for t in templates]
+    lattices = [_Lattice(t, dqn._offsets(t, domain, field.spec), field.spec, ocean, min_ocean,
+                         np.float32) for t in templates]
     return lattices, _fill_series(field, lattices)
 
 
@@ -859,7 +857,7 @@ class TestTablePath:
         months = (m0 - 1 + np.arange(nt)) % 12 + 1
         block = 20.0 + scale * rng.normal(size=(rows, nt))
         y = rng.normal(size=nt)
-        scorer = index.PairScorer(objective_on(f"2000-{m0:02d}", y, y), block.copy())
+        scorer = index.PairScorer(objective_on(f"2000-{m0:02d}", y, y), block.copy(), 0.0)
         order = np.concatenate([np.flatnonzero(sel) for sel in index.season_masks(months)])
         want = np.array([np.take(season_centre(row, months), order) for row in block])
         assert scorer._centred(block).tobytes() == want.tobytes()
@@ -897,8 +895,8 @@ class TestTablePath:
         # the table alone would pick the other block
         (lat_a, lat_b), _ = _lattices(field, [a, b], domain, 0.8)
         scorer = index.PairScorer(index.PairObjective(field, y_on, y_re),
-                                  lat_b.series.astype(float))
-        q, _ = scorer.scores(lat_a.series)
+                                  lat_b.series.astype(float), 0.0)
+        q, _ = scorer.scores(lat_a.series, 0.0)
         ia, ib = np.unravel_index(np.nanargmax(q), q.shape)
         assert want_b == AreaSet.of(Rect(1.0, 1.5, 100.0, 100.5))
         assert (lat_a.area(ia), lat_b.area(ib)) == (want_a, b)
@@ -940,7 +938,7 @@ class TestCellLattice:
         axes and start on or off the 0.5 degree lattice, with templates of
         up to three rects whose bounds sit on cell centres or off them, A's
         possibly far off the grid: each lattice holds the brute-force
-        placements with `_rect_index_bounds`' boxes, and the oracle's q is
+        placements with `area_boxes`' boxes, and the oracle's q is
         the brute-force loop's (or both raise the same error)."""
         field, y_on, y_re = _table_world(seed, land, nan_cells, False, **_grid(grid))
         a, b = _cell_template(rects_a, grid, far), _cell_template(rects_b, grid)
@@ -962,6 +960,34 @@ class TestCellLattice:
         report = evaluate_pair(field, best_a, best_b, y_on, y_re, min_ocean)
         assert report.valid
         assert abs(report.q - q) <= 1e-12
+
+
+class TestFineGrid:
+    @given(st.integers(0, 10_000))
+    @example(2)
+    @example(4)
+    @settings(max_examples=10, deadline=None)
+    def test_tiny_cells_give_the_half_degree_result(self, seed):
+        """The oracle on a 12 x 12 field of 0.5 degree cells and on a copy
+        of it with 1e-7 degree cells, whose shifts move each bound by less
+        than 1e-6 degrees, returns the same q and the same cells (seeds 2
+        and 4 once found no valid pair on the tiny cells)."""
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(20.0, 1.0, size=(48, 12, 12))
+        y_on, y_re = rng.normal(size=48), rng.normal(size=48)
+        got = []
+        for d in (0.5, 1e-7):
+            field = make_field(vals, dlat=d, dlon=d)
+
+            def block(i, j):  # 3 x 3 cells from cell (i, j), bounds on cell edges
+                return AreaSet.of(Rect((i - 0.5) * d, (i + 2.5) * d,
+                                       100.0 + (j - 0.5) * d, 100.0 + (j + 2.5) * d))
+
+            (a, b), q = exhaustive_search(field, y_on, y_re, block(2, 2), block(7, 7),
+                                          field.spec.domain())
+            got.append((repr(q), geogrid.area_boxes(a, field.spec),
+                        geogrid.area_boxes(b, field.spec)))
+        assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("value", [7.1, 0.3])

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nemonsoon import index
 from nemonsoon.errors import EpisodeOverError, InvalidInitialAreasError
-from nemonsoon.geogrid import AreaSet, Rect, _rect_index_bounds, inside
+from nemonsoon.geogrid import AreaSet, Rect, area_boxes, inside
 from nemonsoon.rl_env import (
     Action,
     AreaEnv,
@@ -21,6 +22,7 @@ from nemonsoon.rl_env import (
     load_areas,
     save_areas,
 )
+from nemonsoon.synthdata import SynthSpec, gen_sst, gen_stations, regime_targets
 
 from conftest import make_field, reference_pair_report
 
@@ -280,9 +282,8 @@ def cell_grid_env(jitter=0):
 def cell_shift(area, moved, spec):
     """How many cells (lat, lon) the cell box of each rect of `area` moved
     to become `moved`'s, one pair per rect."""
-    return [tuple(int(b - a) for a, b in zip(_rect_index_bounds(r, spec)[0::2],
-                                             _rect_index_bounds(m, spec)[0::2]))
-            for r, m in zip(area.rects, moved.rects)]
+    return [(k0 - i0, l0 - j0) for (i0, _, j0, _), (k0, _, l0, _)
+            in zip(area_boxes(area, spec), area_boxes(moved, spec))]
 
 
 class TestCellGrid:
@@ -298,8 +299,8 @@ class TestCellGrid:
             sign = 1 if action.kind == "shift+" else -1
             want = (sign, 0) if action.axis == "lat" else (0, sign)
             assert cell_shift(before, after, env.field.spec) == [want]
-            i0, i1, j0, j1 = _rect_index_bounds(before.rects[0], env.field.spec)
-            k0, k1, l0, l1 = _rect_index_bounds(after.rects[0], env.field.spec)
+            (i0, i1, j0, j1), = area_boxes(before, env.field.spec)
+            (k0, k1, l0, l1), = area_boxes(after, env.field.spec)
             assert (i1 - i0, j1 - j0) == (k1 - k0, l1 - l0)
             # the environment takes the same move
             env.step(k)
@@ -320,6 +321,54 @@ class TestCellGrid:
                 assert abs(i) <= 2 and abs(j) <= 2
                 moves.add((i, j))
         assert len(moves) > 5
+
+
+class TestCellKeys:
+    """The caches know an area by its cells, whatever the cell size."""
+
+    def test_every_action_scores_the_new_cells_on_a_fine_grid(self):
+        """On a 20 x 20 grid of 1e-7 degree cells, where a move changes each
+        bound by less than 1e-6 degrees, each action's q is `evaluate_pair`'s
+        of the new areas."""
+        d, nt = 1e-7, 48
+        rng = np.random.default_rng(0)
+        field = make_field(rng.normal(20.0, 1.0, size=(nt, 20, 20)), dlat=d, dlon=d)
+        y_on, y_re = rng.normal(size=nt), rng.normal(size=nt)
+
+        def block(i, j):  # 4 x 4 cells from cell (i, j), bounds on cell edges
+            return AreaSet.of(Rect((i - 0.5) * d, (i + 3.5) * d,
+                                   100.0 + (j - 0.5) * d, 100.0 + (j + 3.5) * d))
+
+        cfg = EnvConfig(SHIFT_AND_RESIZE, field.spec.domain(), block(4, 4), block(12, 12))
+        env = AreaEnv(field, y_on, y_re, cfg)
+        for k in range(env.n_actions):
+            env.reset(rng)
+            _, reward, _ = env.step(k)
+            state = env.state
+            assert reward != -INVALID_PENALTY
+            assert (state.area_a, state.area_b) != (cfg.init_a, cfg.init_b)
+            assert state.last_q == index.evaluate_pair(field, state.area_a, state.area_b,
+                                                       y_on, y_re).q
+
+    def test_expand_that_keeps_the_cells_is_scored_from_the_cache(self, monkeypatch):
+        """An expand moves each edge of its axis half a cell, so from bounds
+        on cell centres it keeps the area's cells: it adds no area to the
+        objective, reduces none, and its reward is exactly 0."""
+        spec = SynthSpec()
+        field = gen_sst(spec, 0)
+        env = AreaEnv(field, *regime_targets(*gen_stations(spec, 0)),
+                      EnvConfig(SHIFT_AND_RESIZE, field.spec.domain(), *spec.planted_areas()))
+        env.reset(np.random.default_rng(0))
+        assert env.state.area_a == AreaSet.of(Rect(3.0, 8.0, 103.0, 108.0))
+        keys = list(env.objective.series)
+        calls = []
+        ocean_series = index.ocean_series
+        monkeypatch.setattr(index, "ocean_series",
+                            lambda *args: calls.append(args) or ocean_series(*args))
+        _, reward, _ = env.step(env.actions.index(Action("A", "lat", "expand")))
+        assert env.state.area_a == AreaSet.of(Rect(2.75, 8.25, 103.0, 108.0))
+        assert reward == 0.0
+        assert calls == [] and list(env.objective.series) == keys
 
 
 class ReferenceEnv(AreaEnv):
@@ -397,8 +446,8 @@ class TestPairObjectiveEnv:
         env.reset(rng)
         for _ in range(env.config.episode_len):
             env.step(int(rng.integers(env.n_actions)))
-        distinct_a = {a.key for a, _ in env.visited}
-        distinct_b = {b.key for _, b in env.visited}
+        distinct_a = {area_boxes(a, env.field.spec) for a, _ in env.visited}
+        distinct_b = {area_boxes(b, env.field.spec) for _, b in env.visited}
         assert 0 < len(env.objective.series) <= len(distinct_a) + len(distinct_b)
 
     @pytest.mark.parametrize("value", [7.1, 0.3])
