@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nemonsoon.errors import (
@@ -427,6 +427,12 @@ class TestPairObjective:
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=25),
            st.sampled_from(["random", "random", "flat onset", "short"]))
     @settings(max_examples=120, deadline=None)
+    # two areas south of the grid with the same (empty) cell boxes: the
+    # second's violation is the first's, which names the first area
+    @example(seed=0, land=0.0, min_ocean=0.8, targets="random", picks=[(0, 2), (1, 2)],
+             pool=[AreaSet.of(Rect(-1.25, -1.0, 99.5, 100.0)),
+                   AreaSet.of(Rect(-1.25, -0.75, 99.5, 100.0)),
+                   AreaSet.of(Rect(0.0, 1.0, 101.0, 102.0))])
     def test_matches_fresh_evaluate_pair(self, seed, land, min_ocean, pool, picks, targets):
         rng = np.random.default_rng(seed)
         signal = rng.normal(size=_NT)
