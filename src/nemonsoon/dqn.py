@@ -367,7 +367,7 @@ def train_with_net(env_factory, config: DQNConfig):
 
 
 def _maybe_better(env, best_areas, best_q):
-    cand = getattr(env, "current_candidate", lambda: None)()
+    cand = env.current_candidate()
     if cand is not None:
         area_a, area_b, q = cand
         if q is not None and q > best_q:
@@ -390,10 +390,15 @@ def write_history_csv(history: list[HistoryRow], path) -> None:
 MAX_PAIRS = 10 ** 8
 
 
+def _shifted(template: AreaSet, i: int, j: int, spec: geogrid.GridSpec) -> AreaSet:
+    """The template moved i whole cells north and j east (`geogrid.placed`)."""
+    return geogrid.placed(template, ((2 * i, 2 * i, 2 * j, 2 * j),) * len(template.rects), spec)
+
+
 def _offsets(template: AreaSet, domain: Rect, spec: geogrid.GridSpec) -> tuple[list, list]:
     """Whole-cell shifts i and j, per axis, that keep the template moved by
-    (i dlat, j dlon) inside the domain: `geogrid.inside` bounds each axis on
-    its own, so each is tried in the domain's band that the template spans on
+    (i, j) cells inside the domain: `geogrid.inside` bounds each axis on its
+    own, so each is tried in the domain's band that the template spans on
     the other, from one shift past each end of what the rule can admit."""
     bounds = np.array(template.as_lists())
     (lat_lo, lon_lo), (lat_hi, lon_hi) = bounds[:, 0::2].min(axis=0), bounds[:, 1::2].max(axis=0)
@@ -401,10 +406,10 @@ def _offsets(template: AreaSet, domain: Rect, spec: geogrid.GridSpec) -> tuple[l
     lon_band = Rect(lat_lo, lat_hi, domain.lon_min, domain.lon_max)
     return ([i for i in range(math.floor((domain.lat_min - lat_lo) / spec.dlat),
                               math.ceil((domain.lat_max - lat_hi) / spec.dlat) + 1)
-             if geogrid.inside(lat_band, template.shifted(i * spec.dlat, 0.0))],
+             if geogrid.inside(lat_band, _shifted(template, i, 0, spec))],
             [j for j in range(math.floor((domain.lon_min - lon_lo) / spec.dlon),
                               math.ceil((domain.lon_max - lon_hi) / spec.dlon) + 1)
-             if geogrid.inside(lon_band, template.shifted(0.0, j * spec.dlon))])
+             if geogrid.inside(lon_band, _shifted(template, 0, j, spec))])
 
 
 # months per summed-area table: the oracle's float64 tables cover this many
@@ -493,8 +498,7 @@ class _Lattice:
 
     def area(self, row: int) -> AreaSet:
         """The placement of fitting row `row`."""
-        i, j = self._shifts[row]
-        return self._template.shifted(i * self._spec.dlat, j * self._spec.dlon)
+        return _shifted(self._template, *self._shifts[row], self._spec)
 
 
 def _fill_series(field: SSTField, lattices) -> float:

@@ -168,11 +168,6 @@ class Rect:
     def as_list(self) -> list[float]:
         return [self.lat_min, self.lat_max, self.lon_min, self.lon_max]
 
-    def shifted(self, dlat: float, dlon: float) -> "Rect":
-        """This rect moved by dlat degrees north and dlon degrees east."""
-        return Rect(self.lat_min + dlat, self.lat_max + dlat,
-                    self.lon_min + dlon, self.lon_max + dlon)
-
 
 @dataclass(frozen=True)
 class AreaSet:
@@ -192,14 +187,32 @@ class AreaSet:
         return [r.as_list() for r in self.rects]
 
     def shifted(self, dlat: float, dlon: float) -> "AreaSet":
-        """Every rect moved by the same (dlat, dlon)."""
-        return AreaSet(tuple(r.shifted(dlat, dlon) for r in self.rects))
+        """Every rect moved dlat degrees north and dlon east; the search uses `placed`."""
+        return AreaSet(tuple(Rect(r.lat_min + dlat, r.lat_max + dlat, r.lon_min + dlon,
+                                  r.lon_max + dlon) for r in self.rects))
+
+
+def placed(template: AreaSet, counts: tuple, spec: GridSpec) -> AreaSet | None:
+    """The template with each rect's (lat_min, lat_max, lon_min, lon_max) moved by its
+    counts of half cells, each bound rounded once from template bound + count * cell / 2:
+    the one placement rule. Whole-cell shift (i, j) is counts (2i, 2i, 2j, 2j), bit for bit
+    `AreaSet.shifted` by (i dlat, j dlon). None if a resize (unequal counts on an axis)
+    leaves a rect no more than 1e-9 degrees across."""
+    half_lat, half_lon = spec.dlat / 2, spec.dlon / 2
+    rects = []  # a loop: this runs on every environment step
+    for r, (a, b, c, d) in zip(template.rects, counts):
+        lat_min, lat_max = r.lat_min + a * half_lat, r.lat_max + b * half_lat
+        lon_min, lon_max = r.lon_min + c * half_lon, r.lon_max + d * half_lon
+        if a != b and lat_min >= lat_max - _EPS or c != d and lon_min >= lon_max - _EPS:
+            return None
+        rects.append(Rect(lat_min, lat_max, lon_min, lon_max))
+    return AreaSet(tuple(rects))
 
 
 def inside(domain: Rect, *areas: AreaSet) -> bool:
     """Whether every rect of the areas lies in the closed domain, each bound to within
-    1e-9 degrees: the rule for where the search may place an area. A bound that float
-    steps carry past an edge by a rounding (0.05 + 0.1 * k) still lies on it."""
+    1e-9 degrees: the rule for where the search may place an area. A bound that `placed`
+    rounds past an edge (0.05 + 0.1 * k on 0.1 degree cells) still lies on it."""
     return all(domain.lat_min - _EPS <= r.lat_min and r.lat_max <= domain.lat_max + _EPS
                and domain.lon_min - _EPS <= r.lon_min and r.lon_max <= domain.lon_max + _EPS
                for area in areas for r in area.rects)

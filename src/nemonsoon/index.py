@@ -279,11 +279,13 @@ class PairObjective:
     season products are built here, and each distinct area's `ocean_series`
     outcome (its float32 series in season order, or its violation) is kept
     in `series`, keyed by `geogrid.area_boxes`, so areas with the same cells
-    share one entry (whose violation names the first of them). A call on two
-    areas seen before costs one subtraction, `_centre`'s rule on each
-    season's run of months (the same sums as on its gathered copy), one
-    scatter back to time order and two small matmuls, whose BLAS sums then
-    run in time order: the bits of centring and scoring in time order.
+    share one entry (whose violation names the first of them), and each
+    pair's report under the pair of keys, so a pair of cells scored before
+    costs a lookup. A new pair of areas seen before costs one subtraction,
+    `_centre`'s rule on each season's run of months (the same sums as on
+    its gathered copy), one scatter back to time order and two small
+    matmuls, whose BLAS sums then run in time order: the bits of centring
+    and scoring in time order.
 
     Calls make `evaluate_pair`'s checks in its order: A, then B, then the
     seasons, then the targets' length. The field must not change while the
@@ -295,6 +297,7 @@ class PairObjective:
         self.field = field
         self.min_ocean = min_ocean
         self.series: dict[tuple, tuple[np.ndarray | None, str | None]] = {}
+        self._reports: dict[tuple, ObjectiveReport] = {}  # by the pair's `series` keys
         self._order = slice(None)
         # too few months in a season is reported, targets off the time axis
         # raised, but only once both areas have passed
@@ -317,21 +320,24 @@ class PairObjective:
         self._diff, (self._row, self._sq) = np.empty(len(target)), np.empty((2, 1, len(target)))
         self._step = np.empty(len(target) - 1, dtype=bool)
 
-    def _area_series(self, area: AreaSet) -> tuple[np.ndarray | None, str | None]:
-        """`ocean_series` of the area, reduced on its first call only."""
-        found = self.series.get(key := geogrid.area_boxes(area, self.field.spec))
-        if found is None:
-            s, violation = ocean_series(self.field, area, self.min_ocean)
-            found = self.series[key] = (None if s is None else s[self._order], violation)
-        return found
-
     def __call__(self, area_a: AreaSet, area_b: AreaSet) -> ObjectiveReport:
+        spec = self.field.spec
+        keys = geogrid.area_boxes(area_a, spec), geogrid.area_boxes(area_b, spec)
+        report = self._reports.get(keys)
+        if report is None:
+            report = self._reports[keys] = self._score(area_a, area_b, keys)
+        return report
+
+    def _score(self, area_a: AreaSet, area_b: AreaSet, keys: tuple) -> ObjectiveReport:
         series = []
-        for label, area in (("A", area_a), ("B", area_b)):
-            s, violation = self._area_series(area)
-            if s is None:
-                return _invalid(f"{label}: {violation}")
-            series.append(s)
+        for label, area, key in zip("AB", (area_a, area_b), keys):
+            found = self.series.get(key)
+            if found is None:  # the area's first call: reduce it
+                s, violation = ocean_series(self.field, area, self.min_ocean)
+                found = self.series[key] = (None if s is None else s[self._order], violation)
+            if found[0] is None:
+                return _invalid(f"{label}: {found[1]}")
+            series.append(found[0])
         if isinstance(self._error, InsufficientSeasonSamplesError):
             return _invalid(str(self._error))
         if self._error is not None:

@@ -1,5 +1,5 @@
 """Sequential decision environment over rectangle placements: discrete
-shift/resize actions by grid cells, constraint checking, delta-q reward."""
+shift/resize actions by half grid cells, constraint checking, delta-q reward."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import geogrid, index
 from .errors import ConfigError, EpisodeOverError, InvalidInitialAreasError
-from .geogrid import AreaSet, Rect, SSTField
+from .geogrid import AreaSet, GridSpec, Rect, SSTField
 
 SHIFT_ONLY = "shift-only"
 SHIFT_AND_RESIZE = "shift-resize"
@@ -72,45 +72,26 @@ class EnvState:
     last_q: float
 
 
-# steps each kind moves its axis's (min, max) edges by; a resize keeps the centre
-_EDGE_STEPS = {"shift+": (1.0, 1.0), "shift-": (-1.0, -1.0),
-               "expand": (-0.5, 0.5), "shrink": (0.5, -0.5)}
+# half cells each kind moves its axis's (min, max) edges by; a resize keeps the centre
+_EDGE_STEPS = {"shift+": (2, 2), "shift-": (-2, -2), "expand": (-1, 1), "shrink": (1, -1)}
 
 
-def _move_rect(rect: Rect, action: Action, step: float) -> Rect | None:
-    lat_min, lat_max = rect.lat_min, rect.lat_max
-    lon_min, lon_max = rect.lon_min, rect.lon_max
+def apply_action(counts: tuple, action: Action, config: EnvConfig,
+                 spec: GridSpec) -> tuple[tuple, AreaSet] | None:
+    """Apply one action to the half-cell counts that place its target's
+    template (`geogrid.placed`): a shift moves both edges of its axis one
+    cell, a resize each edge half a cell. Returns the new counts and the
+    area they place, or None if the move kills an extent or leaves the
+    domain. The ocean constraint is the objective's to check."""
     lo, hi = _EDGE_STEPS[action.kind]
     if action.axis == "lat":
-        lat_min, lat_max = lat_min + lo * step, lat_max + hi * step
+        moved = tuple((a + lo, b + hi, c, d) for a, b, c, d in counts)
     else:
-        lon_min, lon_max = lon_min + lo * step, lon_max + hi * step
-    if lat_min >= lat_max - 1e-9 or lon_min >= lon_max - 1e-9:
+        moved = tuple((a, b, c + lo, d + hi) for a, b, c, d in counts)
+    area = geogrid.placed(config.init_a if action.target == "A" else config.init_b, moved, spec)
+    if area is None or not geogrid.inside(config.domain, area):
         return None
-    return Rect(lat_min, lat_max, lon_min, lon_max)
-
-
-def apply_action(
-    area_a: AreaSet,
-    area_b: AreaSet,
-    action: Action,
-    config: EnvConfig,
-    cell: dict[str, float],
-) -> tuple[AreaSet, AreaSet] | None:
-    """Apply one action, whose step is the grid's `cell` size on its axis;
-    returns the new (A, B) or None if the move kills an extent or leaves
-    the domain. The ocean constraint is the objective's to check."""
-    target = area_a if action.target == "A" else area_b
-    moved = []
-    for rect in target.rects:
-        new = _move_rect(rect, action, cell[action.axis])
-        if new is None:
-            return None
-        moved.append(new)
-    new_area = AreaSet(tuple(moved))
-    if not geogrid.inside(config.domain, new_area):
-        return None
-    return (new_area, area_b) if action.target == "A" else (area_a, new_area)
+    return moved, area
 
 
 def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
@@ -131,10 +112,11 @@ def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
 
 
 class AreaEnv:
-    """Stateful episode environment over one read-only SST field, whose grid
-    cell is the step of every move, and fixed rainfall targets. q comes from
-    one `index.PairObjective` and is cached per pair of `geogrid.area_boxes`,
-    so a move that keeps both areas' cells is scored from the cache."""
+    """Stateful episode environment over one read-only SST field and fixed
+    rainfall targets. Each area is its configured template placed by integer
+    counts of half grid cells (`geogrid.placed`), so moves add up no
+    roundings. q comes from one `index.PairObjective`, whose cache knows a
+    pair by its cells, so a move that keeps both areas' cells is a lookup."""
 
     def __init__(
         self,
@@ -145,26 +127,19 @@ class AreaEnv:
     ):
         self.field = field
         self.config = config
-        self.cell = {"lat": field.spec.dlat, "lon": field.spec.dlon}
         self.actions = enumerate_actions(config.mode)
         self.n_actions = len(self.actions)
         self.obs_dim = len(encode_state(config.init_a, config.init_b, config.domain))
         self.objective = index.PairObjective(field, y_onset, y_retreat, config.min_ocean)
-        self._q_cache: dict[tuple, float | None] = {}
+        self._counts: dict[str, tuple] = {}  # per target, the counts that place the state's area
         self.state: EnvState | None = None
         self._done = True
-
-    # -- objective plumbing ------------------------------------------------
 
     def _q_of(self, area_a: AreaSet, area_b: AreaSet) -> float | None:
         """Objective of a geometry, or None if the report is invalid (which
         covers a broken area constraint)."""
-        spec = self.field.spec
-        key = geogrid.area_boxes(area_a, spec), geogrid.area_boxes(area_b, spec)
-        if key not in self._q_cache:
-            report = self.objective(area_a, area_b)
-            self._q_cache[key] = report.q if report.valid else None
-        return self._q_cache[key]
+        report = self.objective(area_a, area_b)
+        return report.q if report.valid else None
 
     # -- episode lifecycle -------------------------------------------------
 
@@ -173,28 +148,27 @@ class AreaEnv:
         if not geogrid.inside(cfg.domain, cfg.init_a, cfg.init_b) \
                 or self._q_of(cfg.init_a, cfg.init_b) is None:
             raise InvalidInitialAreasError("configured initial areas violate constraints")
-        for _ in range(1000):
-            area_a = self._jitter_area(cfg.init_a, rng)
-            area_b = self._jitter_area(cfg.init_b, rng)
-            if geogrid.inside(cfg.domain, area_a, area_b):
-                q = self._q_of(area_a, area_b)
-                if q is not None:
-                    break
-        else:  # pragma: no cover - jitter always admits the unjittered areas
-            area_a, area_b = cfg.init_a, cfg.init_b
-            q = self._q_of(area_a, area_b)
+        # 1000 jittered tries, then the unjittered areas, which pass
+        for jitter in [cfg.jitter] * 1000 + [0]:
+            (counts_a, area_a), (counts_b, area_b) = (self._jitter(template, rng, jitter)
+                                                      for template in (cfg.init_a, cfg.init_b))
+            if geogrid.inside(cfg.domain, area_a, area_b) \
+                    and (q := self._q_of(area_a, area_b)) is not None:
+                break
+        self._counts = {"A": counts_a, "B": counts_b}
         self.state = EnvState(area_a, area_b, t_step=0, last_q=q)
         self._done = False
         return encode_state(area_a, area_b, cfg.domain)
 
-    def _jitter_area(self, area: AreaSet, rng: np.random.Generator) -> AreaSet:
-        j = self.config.jitter
-        if j == 0:
-            return area
-        # whole cells: one (lat, lon) count per rect, drawn in that order
-        return AreaSet(tuple(r.shifted(int(rng.integers(-j, j + 1)) * self.cell["lat"],
-                                       int(rng.integers(-j, j + 1)) * self.cell["lon"])
-                             for r in area.rects))
+    def _jitter(self, template: AreaSet, rng: np.random.Generator,
+                jitter: int) -> tuple[tuple, AreaSet]:
+        """Counts moving each rect of the template up to `jitter` whole cells per
+        axis, drawn (lat, lon) per rect, and their area; for 0, the template."""
+        if jitter == 0:
+            return ((0, 0, 0, 0),) * len(template.rects), template
+        draws = [2 * int(rng.integers(-jitter, jitter + 1)) for _ in range(2 * len(template.rects))]
+        counts = tuple((i, i, j, j) for i, j in zip(draws[::2], draws[1::2]))
+        return counts, geogrid.placed(template, counts, self.field.spec)
 
     def step(self, action_idx: int) -> tuple[np.ndarray, float, bool]:
         if self._done or self.state is None:
@@ -202,14 +176,16 @@ class AreaEnv:
         cfg = self.config
         st = self.state
         action = self.actions[action_idx]
-        result = apply_action(st.area_a, st.area_b, action, cfg, self.cell)
-        new_q = self._q_of(*result) if result is not None else None
-        if result is None or new_q is None:
+        moved = apply_action(self._counts[action.target], action, cfg, self.field.spec)
+        if moved is not None:
+            areas = (moved[1], st.area_b) if action.target == "A" else (st.area_a, moved[1])
+        if moved is None or (new_q := self._q_of(*areas)) is None:
             reward = -INVALID_PENALTY
             next_state = EnvState(st.area_a, st.area_b, st.t_step + 1, st.last_q)
         else:
             reward = new_q - st.last_q
-            next_state = EnvState(result[0], result[1], st.t_step + 1, new_q)
+            self._counts[action.target] = moved[0]
+            next_state = EnvState(*areas, st.t_step + 1, new_q)
         self.state = next_state
         self._done = next_state.t_step >= cfg.episode_len
         obs = encode_state(next_state.area_a, next_state.area_b, cfg.domain)

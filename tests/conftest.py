@@ -155,3 +155,7 @@ class ChainEnv:
         reward = 1.0 if self.pos == self.N - 1 else 0.0
         done = self.pos == self.N - 1
         return self._obs(), reward, done
+
+    def current_candidate(self):
+        """No areas to offer the best-state tracking."""
+        return None

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemonsoon import index
+from nemonsoon import dqn, geogrid, index
 from nemonsoon.errors import EpisodeOverError, InvalidInitialAreasError
-from nemonsoon.geogrid import AreaSet, Rect, area_boxes, inside
+from nemonsoon.geogrid import AreaSet, GridSpec, Rect, area_boxes, inside
 from nemonsoon.rl_env import (
     Action,
     AreaEnv,
@@ -13,7 +13,6 @@ from nemonsoon.rl_env import (
     INVALID_PENALTY,
     SHIFT_AND_RESIZE,
     SHIFT_ONLY,
-    _move_rect,
     apply_action,
     areas_from_json,
     areas_to_json,
@@ -28,7 +27,8 @@ from conftest import make_field, reference_pair_report
 
 
 DOMAIN = Rect(0.0, 10.0, 100.0, 110.0)
-HALF_DEGREE = {"lat": 0.5, "lon": 0.5}  # make_env's cell size
+HALF_DEGREE = GridSpec(0.0, 100.0, 0.5, 0.5, 21, 21, "2000-01", 36)  # make_env's grid
+STILL = ((0, 0, 0, 0),)  # the counts of a one-rect template in place
 
 
 def make_env(nt=36, jitter=0, mode=SHIFT_ONLY, episode_len=8, cell=0.5):
@@ -50,7 +50,7 @@ def make_env(nt=36, jitter=0, mode=SHIFT_ONLY, episode_len=8, cell=0.5):
 
 
 def reference_move_rect(rect, action, step):
-    """The rule `_move_rect` replaced: one branch per kind and axis."""
+    """The rule `apply_action` replaced: one branch per kind and axis."""
     lat_min, lat_max = rect.lat_min, rect.lat_max
     lon_min, lon_max = rect.lon_min, rect.lon_max
     sign = 1.0 if action.kind in ("shift+", "expand") else -1.0
@@ -75,7 +75,7 @@ def reference_move_rect(rect, action, step):
 
 
 def reference_jitter_area(area, rng, jitter, step):
-    """The jitter `AreaEnv` drew before `Rect.shifted`: per rect, dlat then dlon."""
+    """The jitter `AreaEnv` drew before half-cell counts: per rect, dlat then dlon."""
     rects = []
     for r in area.rects:
         dlat = int(rng.integers(-jitter, jitter + 1)) * step
@@ -95,17 +95,15 @@ class TestActions:
 
     def test_shift_is_rigid(self):
         r = Rect(2.0, 4.0, 102.0, 104.0)
-        moved = _move_rect(r, Action("A", "lat", "shift+"), 0.5)
-        assert moved == Rect(2.5, 4.5, 102.0, 104.0)
-        back = _move_rect(moved, Action("A", "lat", "shift-"), 0.5)
-        assert back == r
+        counts, moved = move(STILL, Action("A", "lat", "shift+"), r, 0.5)
+        assert (counts, moved) == (((2, 2, 0, 0),), AreaSet.of(Rect(2.5, 4.5, 102.0, 104.0)))
+        assert move(counts, Action("A", "lat", "shift-"), r, 0.5) == (STILL, AreaSet.of(r))
 
     def test_resize_symmetric_about_center(self):
         r = Rect(2.0, 4.0, 102.0, 104.0)
-        grown = _move_rect(r, Action("A", "lon", "expand"), 0.5)
-        assert grown == Rect(2.0, 4.0, 101.75, 104.25)
-        shrunk = _move_rect(grown, Action("A", "lon", "shrink"), 0.5)
-        assert shrunk == r
+        counts, grown = move(STILL, Action("A", "lon", "expand"), r, 0.5)
+        assert (counts, grown) == (((0, 0, -1, 1),), AreaSet.of(Rect(2.0, 4.0, 101.75, 104.25)))
+        assert move(counts, Action("A", "lon", "shrink"), r, 0.5) == (STILL, AreaSet.of(r))
 
     @settings(max_examples=200, deadline=None)
     @given(bounds=st.lists(st.sampled_from([-0.0, 0.0, -0.5, 0.1, 0.25, 1.0 / 3.0, 2.0, 7.3]),
@@ -114,33 +112,42 @@ class TestActions:
            step=st.sampled_from([0.25, 0.5, 0.1, 1.0 / 3.0]),
            action=st.sampled_from(enumerate_actions(SHIFT_AND_RESIZE)))
     def test_matches_four_branch_rule(self, bounds, extent, step, action):
-        """Bit for bit, signed zeros included: an untouched edge keeps -0.0."""
+        """Bit for bit, but for one signed zero: every bound is rebuilt from
+        the template, so an untouched -0.0 edge becomes 0.0."""
         lat_min, lat_max, lon_min, lon_max = bounds
         r = Rect(lat_min, max(lat_max, lat_min + extent), lon_min, max(lon_max, lon_min + extent))
-        got, want = _move_rect(r, action, step), reference_move_rect(r, action, step)
+        got, want = move(STILL, action, r, step), reference_move_rect(r, action, step)
         assert (got is None) == (want is None)
         if got is not None:
-            assert np.array(got.as_list()).tobytes() == np.array(want.as_list()).tobytes()
+            (got,) = got[1].rects
+            assert np.array(got.as_list()).tobytes() == (np.array(want.as_list()) + 0.0).tobytes()
 
     def test_shrink_to_nothing_invalid(self):
         r = Rect(2.0, 2.4, 102.0, 104.0)
-        assert _move_rect(r, Action("A", "lat", "shrink"), 0.5) is None
+        assert move(STILL, Action("A", "lat", "shrink"), r, 0.5) is None
 
     def test_domain_exit_invalid(self):
         cfg = EnvConfig(SHIFT_ONLY, DOMAIN,
                         AreaSet.of(Rect(0.0, 2.0, 102.0, 104.0)),
                         AreaSet.of(Rect(6.0, 8.0, 106.0, 108.0)))
-        out = apply_action(cfg.init_a, cfg.init_b, Action("A", "lat", "shift-"), cfg, HALF_DEGREE)
-        assert out is None
+        assert apply_action(STILL, Action("A", "lat", "shift-"), cfg, HALF_DEGREE) is None
 
     def test_only_target_moves(self):
-        cfg = EnvConfig(SHIFT_ONLY, DOMAIN,
-                        AreaSet.of(Rect(2.0, 4.0, 102.0, 104.0)),
-                        AreaSet.of(Rect(6.0, 8.0, 106.0, 108.0)))
-        new_a, new_b = apply_action(cfg.init_a, cfg.init_b, Action("B", "lon", "shift+"), cfg,
-                                    HALF_DEGREE)
-        assert new_a == cfg.init_a
-        assert new_b.rects[0] == Rect(6.0, 8.0, 106.5, 108.5)
+        env = make_env()
+        env.reset(np.random.default_rng(0))
+        env.step(env.actions.index(Action("B", "lon", "shift+")))
+        assert env.state.area_a is env.config.init_a
+        assert env.state.area_b == AreaSet.of(Rect(6.0, 8.0, 106.5, 108.5))
+
+
+def move(counts, action, rect, step):
+    """`apply_action` on a one-rect template `rect` (both targets'), from
+    `counts`, on a grid of `step` degree cells, in a domain that holds any
+    move."""
+    spec = GridSpec(0.0, 0.0, step, step, 1, 1, "2000-01", 1)
+    cfg = EnvConfig(SHIFT_AND_RESIZE, Rect(-90.0, 90.0, -360.0, 360.0),
+                    AreaSet.of(rect), AreaSet.of(rect))
+    return apply_action(counts, action, cfg, spec)
 
 
 class TestEncoding:
@@ -229,8 +236,8 @@ class TestEpisode:
             for area, init in ((env.state.area_a, env.config.init_a),
                                (env.state.area_b, env.config.init_b)):
                 r, r0 = area.rects[0], init.rects[0]
-                dlat = (r.lat_min - r0.lat_min) / env.cell["lat"]
-                dlon = (r.lon_min - r0.lon_min) / env.cell["lon"]
+                dlat = (r.lat_min - r0.lat_min) / env.field.spec.dlat
+                dlon = (r.lon_min - r0.lon_min) / env.field.spec.dlon
                 assert dlat == pytest.approx(round(dlat))
                 assert abs(dlat) <= 2 and abs(dlon) <= 2
                 assert r.lat_max - r.lat_min == pytest.approx(r0.lat_max - r0.lat_min)
@@ -245,7 +252,7 @@ class TestEpisode:
         area = AreaSet.of(Rect(-0.0, 2.0, 102.0, 104.0), Rect(3.0, 4.5, 101.0, 103.0))
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(20):
-            got = env._jitter_area(area, got_rng)
+            got = env._jitter(area, got_rng, jitter)[1]
             want = reference_jitter_area(area, want_rng, jitter, step)
             assert np.array(got.as_lists()).tobytes() == np.array(want.as_lists()).tobytes()
         assert got_rng.random() == want_rng.random()
@@ -265,7 +272,7 @@ class TestEpisode:
         q1 = env._q_of(a, b)
         q2 = env._q_of(a, b)
         assert q1 == q2
-        assert len(env._q_cache) == 1
+        assert len(env.objective._reports) == 1
 
 
 def cell_grid_env(jitter=0):
@@ -294,8 +301,9 @@ class TestCellGrid:
         env.reset(np.random.default_rng(0))
         for k, action in enumerate(env.actions):
             area_a, area_b = env.state.area_a, env.state.area_b
-            new_a, new_b = apply_action(area_a, area_b, action, env.config, env.cell)
-            before, after = (area_a, new_a) if action.target == "A" else (area_b, new_b)
+            _, after = apply_action(env._counts[action.target], action, env.config, env.field.spec)
+            before = area_a if action.target == "A" else area_b
+            new_a, new_b = (after, area_b) if action.target == "A" else (area_a, after)
             sign = 1 if action.kind == "shift+" else -1
             want = (sign, 0) if action.axis == "lat" else (0, sign)
             assert cell_shift(before, after, env.field.spec) == [want]
@@ -369,6 +377,99 @@ class TestCellKeys:
         assert env.state.area_a == AreaSet.of(Rect(2.75, 8.25, 103.0, 108.0))
         assert reward == 0.0
         assert calls == [] and list(env.objective.series) == keys
+
+
+class TestHalfCellCounts:
+    """Areas are their templates moved by integer counts of half cells, so
+    no sequence of moves adds up roundings."""
+
+    @pytest.mark.parametrize("cell, n", [(1e-5, 40), (1e-3, 300), (1e-2, 2100)])
+    def test_shifts_keep_the_columns_on_fine_grids(self, cell, n):
+        """On a 6 x (n + 20) grid of `cell` degree cells at lon0 = 100, a
+        3 x 5 cell A with its bounds on cell centres, from the first column,
+        moved east one cell n times, keeps its 5 columns at every move and
+        ends exactly n cells east. Adding the cell size to the bounds at
+        each move changed the column count at move 4, 210 and 1,955."""
+        rng = np.random.default_rng(0)
+        field = make_field(rng.uniform(15, 25, size=(24, 6, n + 20)), dlat=cell, dlon=cell)
+
+        def block(i, j):  # 3 x 5 cells from cell (i, j), bounds on cell centres
+            return AreaSet.of(Rect(i * cell, (i + 2) * cell,
+                                   100.0 + j * cell, 100.0 + (j + 4) * cell))
+
+        cfg = EnvConfig(SHIFT_ONLY, field.spec.domain(), block(0, 0), block(3, 0), episode_len=n)
+        env = AreaEnv(field, rng.normal(size=24), rng.normal(size=24), cfg)
+        env.reset(rng)
+        east = env.actions.index(Action("A", "lon", "shift+"))
+        for k in range(1, n + 1):
+            _, reward, _ = env.step(east)
+            assert reward != -INVALID_PENALTY
+            assert area_boxes(env.state.area_a, field.spec) == ((0, 2, k, 4 + k),), k
+        assert env.state.area_a == cfg.init_a.shifted(0.0, n * cell)
+
+    def test_a_new_pair_computes_each_areas_boxes_once(self, monkeypatch):
+        """A step onto a pair not scored before, of areas whose series are
+        held, computes each area's cell boxes once and reduces nothing; a
+        pair scored before does the same."""
+        env = make_env()
+        env.reset(np.random.default_rng(0))
+        a_east, a_west, b_east = (env.actions.index(Action(t, "lon", kind))
+                                  for t, kind in (("A", "shift+"), ("A", "shift-"), ("B", "shift+")))
+        env.step(a_east)
+        env.step(b_east)  # A and B one cell east; both start cells are held
+        keys = list(env.objective.series)
+        calls = []
+        boxes = geogrid.area_boxes
+        monkeypatch.setattr(geogrid, "area_boxes", lambda *args: calls.append(args) or boxes(*args))
+        for k in (a_west, a_east):  # A back to its start cells, then a repeated pair
+            calls.clear()
+            _, reward, _ = env.step(k)
+            assert reward != -INVALID_PENALTY
+            assert [area for area, _ in calls] == [env.state.area_a, env.state.area_b]
+            assert list(env.objective.series) == keys
+
+    @settings(max_examples=40, deadline=None)
+    @given(dlat=st.sampled_from([0.5, 1.0 / 3.0, 0.25, 0.1]),
+           dlon=st.sampled_from([0.5, 1.0 / 3.0, 0.25, 0.1]),
+           lat0=st.sampled_from([0.1, -0.07, 10.3]),
+           lon0=st.sampled_from([100.05, 99.9, -40.2]),
+           actions=st.lists(st.integers(0, 7), max_size=40))
+    def test_shifts_walk_the_oracle_lattice(self, dlat, dlon, lat0, lon0, actions):
+        """Every area a random run of shifts reaches is, bit for bit, the
+        oracle's placement of its template at the same net shift
+        (`dqn._Lattice`), and its cell boxes are the template's moved by that
+        shift. A's bounds lie on cell centres, B's two rects' off them."""
+        rng = np.random.default_rng(len(actions))
+        field = make_field(rng.uniform(15, 25, size=(24, 12, 12)), lat0=lat0, lon0=lon0,
+                           dlat=dlat, dlon=dlon)
+        spec = field.spec
+
+        def rect(i0, i1, j0, j1):  # bounds i0..i1 rows and j0..j1 columns from cell (0, 0)
+            return Rect(lat0 + i0 * dlat, lat0 + i1 * dlat, lon0 + j0 * dlon, lon0 + j1 * dlon)
+
+        templates = {"A": AreaSet.of(rect(2, 4, 3, 6)),
+                     "B": AreaSet.of(rect(6.2, 8.7, 5.6, 7.1), rect(7.3, 9.1, 6.4, 9.2))}
+        env = AreaEnv(field, rng.normal(size=24), rng.normal(size=24),
+                      EnvConfig(SHIFT_ONLY, spec.domain(), templates["A"], templates["B"],
+                                episode_len=len(actions) + 1))
+        env.reset(rng)
+        ocean = dqn._table(field.ocean_mask()[None].astype(np.int64))
+        net = {"A": [0, 0], "B": [0, 0]}
+        for k in actions:
+            action = env.actions[k]
+            before = env.state.area_a, env.state.area_b
+            env.step(k)
+            area = env.state.area_a if action.target == "A" else env.state.area_b
+            if (env.state.area_a, env.state.area_b) == before:
+                continue  # refused
+            net[action.target][action.axis == "lon"] += 1 if action.kind == "shift+" else -1
+            i, j = net[action.target]
+            template = templates[action.target]
+            lattice = dqn._Lattice(template, ([i], [j]), spec, ocean, 0.8, np.float32)
+            assert np.array(area.as_lists()).tobytes() == \
+                np.array(lattice.area(0).as_lists()).tobytes()
+            assert area_boxes(area, spec) == tuple((i0 + i, i1 + i, j0 + j, j1 + j) for
+                                                   i0, i1, j0, j1 in area_boxes(template, spec))
 
 
 class ReferenceEnv(AreaEnv):
