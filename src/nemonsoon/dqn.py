@@ -392,7 +392,7 @@ MAX_PAIRS = 10 ** 8
 
 def _shifted(template: AreaSet, i: int, j: int, spec: geogrid.GridSpec) -> AreaSet:
     """The template moved i whole cells north and j east (`geogrid.placed`)."""
-    return geogrid.placed(template, ((2 * i, 2 * i, 2 * j, 2 * j),) * len(template.rects), spec)
+    return geogrid.placed(template, (2 * i, 2 * i, 2 * j, 2 * j), spec)
 
 
 def _offsets(template: AreaSet, domain: Rect, spec: geogrid.GridSpec) -> tuple[list, list]:

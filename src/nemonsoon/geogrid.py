@@ -18,6 +18,8 @@ import numpy as np
 from .errors import EmptyAreaError, FormatError, NoOceanCellsError
 
 _EPS = 1e-9
+_ULP4_360 = 4 * math.ulp(360.0)  # areas files lie within ±360° (`rl_env.GLOBE`)
+_FINE_CELL = _ULP4_360 / _EPS  # 2.3e-4°: on finer cells 1e-9 cell is below 4 ulp(360°)
 _YM_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 GRID_JSON_KEYS = {"lat0", "lon0", "dlat", "dlon", "nlat", "nlon", "t0", "nt"}
@@ -193,14 +195,14 @@ class AreaSet:
 
 
 def placed(template: AreaSet, counts: tuple, spec: GridSpec) -> AreaSet | None:
-    """The template with each rect's (lat_min, lat_max, lon_min, lon_max) moved by its
-    counts of half cells, each bound rounded once from template bound + count * cell / 2:
-    the one placement rule. Whole-cell shift (i, j) is counts (2i, 2i, 2j, 2j), bit for bit
-    `AreaSet.shifted` by (i dlat, j dlon). None if a resize (unequal counts on an axis)
-    leaves a rect no more than 1e-9 degrees across."""
-    half_lat, half_lon = spec.dlat / 2, spec.dlon / 2
+    """The template with every rect's (lat_min, lat_max, lon_min, lon_max) moved by the one
+    vector of half-cell counts, each bound rounded once from template bound + count * cell / 2:
+    the one placement rule, so an area moves as one. Whole-cell shift (i, j) is counts
+    (2i, 2i, 2j, 2j), bit for bit `AreaSet.shifted` by (i dlat, j dlon). None if a resize
+    (unequal counts on an axis) leaves a rect no more than 1e-9 degrees across."""
+    (a, b, c, d), half_lat, half_lon = counts, spec.dlat / 2, spec.dlon / 2
     rects = []  # a loop: this runs on every environment step
-    for r, (a, b, c, d) in zip(template.rects, counts):
+    for r in template.rects:
         lat_min, lat_max = r.lat_min + a * half_lat, r.lat_max + b * half_lat
         lon_min, lon_max = r.lon_min + c * half_lon, r.lon_max + d * half_lon
         if a != b and lat_min >= lat_max - _EPS or c != d and lon_min >= lon_max - _EPS:
@@ -265,11 +267,15 @@ def area_indices(area: AreaSet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
 
 
 def _rect_cell_span(rect: Rect, spec: GridSpec) -> tuple[int, int, int, int]:
-    """A rect's `area_boxes` box on the grid's lattice extended without end."""
-    return (math.ceil((rect.lat_min - spec.lat0) / spec.dlat - _EPS),
-            math.floor((rect.lat_max - spec.lat0) / spec.dlat + _EPS),
-            math.ceil((rect.lon_min - spec.lon0) / spec.dlon - _EPS),
-            math.floor((rect.lon_max - spec.lon0) / spec.dlon + _EPS))
+    """A rect's `area_boxes` box on the grid's lattice extended without end. A bound holds
+    a cell centre it misses by max(1e-9 cell, 4 ulp(360°) / cell): the second forgives a
+    bound's own rounding and one rounding in `placed` on cells finer than `_FINE_CELL`."""
+    tol_lat = _EPS if spec.dlat >= _FINE_CELL else _ULP4_360 / spec.dlat  # no max(): per step
+    tol_lon = _EPS if spec.dlon >= _FINE_CELL else _ULP4_360 / spec.dlon
+    return (math.ceil((rect.lat_min - spec.lat0) / spec.dlat - tol_lat),
+            math.floor((rect.lat_max - spec.lat0) / spec.dlat + tol_lat),
+            math.ceil((rect.lon_min - spec.lon0) / spec.dlon - tol_lon),
+            math.floor((rect.lon_max - spec.lon0) / spec.dlon + tol_lon))
 
 
 def area_cells(area: AreaSet, spec: GridSpec) -> set[tuple[int, int]]:

@@ -78,16 +78,13 @@ _EDGE_STEPS = {"shift+": (2, 2), "shift-": (-2, -2), "expand": (-1, 1), "shrink"
 
 def apply_action(counts: tuple, action: Action, config: EnvConfig,
                  spec: GridSpec) -> tuple[tuple, AreaSet] | None:
-    """Apply one action to the half-cell counts that place its target's
-    template (`geogrid.placed`): a shift moves both edges of its axis one
-    cell, a resize each edge half a cell. Returns the new counts and the
-    area they place, or None if the move kills an extent or leaves the
-    domain. The ocean constraint is the objective's to check."""
-    lo, hi = _EDGE_STEPS[action.kind]
-    if action.axis == "lat":
-        moved = tuple((a + lo, b + hi, c, d) for a, b, c, d in counts)
-    else:
-        moved = tuple((a, b, c + lo, d + hi) for a, b, c, d in counts)
+    """Apply one action to the one vector of half-cell counts that places its
+    target's template (`geogrid.placed`), so the area moves as one: a shift
+    moves both edges of its axis one cell, a resize each edge half a cell.
+    Returns the new counts and the area they place, or None if the move kills
+    an extent or leaves the domain. The ocean constraint is the objective's."""
+    (lo, hi), (a, b, c, d) = _EDGE_STEPS[action.kind], counts
+    moved = (a + lo, b + hi, c, d) if action.axis == "lat" else (a, b, c + lo, d + hi)
     area = geogrid.placed(config.init_a if action.target == "A" else config.init_b, moved, spec)
     if area is None or not geogrid.inside(config.domain, area):
         return None
@@ -113,10 +110,10 @@ def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
 
 class AreaEnv:
     """Stateful episode environment over one read-only SST field and fixed
-    rainfall targets. Each area is its configured template placed by integer
-    counts of half grid cells (`geogrid.placed`), so moves add up no
-    roundings. q comes from one `index.PairObjective`, whose cache knows a
-    pair by its cells, so a move that keeps both areas' cells is a lookup."""
+    rainfall targets. Each area is its configured template placed by one
+    vector of half-cell counts (`geogrid.placed`), so it moves as one and
+    moves add up no roundings. q comes from one `index.PairObjective`, whose
+    cache knows a pair by its cells: a move that keeps both areas' cells is a lookup."""
 
     def __init__(
         self,
@@ -162,13 +159,12 @@ class AreaEnv:
 
     def _jitter(self, template: AreaSet, rng: np.random.Generator,
                 jitter: int) -> tuple[tuple, AreaSet]:
-        """Counts moving each rect of the template up to `jitter` whole cells per
-        axis, drawn (lat, lon) per rect, and their area; for 0, the template."""
+        """Counts moving the whole template up to `jitter` whole cells per axis,
+        one (lat, lon) draw per area, and their area; for 0, the template."""
         if jitter == 0:
-            return ((0, 0, 0, 0),) * len(template.rects), template
-        draws = [2 * int(rng.integers(-jitter, jitter + 1)) for _ in range(2 * len(template.rects))]
-        counts = tuple((i, i, j, j) for i, j in zip(draws[::2], draws[1::2]))
-        return counts, geogrid.placed(template, counts, self.field.spec)
+            return (0, 0, 0, 0), template
+        i, j = (2 * int(rng.integers(-jitter, jitter + 1)) for _ in "ij")
+        return (i, i, j, j), geogrid.placed(template, (i, i, j, j), self.field.spec)
 
     def step(self, action_idx: int) -> tuple[np.ndarray, float, bool]:
         if self._done or self.state is None:

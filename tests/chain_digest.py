@@ -10,7 +10,11 @@ temporary directory:
   `--mode shift-resize`;
 - `evaluate` of the oracle's areas, of each optimize run's areas, and of
   the planted areas with A moved 50 degrees north, off the grid: an
-  invalid pair.
+  invalid pair;
+- from the initial areas with A split by rows into two rects of the same
+  cells (`two_rect_areas.json`): `oracle`, `optimize --mode shift-only`
+  and `evaluate` of the optimize run's areas, so a multi-rect template is
+  placed, jittered and moved.
 
 Cluster ids are arbitrary, so `--onset-clusters` names the clusters whose
 members are mostly S* (south-regime) stations. The JSON printed holds, per
@@ -23,7 +27,7 @@ compare the output of two checkouts:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/chain_digest.py --seeds 1 2 3 --timesteps 5000
 
-Three seeds at 5,000 steps take about 6 seconds on a 2-core Xeon VM.
+Three seeds at 5,000 steps take about 7 seconds on a 2-core Xeon VM.
 `tests/test_chain_digest.py` runs it on one tiny world.
 """
 
@@ -38,6 +42,8 @@ import os
 import tempfile
 
 from nemonsoon import cli, rl_env, stations
+from nemonsoon.geogrid import AreaSet, Rect
+from nemonsoon.synthdata import DLAT
 
 MODES = (rl_env.SHIFT_ONLY, rl_env.SHIFT_AND_RESIZE)
 
@@ -51,6 +57,15 @@ def south_clusters(path) -> list[int]:
     are mostly S* stations."""
     return sorted(cid for cid, members in stations.read_clusters_csv(path).items()
                   if 2 * sum(m.startswith("S") for m in members) > len(members))
+
+
+def split_by_rows(area: AreaSet, dlat: float) -> AreaSet:
+    """A one-rect area with its bounds on the centres of `dlat` degree rows,
+    as two rects of the same cells: its first five rows and the rest."""
+    (r,) = area.rects
+    mid = r.lat_min + 4 * dlat
+    return AreaSet.of(Rect(r.lat_min, mid, r.lon_min, r.lon_max),
+                      Rect(mid + dlat, r.lat_max, r.lon_min, r.lon_max))
 
 
 def chain(seed: int, timesteps: int, years: int, work: str) -> dict:
@@ -88,6 +103,14 @@ def chain(seed: int, timesteps: int, years: int, work: str) -> dict:
                         ("off-grid", path("off_grid_areas.json"))):
         run(f"evaluate {name}", "evaluate", *world, "--areas", areas,
             "--out", path(f"evaluate-{name}"))
+    initial_a, initial_b = rl_env.load_areas(path("world", "initial_areas.json"))
+    rl_env.save_areas(split_by_rows(initial_a, DLAT), initial_b, path("two_rect_areas.json"))
+    two_rect = ["--areas", path("two_rect_areas.json")]
+    run("oracle two-rect", "oracle", *world, *two_rect, "--out", path("two-rect-oracle"))
+    run("optimize two-rect", "optimize", *world, *two_rect, "--mode", rl_env.SHIFT_ONLY,
+        "--timesteps", str(timesteps), "--out", path("two-rect-optimize"))
+    run("evaluate two-rect", "evaluate", *world,
+        "--areas", path("two-rect-optimize", "best_areas.json"), "--out", path("evaluate-two-rect"))
     files = {}
     for root, _, names in os.walk(work):
         for name in names:

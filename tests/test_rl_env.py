@@ -28,7 +28,7 @@ from conftest import make_field, reference_pair_report
 
 DOMAIN = Rect(0.0, 10.0, 100.0, 110.0)
 HALF_DEGREE = GridSpec(0.0, 100.0, 0.5, 0.5, 21, 21, "2000-01", 36)  # make_env's grid
-STILL = ((0, 0, 0, 0),)  # the counts of a one-rect template in place
+STILL = (0, 0, 0, 0)  # the counts of a template in place
 
 
 def make_env(nt=36, jitter=0, mode=SHIFT_ONLY, episode_len=8, cell=0.5):
@@ -75,13 +75,12 @@ def reference_move_rect(rect, action, step):
 
 
 def reference_jitter_area(area, rng, jitter, step):
-    """The jitter `AreaEnv` drew before half-cell counts: per rect, dlat then dlon."""
-    rects = []
-    for r in area.rects:
-        dlat = int(rng.integers(-jitter, jitter + 1)) * step
-        dlon = int(rng.integers(-jitter, jitter + 1)) * step
-        rects.append(Rect(r.lat_min + dlat, r.lat_max + dlat, r.lon_min + dlon, r.lon_max + dlon))
-    return AreaSet(tuple(rects))
+    """A jitter in degrees: one whole-cell dlat then dlon per area, added to
+    every rect's bounds."""
+    dlat = int(rng.integers(-jitter, jitter + 1)) * step
+    dlon = int(rng.integers(-jitter, jitter + 1)) * step
+    return AreaSet(tuple(Rect(r.lat_min + dlat, r.lat_max + dlat, r.lon_min + dlon,
+                              r.lon_max + dlon) for r in area.rects))
 
 
 class TestActions:
@@ -96,13 +95,13 @@ class TestActions:
     def test_shift_is_rigid(self):
         r = Rect(2.0, 4.0, 102.0, 104.0)
         counts, moved = move(STILL, Action("A", "lat", "shift+"), r, 0.5)
-        assert (counts, moved) == (((2, 2, 0, 0),), AreaSet.of(Rect(2.5, 4.5, 102.0, 104.0)))
+        assert (counts, moved) == ((2, 2, 0, 0), AreaSet.of(Rect(2.5, 4.5, 102.0, 104.0)))
         assert move(counts, Action("A", "lat", "shift-"), r, 0.5) == (STILL, AreaSet.of(r))
 
     def test_resize_symmetric_about_center(self):
         r = Rect(2.0, 4.0, 102.0, 104.0)
         counts, grown = move(STILL, Action("A", "lon", "expand"), r, 0.5)
-        assert (counts, grown) == (((0, 0, -1, 1),), AreaSet.of(Rect(2.0, 4.0, 101.75, 104.25)))
+        assert (counts, grown) == ((0, 0, -1, 1), AreaSet.of(Rect(2.0, 4.0, 101.75, 104.25)))
         assert move(counts, Action("A", "lon", "shrink"), r, 0.5) == (STILL, AreaSet.of(r))
 
     @settings(max_examples=200, deadline=None)
@@ -383,13 +382,16 @@ class TestHalfCellCounts:
     """Areas are their templates moved by integer counts of half cells, so
     no sequence of moves adds up roundings."""
 
+    @pytest.mark.parametrize("col", [0, 1, 2, 3])
     @pytest.mark.parametrize("cell, n", [(1e-5, 40), (1e-3, 300), (1e-2, 2100)])
-    def test_shifts_keep_the_columns_on_fine_grids(self, cell, n):
+    def test_shifts_keep_the_columns_on_fine_grids(self, cell, n, col):
         """On a 6 x (n + 20) grid of `cell` degree cells at lon0 = 100, a
-        3 x 5 cell A with its bounds on cell centres, from the first column,
+        3 x 5 cell A with its bounds on cell centres, from column `col`,
         moved east one cell n times, keeps its 5 columns at every move and
-        ends exactly n cells east. Adding the cell size to the bounds at
-        each move changed the column count at move 4, 210 and 1,955."""
+        ends exactly n cells east. From column 0, adding the cell size to
+        the bounds at each move changed the column count at move 4, 210 and
+        1,955. On 1e-5 degree cells a tolerance of 1e-9 cell, below one ulp
+        of 100, changed it from columns 1, 2 and 3 at moves 38, 2 and 3."""
         rng = np.random.default_rng(0)
         field = make_field(rng.uniform(15, 25, size=(24, 6, n + 20)), dlat=cell, dlon=cell)
 
@@ -397,14 +399,16 @@ class TestHalfCellCounts:
             return AreaSet.of(Rect(i * cell, (i + 2) * cell,
                                    100.0 + j * cell, 100.0 + (j + 4) * cell))
 
-        cfg = EnvConfig(SHIFT_ONLY, field.spec.domain(), block(0, 0), block(3, 0), episode_len=n)
+        cfg = EnvConfig(SHIFT_ONLY, field.spec.domain(), block(0, col), block(3, 0),
+                        episode_len=n)
         env = AreaEnv(field, rng.normal(size=24), rng.normal(size=24), cfg)
         env.reset(rng)
+        assert area_boxes(env.state.area_a, field.spec) == ((0, 2, col, col + 4),)
         east = env.actions.index(Action("A", "lon", "shift+"))
         for k in range(1, n + 1):
             _, reward, _ = env.step(east)
             assert reward != -INVALID_PENALTY
-            assert area_boxes(env.state.area_a, field.spec) == ((0, 2, k, 4 + k),), k
+            assert area_boxes(env.state.area_a, field.spec) == ((0, 2, col + k, col + 4 + k),), k
         assert env.state.area_a == cfg.init_a.shifted(0.0, n * cell)
 
     def test_a_new_pair_computes_each_areas_boxes_once(self, monkeypatch):
@@ -428,17 +432,47 @@ class TestHalfCellCounts:
             assert [area for area, _ in calls] == [env.state.area_a, env.state.area_b]
             assert list(env.objective.series) == keys
 
+    def test_jitter_moves_a_two_rect_area_as_one(self):
+        """On the seed-0 synth world, with A two rects (2, 0) degrees apart,
+        every jittered start keeps them (2, 0) degrees apart and is the
+        oracle's placement of A at its drawn shift (`dqn._Lattice`). A shift
+        drawn per rect started them (1, -1), (2, 2), (3, 0), (1.5, 0) and
+        (2.5, -2) degrees apart."""
+        spec = SynthSpec()
+        field = gen_sst(spec, 0)
+        template = AreaSet.of(Rect(3.0, 5.0, 103.0, 105.0), Rect(5.0, 8.0, 103.0, 108.0))
+        env = AreaEnv(field, *regime_targets(*gen_stations(spec, 0)),
+                      EnvConfig(SHIFT_ONLY, field.spec.domain(), template,
+                                spec.planted_areas()[1], jitter=2))
+        ocean = dqn._table(field.ocean_mask()[None].astype(np.int64))
+        rng = np.random.default_rng(0)
+        shifts = set()
+        for _ in range(5):
+            env.reset(rng)
+            first, second = env.state.area_a.rects
+            assert (second.lat_min - first.lat_min, second.lon_min - first.lon_min) == (2.0, 0.0)
+            (i, j), _ = cell_shift(template, env.state.area_a, field.spec)
+            assert env._counts["A"] == (2 * i, 2 * i, 2 * j, 2 * j)
+            lattice = dqn._Lattice(template, ([i], [j]), field.spec, ocean,
+                                   env.config.min_ocean, np.float32)
+            assert np.array(env.state.area_a.as_lists()).tobytes() == \
+                np.array(lattice.area(0).as_lists()).tobytes()
+            shifts.add((i, j))
+        assert len(shifts) > 1
+
     @settings(max_examples=40, deadline=None)
     @given(dlat=st.sampled_from([0.5, 1.0 / 3.0, 0.25, 0.1]),
            dlon=st.sampled_from([0.5, 1.0 / 3.0, 0.25, 0.1]),
            lat0=st.sampled_from([0.1, -0.07, 10.3]),
            lon0=st.sampled_from([100.05, 99.9, -40.2]),
+           jitter=st.sampled_from([0, 1, 2]),
            actions=st.lists(st.integers(0, 7), max_size=40))
-    def test_shifts_walk_the_oracle_lattice(self, dlat, dlon, lat0, lon0, actions):
-        """Every area a random run of shifts reaches is, bit for bit, the
-        oracle's placement of its template at the same net shift
-        (`dqn._Lattice`), and its cell boxes are the template's moved by that
-        shift. A's bounds lie on cell centres, B's two rects' off them."""
+    def test_shifts_walk_the_oracle_lattice(self, dlat, dlon, lat0, lon0, jitter, actions):
+        """Every area a jittered start and a random run of shifts reach is,
+        bit for bit, the oracle's placement of its template at the same net
+        shift (`dqn._Lattice`), and its cell boxes are the template's moved
+        by that shift. The net shift starts at the jittered start's. A's
+        bounds lie on cell centres, B's two rects' off them."""
         rng = np.random.default_rng(len(actions))
         field = make_field(rng.uniform(15, 25, size=(24, 12, 12)), lat0=lat0, lon0=lon0,
                            dlat=dlat, dlon=dlon)
@@ -451,25 +485,33 @@ class TestHalfCellCounts:
                      "B": AreaSet.of(rect(6.2, 8.7, 5.6, 7.1), rect(7.3, 9.1, 6.4, 9.2))}
         env = AreaEnv(field, rng.normal(size=24), rng.normal(size=24),
                       EnvConfig(SHIFT_ONLY, spec.domain(), templates["A"], templates["B"],
-                                episode_len=len(actions) + 1))
+                                episode_len=len(actions) + 1, jitter=jitter))
         env.reset(rng)
         ocean = dqn._table(field.ocean_mask()[None].astype(np.int64))
-        net = {"A": [0, 0], "B": [0, 0]}
-        for k in actions:
-            action = env.actions[k]
-            before = env.state.area_a, env.state.area_b
-            env.step(k)
-            area = env.state.area_a if action.target == "A" else env.state.area_b
-            if (env.state.area_a, env.state.area_b) == before:
-                continue  # refused
-            net[action.target][action.axis == "lon"] += 1 if action.kind == "shift+" else -1
-            i, j = net[action.target]
-            template = templates[action.target]
+
+        def area_of(target):
+            return env.state.area_a if target == "A" else env.state.area_b
+
+        def check(target, i, j):
+            area, template = area_of(target), templates[target]
             lattice = dqn._Lattice(template, ([i], [j]), spec, ocean, 0.8, np.float32)
             assert np.array(area.as_lists()).tobytes() == \
                 np.array(lattice.area(0).as_lists()).tobytes()
             assert area_boxes(area, spec) == tuple((i0 + i, i1 + i, j0 + j, j1 + j) for
                                                    i0, i1, j0, j1 in area_boxes(template, spec))
+
+        # each start's shift: how far its first rect's cells moved
+        net = {t: list(cell_shift(templates[t], area_of(t), spec)[0]) for t in templates}
+        for target, (i, j) in net.items():
+            check(target, i, j)
+        for k in actions:
+            action = env.actions[k]
+            before = env.state.area_a, env.state.area_b
+            env.step(k)
+            if (env.state.area_a, env.state.area_b) == before:
+                continue  # refused
+            net[action.target][action.axis == "lon"] += 1 if action.kind == "shift+" else -1
+            check(action.target, *net[action.target])
 
 
 class ReferenceEnv(AreaEnv):
