@@ -96,7 +96,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
         flag(p, "clusters", required=True)
         flag(p, "onset-clusters", "1,2,3,4", type=_cluster_ids,
              help="comma-separated cluster ids feeding the onset target")
-        flag(p, "min-ocean", 0.8, type=float)
+        flag(p, "min-ocean", index.MIN_OCEAN, type=float)
         flag(p, "areas", required=True, help="areas JSON (the initial areas for optimize)")
         flag(p, "out", ".")
         return p

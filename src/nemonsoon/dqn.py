@@ -368,10 +368,8 @@ def train_with_net(env_factory, config: DQNConfig):
 
 def _maybe_better(env, best_areas, best_q):
     cand = env.current_candidate()
-    if cand is not None:
-        area_a, area_b, q = cand
-        if q is not None and q > best_q:
-            return (area_a, area_b), q
+    if cand is not None and cand[2] > best_q:
+        return cand[:2], cand[2]
     return best_areas, best_q
 
 
@@ -536,7 +534,7 @@ def exhaustive_search(
     template_a: AreaSet,
     template_b: AreaSet,
     domain: Rect,
-    min_ocean: float = 0.8,
+    min_ocean: float = index.MIN_OCEAN,
 ) -> tuple[tuple[AreaSet, AreaSet], float]:
     """Evaluate every valid placement of A crossed with every valid
     placement of B, each a template moved by whole grid cells inside the

@@ -16,6 +16,7 @@ from .geogrid import AreaSet, SSTField
 ONSET_MONTHS = frozenset({10, 11, 12, 1, 2, 3})
 RETREAT_MONTHS = frozenset({4, 5, 6, 7, 8, 9})
 INDEX_HEADER = ["year", "month", "z"]
+MIN_OCEAN = 0.8  # the least share of an area's cells that must be ocean, by default
 
 
 @dataclass
@@ -293,7 +294,7 @@ class PairObjective:
     """
 
     def __init__(self, field: SSTField, y_onset: np.ndarray, y_retreat: np.ndarray,
-                 min_ocean: float = 0.8):
+                 min_ocean: float = MIN_OCEAN):
         self.field = field
         self.min_ocean = min_ocean
         self.series: dict[tuple, tuple[np.ndarray | None, str | None]] = {}
@@ -375,7 +376,7 @@ def evaluate_pair(
     area_b: AreaSet,
     y_onset: np.ndarray,
     y_retreat: np.ndarray,
-    min_ocean: float = 0.8,
+    min_ocean: float = MIN_OCEAN,
 ) -> ObjectiveReport:
     """Score an (A, B) pair; constraint violations and degenerate series are
     reported as invalid, never raised, so an optimizer can penalize them.

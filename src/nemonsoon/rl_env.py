@@ -51,7 +51,7 @@ class EnvConfig:
     init_a: AreaSet
     init_b: AreaSet
     episode_len: int = 64
-    min_ocean: float = 0.8
+    min_ocean: float = index.MIN_OCEAN
     jitter: int = 0
 
     def __post_init__(self):
@@ -92,19 +92,21 @@ def apply_action(counts: tuple, action: Action, config: EnvConfig,
 
 
 def encode_state(area_a: AreaSet, area_b: AreaSet, domain: Rect) -> np.ndarray:
-    """Rect bounds min-max scaled to [0, 1] against the domain, A's rects
-    then B's, 4 numbers per rect."""
-    dlat = domain.lat_max - domain.lat_min
-    dlon = domain.lon_max - domain.lon_min
+    """Each area's extent, the bounding box of its rects, min-max scaled to [0, 1]
+    against the domain: A's (lat_min, lat_max, lon_min, lon_max), then B's. Always 8
+    numbers, so the search sees an area as one, however its template is cut into rects."""
+    lat0, lon0 = domain.lat_min, domain.lon_min
+    dlat, dlon = domain.lat_max - lat0, domain.lon_max - lon0
     out = []
     for area in (area_a, area_b):
-        for r in area.rects:
-            out.extend([
-                (r.lat_min - domain.lat_min) / dlat,
-                (r.lat_max - domain.lat_min) / dlat,
-                (r.lon_min - domain.lon_min) / dlon,
-                (r.lon_max - domain.lon_min) / dlon,
-            ])
+        r = area.rects[0]
+        lat_min, lat_max, lon_min, lon_max = r.lat_min, r.lat_max, r.lon_min, r.lon_max
+        if len(area.rects) > 1:  # no slice or generator: this runs on every environment step
+            for r in area.rects:
+                lat_min, lat_max = min(lat_min, r.lat_min), max(lat_max, r.lat_max)
+                lon_min, lon_max = min(lon_min, r.lon_min), max(lon_max, r.lon_max)
+        out.extend([(lat_min - lat0) / dlat, (lat_max - lat0) / dlat,
+                    (lon_min - lon0) / dlon, (lon_max - lon0) / dlon])
     return np.array(out)
 
 
@@ -112,8 +114,9 @@ class AreaEnv:
     """Stateful episode environment over one read-only SST field and fixed
     rainfall targets. Each area is its configured template placed by one
     vector of half-cell counts (`geogrid.placed`), so it moves as one and
-    moves add up no roundings. q comes from one `index.PairObjective`, whose
-    cache knows a pair by its cells: a move that keeps both areas' cells is a lookup."""
+    moves add up no roundings, and is observed as one, by its extent
+    (`encode_state`). q comes from one `index.PairObjective`, whose cache
+    knows a pair by its cells: a move that keeps both areas' cells is a lookup."""
 
     def __init__(
         self,
@@ -126,7 +129,7 @@ class AreaEnv:
         self.config = config
         self.actions = enumerate_actions(config.mode)
         self.n_actions = len(self.actions)
-        self.obs_dim = len(encode_state(config.init_a, config.init_b, config.domain))
+        self.obs_dim = 8  # encode_state's length: each area's extent
         self.objective = index.PairObjective(field, y_onset, y_retreat, config.min_ocean)
         self._counts: dict[str, tuple] = {}  # per target, the counts that place the state's area
         self.state: EnvState | None = None
@@ -167,7 +170,7 @@ class AreaEnv:
         return (i, i, j, j), geogrid.placed(template, (i, i, j, j), self.field.spec)
 
     def step(self, action_idx: int) -> tuple[np.ndarray, float, bool]:
-        if self._done or self.state is None:
+        if self._done:  # True until reset() sets a state
             raise EpisodeOverError("call reset() before stepping")
         cfg = self.config
         st = self.state
@@ -187,10 +190,8 @@ class AreaEnv:
         obs = encode_state(next_state.area_a, next_state.area_b, cfg.domain)
         return obs, reward, self._done
 
-    def current_candidate(self) -> tuple[AreaSet, AreaSet, float] | None:
-        """Current geometry and its objective, for best-state tracking."""
-        if self.state is None:
-            return None
+    def current_candidate(self) -> tuple[AreaSet, AreaSet, float]:
+        """Current geometry and its objective, for best-state tracking (after reset())."""
         return self.state.area_a, self.state.area_b, self.state.last_q
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .geogrid import AreaSet, GridSpec, Rect, SSTField, area_indices, month_axis
 from .index import normalise_series, season_masks
-from .stations import Station
+from .stations import Station, cluster_mean_series
 
 INDEX_CORR = {
     "ONI": 0.80, "DMI": 0.70, "MEI": 0.65, "SWMI": 0.55,
@@ -143,10 +143,10 @@ def gen_stations(spec: SynthSpec, seed: int) -> tuple[list[Station], dict[str, s
 
 
 def regime_targets(stations: list[Station], labels: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """(y_onset, y_retreat): mean rainfall of the south and upper regimes."""
-    south = [st.rain for st in stations if labels[st.id] == "south"]
-    upper = [st.rain for st in stations if labels[st.id] == "upper"]
-    return np.mean(south, axis=0), np.mean(upper, axis=0)
+    """(y_onset, y_retreat): mean rainfall of the south and upper regimes'
+    stations (`cluster_mean_series`, the CLI's rule for a cluster target)."""
+    return tuple(cluster_mean_series({sid for sid, regime in labels.items() if regime == side},
+                                     stations) for side in ("south", "upper"))
 
 
 def gen_global_indices(seed: int, target: np.ndarray) -> dict[str, np.ndarray]:

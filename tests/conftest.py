@@ -88,7 +88,7 @@ def _scores(diffs, products):
     return r, 0.5 * (r_on * r_on + r_re * r_re)
 
 
-def reference_pair_report(field, area_a, area_b, y_onset, y_retreat, min_ocean=0.8):
+def reference_pair_report(field, area_a, area_b, y_onset, y_retreat, min_ocean=index.MIN_OCEAN):
     """`evaluate_pair` before `PairObjective`: the checks in its order (A,
     B, seasons, the targets' length), then `_centre` of the time-ordered
     difference and `_scores`."""

@@ -45,6 +45,11 @@ def test_digests_on_a_tiny_world(capsys):
                                  AreaSet.of(RECT_B))
     assert got["files"]["two-rect-oracle/best_areas.json"] == \
         hashlib.sha256((json.dumps(split, indent=2) + "\n").encode()).hexdigest()
+    # and the search from A cut in two moves, scores and finds exactly as from A whole
+    files = got["files"]
+    assert files["two-rect-optimize/history.csv"] == files["shift-only/history.csv"]
+    for name in ("objective.csv", "index.csv"):
+        assert files[f"evaluate-two-rect/{name}"] == files[f"evaluate-shift-only/{name}"]
     off_grid = AreaSet.of(RECT_A).shifted(50.0, 0.0)
     assert off_grid == AreaSet.of(Rect(53.0, 58.0, 103.0, 108.0))
     line = f"invalid pair: A: empty area: area covers no grid cells: {off_grid}"

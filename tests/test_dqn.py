@@ -600,7 +600,7 @@ def reference_placements(template, domain, spec):
             for i, j in _reference_offsets(template, domain, spec)]
 
 
-def check_lattice(field, template, domain, min_ocean=0.8):
+def check_lattice(field, template, domain, min_ocean=index.MIN_OCEAN):
     """The lattice's placements that meet the area constraint are the
     brute-force placements that `index.ocean_series` accepts, in order,
     and each placed rect's box is its `geogrid.area_boxes` box (half-open;
@@ -656,7 +656,7 @@ class TestPlacementDomain:
 
 
 def reference_exhaustive_search(field, y_onset, y_retreat, template_a, template_b,
-                                domain, min_ocean=0.8):
+                                domain, min_ocean=index.MIN_OCEAN):
     """The per-placement loop the Gram-matrix oracle replaces: every
     brute-force placement of A against the stack of B's centred series,
     one difference per pair, scored by `seasonal_scores`."""

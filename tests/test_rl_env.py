@@ -156,10 +156,15 @@ class TestEncoding:
         obs = encode_state(a, b, DOMAIN)
         np.testing.assert_allclose(obs, [0, 1, 0, 1, 0.5, 0.75, 0.25, 0.5])
 
-    def test_dim_matches_rect_count(self):
+    def test_an_area_is_its_extent(self):
+        """A two-rect A gives the 4 numbers of its bounding box, so the
+        state is 8 numbers, bit for bit those of the one-rect extent."""
         a = AreaSet.of(Rect(1, 2, 101, 102), Rect(3, 4, 103, 104))
         b = AreaSet.of(Rect(5, 6, 105, 106))
-        assert encode_state(a, b, DOMAIN).shape == (12,)
+        obs = encode_state(a, b, DOMAIN)
+        assert obs.shape == (8,)
+        np.testing.assert_allclose(obs, [0.1, 0.4, 0.1, 0.4, 0.5, 0.6, 0.5, 0.6])
+        assert obs.tobytes() == encode_state(AreaSet.of(Rect(1, 4, 101, 104)), b, DOMAIN).tobytes()
 
 
 class TestEpisode:
@@ -494,7 +499,8 @@ class TestHalfCellCounts:
 
         def check(target, i, j):
             area, template = area_of(target), templates[target]
-            lattice = dqn._Lattice(template, ([i], [j]), spec, ocean, 0.8, np.float32)
+            lattice = dqn._Lattice(template, ([i], [j]), spec, ocean, index.MIN_OCEAN,
+                                   np.float32)
             assert np.array(area.as_lists()).tobytes() == \
                 np.array(lattice.area(0).as_lists()).tobytes()
             assert area_boxes(area, spec) == tuple((i0 + i, i1 + i, j0 + j, j1 + j) for
@@ -512,6 +518,76 @@ class TestHalfCellCounts:
                 continue  # refused
             net[action.target][action.axis == "lon"] += 1 if action.kind == "shift+" else -1
             check(action.target, *net[action.target])
+
+
+class TestCutInvariance:
+    """An area is one thing to the search, however its template is cut."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dlat=st.sampled_from([0.5, 1.0 / 3.0, 0.25, 0.1]),
+           dlon=st.sampled_from([0.5, 1.0 / 3.0, 0.25, 0.1]),
+           lat0=st.sampled_from([0.1, -0.07, 10.3]),
+           lon0=st.sampled_from([100.05, 99.9, -40.2]),
+           corner=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           size=st.tuples(st.integers(4, 7), st.integers(4, 7)),
+           cut=st.tuples(st.sampled_from(["rows", "columns"]), st.integers(1, 4),
+                         st.sampled_from("AB")),
+           jitter=st.sampled_from([0, 1, 2]),
+           episode_len=st.sampled_from([3, 10, 60]),
+           actions=st.lists(st.integers(0, 7), min_size=10, max_size=60))
+    def test_a_cut_template_searches_as_the_uncut_one(self, dlat, dlon, lat0, lon0, corner,
+                                                      size, cut, jitter, episode_len, actions):
+        """Shift-only, on the same rng and actions, a template and the same
+        template cut by rows or by columns into two rects over the same cells
+        give bit-equal observations, rewards and done flags, and their areas
+        cover the same cells at every step. Cells of 0.5, 1/3, 0.25 and 0.1
+        degrees, origins off the 0.5 degree lattice, some land."""
+        rng = np.random.default_rng(len(actions))
+        values = rng.uniform(15, 25, size=(24, 14, 14))
+        values[:, rng.random((14, 14)) < 0.1] = np.nan
+        field = make_field(values, lat0=lat0, lon0=lon0, dlat=dlat, dlon=dlon)
+        spec = field.spec
+
+        def rect(i0, i1, j0, j1):  # bounds on the centres of rows i0..i1, columns j0..j1
+            return Rect(lat0 + i0 * dlat, lat0 + i1 * dlat, lon0 + j0 * dlon, lon0 + j1 * dlon)
+
+        (i0, j0), (rows, cols), (axis, k, target) = corner, size, cut
+        i1, j1 = i0 + rows - 1, j0 + cols - 1
+        whole = AreaSet.of(rect(i0, i1, j0, j1))
+        if axis == "rows":  # each part at least two rows (columns) of centres
+            k = min(k, rows - 3)
+            cut_up = AreaSet.of(rect(i0, i0 + k, j0, j1), rect(i0 + k + 1, i1, j0, j1))
+        else:
+            k = min(k, cols - 3)
+            cut_up = AreaSet.of(rect(i0, i1, j0, j0 + k), rect(i0, i1, j0 + k + 1, j1))
+        assert geogrid.area_cells(cut_up, spec) == geogrid.area_cells(whole, spec)
+        other = AreaSet.of(rect(7, 10, 7, 11))
+        y_on, y_re = rng.normal(size=24), rng.normal(size=24)
+
+        def run(template):
+            """What the search sees and where its areas lie, step by step."""
+            pair = (template, other) if target == "A" else (other, template)
+            env = AreaEnv(field, y_on, y_re, EnvConfig(SHIFT_ONLY, spec.domain(), *pair,
+                                                       episode_len=episode_len, jitter=jitter))
+            assert env.obs_dim == 8
+            draws = np.random.default_rng(1)
+
+            def cells():
+                return [geogrid.area_cells(area, spec)
+                        for area in (env.state.area_a, env.state.area_b)]
+
+            try:
+                log = [(env.reset(draws).tobytes(), cells())]
+            except InvalidInitialAreasError:
+                return "invalid initial areas"
+            for action in actions:
+                obs, reward, done = env.step(action)
+                log.append((obs.tobytes(), repr(reward), done, cells()))
+                if done:
+                    log.append((env.reset(draws).tobytes(), cells()))
+            return log
+
+        assert run(whole) == run(cut_up)
 
 
 class ReferenceEnv(AreaEnv):
