@@ -41,6 +41,13 @@ class ForecasterConfig:
     max_epochs: int = 200
     patience: int = 20
 
+    def __post_init__(self):
+        for name in ("hidden", "layers", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must be in [0, 1)")
+
 
 @dataclass(frozen=True)
 class FoldSpec:
@@ -103,7 +110,10 @@ class LSTMForecaster:
 
     Parameters per layer: Wx (in, 4H), Wh (H, 4H), b (4H,); head Wy, by.
     `params` lists them in that order as views into one `flat` buffer.
-    Forget-gate bias initialized to +1. All math in float64.
+    Forget-gate bias initialized to +1. All math runs in `dtype`, the
+    dtype of `flat`: float64 by default, for gradient checks, and
+    TRAIN_DTYPE when `train_forecaster` trains. Weights are drawn in
+    float64 and rounded into `dtype`, so the rng stream is the same.
 
     Lanes: given a sequence of K input widths and one rng per lane, the
     model is K independent models on a leading lane axis, run by the same
@@ -119,8 +129,8 @@ class LSTMForecaster:
     read and never updated.
     """
 
-    def __init__(self, in_dims, config: ForecasterConfig, rngs):
-        self._allocate(in_dims, config)
+    def __init__(self, in_dims, config: ForecasterConfig, rngs, dtype=np.float64):
+        self._allocate(in_dims, config, dtype)
         h = config.hidden
         k = 1.0 / np.sqrt(h)
         for lane, rng in enumerate(rngs):
@@ -137,8 +147,8 @@ class LSTMForecaster:
             for view, a in zip(self.params, arrays):
                 view[lane, :len(a)] = a
 
-    def _allocate(self, in_dims, config: ForecasterConfig) -> None:
-        """Zeroed parameters, one lane per input width."""
+    def _allocate(self, in_dims, config: ForecasterConfig, dtype) -> None:
+        """Zeroed parameters of `dtype`, one lane per input width."""
         self.in_dims = tuple(int(d) for d in in_dims)
         self.in_dim = max(self.in_dims)
         self.config = config
@@ -149,13 +159,13 @@ class LSTMForecaster:
             shapes += [(d_in, 4 * h), (h, 4 * h), (4 * h,)]
             d_in = h
         shapes += [(h, HORIZON), (HORIZON,)]
-        self.flat, self.params = lane_buffer(len(self.in_dims), shapes)
+        self.flat, self.params = lane_buffer(len(self.in_dims), shapes, dtype)
 
     def select(self, lanes: list[int]) -> "LSTMForecaster":
         """A copy of the listed lanes as a model of their own, padded only
         up to its own widest lane."""
         model = object.__new__(LSTMForecaster)
-        model._allocate([self.in_dims[k] for k in lanes], self.config)
+        model._allocate([self.in_dims[k] for k in lanes], self.config, self.flat.dtype)
         for dst, src in zip(model.params, self.params):
             dst[:] = src[lanes, :dst.shape[1]]
         return model
@@ -167,7 +177,7 @@ class LSTMForecaster:
 
     def __setstate__(self, state):
         in_dims, config, flat = state
-        self._allocate(in_dims, config)
+        self._allocate(in_dims, config, flat.dtype)
         self.flat[:] = flat
 
     # -- forward -------------------------------------------------------------
@@ -176,7 +186,8 @@ class LSTMForecaster:
         """Predictions (K, N, HORIZON) given one (N, T, F_k) input per lane;
         keeps caches for backward. Training dropout draws from `rngs`, one
         generator per lane."""
-        xs = [np.asarray(a, dtype=float) for a in xs]
+        dtype = self.flat.dtype
+        xs = [np.asarray(a, dtype=dtype) for a in xs]
         lanes = len(self.in_dims)
         if len(xs) != lanes or any(a.ndim != 3 or a.shape[2] != w or a.shape[:2] != xs[0].shape[:2]
                                    for a, w in zip(xs, self.in_dims)):
@@ -187,17 +198,17 @@ class LSTMForecaster:
         h_dim = self.config.hidden
         self._cache = {"xs": xs, "layers": [], "masks": []}
         seq = None
-        proj = np.empty((lanes, n, 4 * h_dim))
+        proj = np.empty((lanes, n, 4 * h_dim), dtype)
         for layer in range(self.config.layers):
             wx, wh, b = self.params[3 * layer:3 * layer + 3]
             b = b[:, None]
-            h = np.zeros((lanes, n, h_dim))
-            c = np.zeros((lanes, n, h_dim))
+            h = np.zeros((lanes, n, h_dim), dtype)
+            c = np.zeros((lanes, n, h_dim), dtype)
             steps = []
             top = layer == self.config.layers - 1
             # below the top, the h sequence feeds the next layer; backward
             # recomputes each h_{t-1} = o * tanh(c) from the step cache
-            outputs = None if top else np.zeros((lanes, n, t_len, h_dim))
+            outputs = None if top else np.zeros((lanes, n, t_len, h_dim), dtype)
             for t in range(t_len):
                 if layer:
                     x_t = seq[:, :, t]
@@ -224,7 +235,7 @@ class LSTMForecaster:
                     if rngs is None or any(r is None for r in rngs):
                         raise ValueError("training dropout needs an rng")
                     draws = np.stack([r.random(outputs.shape[1:]) for r in rngs])
-                    mask = (draws < keep) / keep
+                    mask = ((draws < keep) / keep).astype(dtype, copy=False)
                 else:
                     mask = np.ones_like(outputs)
                 self._cache["masks"].append(mask)
@@ -236,7 +247,8 @@ class LSTMForecaster:
         """MSE loss of each lane over its outputs, plus gradients with the
         lane axis in parameter order, each lane's from its own slice only."""
         pred = self.forward(xs, training=training, rngs=rngs)
-        y = np.asarray(ys, dtype=float)
+        dtype = self.flat.dtype
+        y = np.asarray(ys, dtype=dtype)
         if pred.shape != y.shape:
             raise ShapeMismatchError(f"targets {y.shape} vs predictions {pred.shape}")
         err = pred - y
@@ -257,7 +269,7 @@ class LSTMForecaster:
         # layer gets the head's gradient at its last step only
         dseq_above = None
         dh_top = dout @ self.params[-2].swapaxes(1, 2)
-        da = np.empty((lanes, n, 4 * h_dim))
+        da = np.empty((lanes, n, 4 * h_dim), dtype)
         for layer in range(self.config.layers - 1, -1, -1):
             wx, wh, _ = self.params[3 * layer:3 * layer + 3]
             dwx, dwh, db = grads[3 * layer:3 * layer + 3]
@@ -265,10 +277,10 @@ class LSTMForecaster:
             if dseq_above is not None:
                 dseq_above *= self._cache["masks"][layer]
             # layer 0's input gradient would be thrown away
-            dseq_below = np.zeros((lanes, n, t_len, wx.shape[1])) if layer else None
+            dseq_below = np.zeros((lanes, n, t_len, wx.shape[1]), dtype) if layer else None
             wx_t, wh_t = wx.swapaxes(1, 2), wh.swapaxes(1, 2)
-            dh_next = dh_top if dseq_above is None else np.zeros((lanes, n, h_dim))
-            dc_next = np.zeros((lanes, n, h_dim))
+            dh_next = dh_top if dseq_above is None else np.zeros((lanes, n, h_dim), dtype)
+            dc_next = np.zeros((lanes, n, h_dim), dtype)
             tc = np.tanh(steps[-1][-1])
             for t in range(t_len - 1, -1, -1):
                 x_t, i, f, g, o, c_prev, _ = steps[t]
@@ -304,6 +316,7 @@ GRAD_CLIP = 5.0  # global-norm clip keeps plain GD at lr 0.01 stable
 
 
 BATCH_SIZE = 32
+TRAIN_DTYPE = np.float32  # training's dtype; models built directly default to float64
 
 
 def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig, rngs):
@@ -316,16 +329,17 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig, r
     lane's best validation parameters, and its validation loss curve. Each
     lane keeps its own gradient clip and early stopping, so each entry is
     bit-equal to a run on that lane's data alone. A lane that stops leaves
-    the stack.
+    the stack. Inputs and targets are cast to TRAIN_DTYPE once, and the
+    models train and come back in it.
     """
-    tx = [np.asarray(x, dtype=float) for x in train_x]
-    vx = [np.asarray(x, dtype=float) for x in val_x]
-    ty = np.stack([np.asarray(y, dtype=float) for y in train_y])
-    vy = np.stack([np.asarray(y, dtype=float) for y in val_y])
+    tx = [np.asarray(x, dtype=TRAIN_DTYPE) for x in train_x]
+    vx = [np.asarray(x, dtype=TRAIN_DTYPE) for x in val_x]
+    ty = np.stack([np.asarray(y, dtype=TRAIN_DTYPE) for y in train_y])
+    vy = np.stack([np.asarray(y, dtype=TRAIN_DTYPE) for y in val_y])
     n = ty.shape[1]
     if any(x.ndim != 3 or x.shape[0] != n for x in tx):
         raise ShapeMismatchError("every lane needs inputs (N, T, F) for the targets' N")
-    model = LSTMForecaster([x.shape[2] for x in tx], config, rngs)
+    model = LSTMForecaster([x.shape[2] for x in tx], config, rngs, TRAIN_DTYPE)
     best = model.select(list(range(len(rngs))))  # each active lane's best parameters
     active = list(range(len(rngs)))              # the lane held in each row of `model`
     curves = [[val] for val in _val_losses(model, vx, vy)]
@@ -342,7 +356,7 @@ def train_forecaster(train_x, train_y, val_x, val_y, config: ForecasterConfig, r
                                             ty[rows, sel], training=True, rngs=lane_rngs)
             scale = [LR * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
                      for norm in _grad_norms(grads, model.in_dims)]
-            model.flat -= np.array(scale)[:, None] * np.concatenate(
+            model.flat -= np.array(scale, TRAIN_DTYPE)[:, None] * np.concatenate(
                 [g.reshape(len(active), -1) for g in grads], axis=1)
         vals = _val_losses(model, [vx[k] for k in active], vy[active])
         stopped = []

@@ -259,6 +259,17 @@ class TestConstants:
         with pytest.raises(ValueError):
             FoldSpec((2000, 2010), (2005, 2011), (2012, 2013))
 
+    # unchecked, layers=0 failed inside forward, hidden=0 in numpy,
+    # dropout=1 as a non-finite loss (a 0/0 mask) and max_epochs=0 not at
+    # all (an untrained model came back)
+    @pytest.mark.parametrize("field, value", [
+        ("layers", 0), ("hidden", 0), ("dropout", 1.0), ("dropout", -0.1),
+        ("max_epochs", 0), ("patience", 0),
+    ])
+    def test_config_out_of_range_is_value_error(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ForecasterConfig(**{field: value})
+
 
 class TestFeatureSelection:
     def test_strict_threshold(self, rng):
@@ -366,6 +377,14 @@ class TestLSTM:
                 denom = max(abs(fd), abs(fg[k]), 1e-4 * gmax)
                 assert abs(fd - fg[k]) / denom < 1e-4
 
+    def test_sigmoid_saturates_in_float32(self):
+        """The +-60 clip keeps exp below the float32 maximum."""
+        x = np.array([-1e4, -60.5, 0.0, 60.5, 1e4], dtype=np.float32)
+        with np.errstate(over="raise"):
+            s = forecast._sigmoid(x)
+        assert s.dtype == np.float32
+        assert np.isfinite(s).all() and ((s >= 0) & (s <= 1)).all()
+
     def test_shape_mismatch_raises(self, rng):
         model = LSTMForecaster([3], ForecasterConfig(hidden=4), [rng])
         with pytest.raises(ShapeMismatchError):
@@ -448,6 +467,39 @@ class TestLSTM:
                     np.testing.assert_allclose(theirs, ref, rtol=1e-12, atol=1e-15)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           hidden=st.integers(1, 16), layers=st.integers(1, 3),
+           dropout=st.sampled_from([0.0, 0.4]), training=st.booleans(),
+           n=st.integers(1, 5), t_len=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_train_dtype_matches_float64(self, widths, hidden, layers, dropout, training,
+                                         n, t_len, seed):
+        """The training dtype's losses and gradients match a float64 model's
+        on the same parameters, inputs and dropout draws, each gradient
+        within 1e-4 of its largest value."""
+        cfg = ForecasterConfig(hidden=hidden, layers=layers, dropout=dropout)
+        data = np.random.default_rng(seed)
+        xs = [data.normal(size=(n, t_len, w)) for w in widths]
+        ys = np.stack([data.normal(size=(n, HORIZON)) for _ in widths])
+        rngs = [np.random.default_rng(seed + k) for k in range(len(widths))]
+        low = LSTMForecaster(widths, cfg, rngs, forecast.TRAIN_DTYPE)
+        assert low.flat.dtype == forecast.TRAIN_DTYPE
+        ref = LSTMForecaster(widths, cfg, rngs)
+        ref.flat[:] = low.flat
+        results = [model.loss_and_grads(xs, ys, training=training,
+                                        rngs=[np.random.default_rng(99 + k)
+                                              for k in range(len(widths))])
+                   for model in (low, ref)]
+        (losses, grads), (ref_losses, ref_grads) = results
+        assert losses.dtype == forecast.TRAIN_DTYPE
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-4)
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.dtype == forecast.TRAIN_DTYPE
+            for lane, ref_lane in zip(g, ref_g):
+                np.testing.assert_allclose(lane, ref_lane, rtol=0,
+                                           atol=1e-4 * np.abs(ref_lane).max())
+
+
 class TestTraining:
     def _toy_problem(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -471,14 +523,16 @@ class TestTraining:
         tx, ty, vx, vy, *_ = self._toy_problem()
         cfg = ForecasterConfig(hidden=8, layers=1, max_epochs=30, patience=3)
         model, curve = train_one(tx, ty, vx, vy, cfg, seed=1)
-        final_val = float(np.mean((predict_one(model, vx) - vy) ** 2))
-        assert final_val == pytest.approx(min(curve), rel=1e-9)
+        # the curve holds losses computed in the training dtype
+        final_val = float(np.mean((predict_one(model, vx) - vy.astype(forecast.TRAIN_DTYPE)) ** 2))
+        assert final_val == min(curve)
 
     def test_deterministic_given_seed(self):
         tx, ty, vx, vy, *_ = self._toy_problem()
         cfg = ForecasterConfig(hidden=8, max_epochs=5)
         m1, c1 = train_one(tx, ty, vx, vy, cfg, seed=7)
         m2, c2 = train_one(tx, ty, vx, vy, cfg, seed=7)
+        assert m1.flat.dtype == forecast.TRAIN_DTYPE
         assert c1 == c2
         for p1, p2 in zip(m1.params, m2.params):
             np.testing.assert_array_equal(p1, p2)
@@ -491,7 +545,8 @@ class TestTraining:
         ]
         (model,), (chosen,) = grid_search([tx], [ty], [vx], [vy], grid, seed=0)
         assert chosen in grid
-        picked_val = float(np.mean((predict_one(model, vx) - vy) ** 2))
+        vy_train = vy.astype(forecast.TRAIN_DTYPE)  # the curves' dtype
+        picked_val = float(np.mean((predict_one(model, vx) - vy_train) ** 2))
         for cfg in grid:
             _, curve = train_one(tx, ty, vx, vy, cfg, seed=0)
             assert picked_val <= min(curve) + 1e-9
@@ -696,12 +751,15 @@ class TestGridPool:
             for pid in filter(_alive, pids):
                 os.kill(pid, signal.SIGKILL)
 
-    def test_model_pickles_with_params_as_views_of_flat(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_model_pickles_with_params_as_views_of_flat(self, dtype):
+        """Pool results come back in the dtype they trained in."""
         model = LSTMForecaster([2, 3], ForecasterConfig(hidden=3, layers=2),
-                               [np.random.default_rng(k) for k in range(2)])
+                               [np.random.default_rng(k) for k in range(2)], dtype)
         for original in (model, model.select([1])):
             back = pickle.loads(pickle.dumps(original))
             assert back.in_dims == original.in_dims
+            assert back.flat.dtype == dtype
             np.testing.assert_array_equal(back.flat, original.flat)
             assert all(np.shares_memory(p, back.flat) for p in back.params)
 
