@@ -259,9 +259,6 @@ class TestConstants:
         with pytest.raises(ValueError):
             FoldSpec((2000, 2010), (2005, 2011), (2012, 2013))
 
-    # unchecked, layers=0 failed inside forward, hidden=0 in numpy,
-    # dropout=1 as a non-finite loss (a 0/0 mask) and max_epochs=0 not at
-    # all (an untrained model came back)
     @pytest.mark.parametrize("field, value", [
         ("layers", 0), ("hidden", 0), ("dropout", 1.0), ("dropout", -0.1),
         ("max_epochs", 0), ("patience", 0),
@@ -466,7 +463,6 @@ class TestLSTM:
                     # it into a contiguous array.
                     np.testing.assert_allclose(theirs, ref, rtol=1e-12, atol=1e-15)
 
-
     @settings(max_examples=100, deadline=None)
     @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
            hidden=st.integers(1, 16), layers=st.integers(1, 3),
@@ -485,7 +481,7 @@ class TestLSTM:
         low = LSTMForecaster(widths, cfg, rngs, forecast.TRAIN_DTYPE)
         assert low.flat.dtype == forecast.TRAIN_DTYPE
         ref = LSTMForecaster(widths, cfg, rngs)
-        ref.flat[:] = low.flat
+        ref.flat[:] = low.flat  # the same parameters, exactly
         results = [model.loss_and_grads(xs, ys, training=training,
                                         rngs=[np.random.default_rng(99 + k)
                                               for k in range(len(widths))])
@@ -523,8 +519,8 @@ class TestTraining:
         tx, ty, vx, vy, *_ = self._toy_problem()
         cfg = ForecasterConfig(hidden=8, layers=1, max_epochs=30, patience=3)
         model, curve = train_one(tx, ty, vx, vy, cfg, seed=1)
-        # the curve holds losses computed in the training dtype
-        final_val = float(np.mean((predict_one(model, vx) - vy.astype(forecast.TRAIN_DTYPE)) ** 2))
+        vy_train = vy.astype(forecast.TRAIN_DTYPE)  # the curve's dtype
+        final_val = float(np.mean((predict_one(model, vx) - vy_train) ** 2))
         assert final_val == min(curve)
 
     def test_deterministic_given_seed(self):
@@ -751,17 +747,17 @@ class TestGridPool:
             for pid in filter(_alive, pids):
                 os.kill(pid, signal.SIGKILL)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_model_pickles_with_params_as_views_of_flat(self, dtype):
+    def test_model_pickles_with_params_as_views_of_flat(self):
         """Pool results come back in the dtype they trained in."""
-        model = LSTMForecaster([2, 3], ForecasterConfig(hidden=3, layers=2),
-                               [np.random.default_rng(k) for k in range(2)], dtype)
-        for original in (model, model.select([1])):
-            back = pickle.loads(pickle.dumps(original))
-            assert back.in_dims == original.in_dims
-            assert back.flat.dtype == dtype
-            np.testing.assert_array_equal(back.flat, original.flat)
-            assert all(np.shares_memory(p, back.flat) for p in back.params)
+        for dtype in (np.float64, np.float32):
+            model = LSTMForecaster([2, 3], ForecasterConfig(hidden=3, layers=2),
+                                   [np.random.default_rng(k) for k in range(2)], dtype)
+            for original in (model, model.select([1])):
+                back = pickle.loads(pickle.dumps(original))
+                assert back.in_dims == original.in_dims
+                assert back.flat.dtype == dtype
+                np.testing.assert_array_equal(back.flat, original.flat)
+                assert all(np.shares_memory(p, back.flat) for p in back.params)
 
 
 class TestFoldAssignment:
